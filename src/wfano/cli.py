@@ -197,8 +197,8 @@ def _run_certify(args, out) -> dict:
         b1_in_x=args.b1,
         general_member=args.general,
     )
-    datum = ce.FanoDatum(ambient=w, d=args.degree, flags=flags)
     try:
+        datum = ce.FanoDatum(ambient=w, d=args.degree, flags=flags)
         cert = ce.certify(datum)
     except (ce.NonFanoError, ce.ContradictoryFlagsError, ValueError) as exc:
         raise CLIError("precondition", str(exc))

@@ -11,7 +11,13 @@ divisor reduce to moments of the region
 normalized by n! a / (ak+1).  The inner integrals over the simplex
 {x_2 + ... + x_n < t} have the closed forms vol = t^(n-1)/(n-1)! and
 integral of a single coordinate = t^n/n!, which reduces everything to 1D
-polynomial integrals in x_1; those are evaluated exactly over Fractions.
+integrals in x_1 of t^m and x_1 t^m, with t linear in x_1 on each piece.
+Those are evaluated exactly over Fractions by the antiderivative of a power
+of a linear function, t^(m+1)/(alpha (m+1)) for t = alpha x_1 + beta, and
+the substitution x_1 = (t - beta)/alpha for the first moment.  Only three
+distinct S-values exist per (n, a, k), so they are computed together once.
+``Poly1D`` remains as the dense-polynomial reference behind
+``MomentRegion.volume``.
 
 The closed forms for the S-values, the local delta bound at the vertex, and
 the K-instability criterion are provided alongside for cross-checking.
@@ -120,38 +126,61 @@ class MomentRegion:
         return Fraction(math.factorial(self.n) * self.a, self.a * self.k + 1)
 
 
+def _power_integrals(alpha: Fraction, beta: Fraction, lo: Fraction, hi: Fraction,
+                     m: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact integrals over [lo, hi] of t^m, t^(m+1) and x t^m, t = alpha x + beta.
+
+    Uses the antiderivative t^(e+1)/(alpha (e+1)) and, for the first moment,
+    x = (t - beta)/alpha, so x t^m = (t^(m+1) - beta t^m)/alpha.
+    """
+    t_lo = alpha * lo + beta
+    t_hi = alpha * hi + beta
+    p_m = (t_hi ** (m + 1) - t_lo ** (m + 1)) / (alpha * (m + 1))
+    p_m1 = (t_hi ** (m + 2) - t_lo ** (m + 2)) / (alpha * (m + 2))
+    return p_m, p_m1, (p_m1 - beta * p_m) / alpha
+
+
+def _flag_integrals(n: int, a: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
+    """The three distinct S-values of (n, a, k), integrated over the region.
+
+    Returns (S for j = 1, S for 2 <= j <= n, S for j = n with the point on
+    W_1).  Integrands per piece: x t^(n-1)/(n-1)! for j = 1, t^n/n! for
+    j >= 2, plus (x - 1/a)/k * t^(n-1)/(n-1)! on the second piece for W_1.
+    """
+    norm = MomentRegion(n, a, k).normalizer
+    fact_nm1 = math.factorial(n - 1)
+    one_over_a = Fraction(1, a)
+    top = Fraction(a * k + 1, a)
+    # t = a x on the first piece, t = (top - x)/k on the second
+    _, t1_n, x1 = _power_integrals(Fraction(a), Fraction(0), Fraction(0), one_over_a, n - 1)
+    t2_nm1, t2_n, x2 = _power_integrals(Fraction(-1, k), top / k, one_over_a, top, n - 1)
+    first = (x1 + x2) / fact_nm1
+    rest = (t1_n + t2_n) / (fact_nm1 * n)
+    v_term = (x2 - one_over_a * t2_nm1) / (k * fact_nm1)
+    return norm * first, norm * rest, norm * (rest + v_term)
+
+
+def _pick(integrals: tuple[Fraction, Fraction, Fraction], n: int, j: int,
+          q_in_w1: bool) -> Fraction:
+    """The entry of ``_flag_integrals`` that flag depth j selects."""
+    first, rest, on_w1 = integrals
+    if j == 1:
+        return first
+    return on_w1 if q_in_w1 and j == n else rest
+
+
 def s_value(n: int, a: int, k: int, j: int, q_in_w1: bool = False) -> Fraction:
     """S(O_X(1); Y_1 > ... > Y_j) by exact symbolic integration.
 
     The flag runs through the exceptional divisor; j = n additionally
     distinguishes whether the final point lies on the residual hypersurface
-    W_1 (the ``q_in_w1`` flag).  Integration is reduced to 1D polynomial
-    integrals via the simplex closed forms.
+    W_1 (the ``q_in_w1`` flag).  Integration is reduced to 1D integrals of
+    powers of a linear function via the simplex closed forms.
     """
     _validate(n, a, k)
     if not 1 <= j <= n:
         raise ValueError("flag depth j must satisfy 1 <= j <= n")
-    fact_nm1 = math.factorial(n - 1)
-    fact_n = math.factorial(n)
-    one_over_a = Fraction(1, a)
-    top = Fraction(a * k + 1, a)
-    t1 = Poly1D([0, a])                                  # t = a x  on the first piece
-    t2 = Poly1D([top / k, Fraction(-1, k)])              # t = (top - x)/k on the second
-
-    def piece_integral(tpoly: Poly1D, lo: Fraction, hi: Fraction, with_v: bool) -> Fraction:
-        if j == 1:
-            integrand = Poly1D([0, 1]) * tpoly.power(n - 1).scale(Fraction(1, fact_nm1))
-        else:
-            integrand = tpoly.power(n).scale(Fraction(1, fact_n))
-        if with_v:
-            v = Poly1D([-one_over_a / k, Fraction(1, k)])  # (x - 1/a)/k
-            integrand = integrand + v * tpoly.power(n - 1).scale(Fraction(1, fact_nm1))
-        return integrand.integral(lo, hi)
-
-    add_v = q_in_w1 and j == n
-    total = piece_integral(t1, Fraction(0), one_over_a, False)
-    total += piece_integral(t2, one_over_a, top, add_v)
-    return MomentRegion(n, a, k).normalizer * total
+    return _pick(_flag_integrals(n, a, k), n, j, q_in_w1)
 
 
 def s_value_closed_form(n: int, a: int, k: int, j: int, q_in_w1: bool = False) -> Fraction:
@@ -222,9 +251,10 @@ def moment_table(n_range, a_range, k_range) -> Iterator[dict]:
     for n in n_range:
         for a in a_range:
             for k in k_range:
+                integrals = _flag_integrals(n, a, k)
                 for j in range(1, n + 1):
                     for q in (False, True):
-                        s = s_value(n, a, k, j, q)
+                        s = _pick(integrals, n, j, q)
                         cf = s_value_closed_form(n, a, k, j, q)
                         yield {
                             "n": n, "a": a, "k": k, "j": j,

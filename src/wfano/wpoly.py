@@ -156,11 +156,15 @@ class SparseWPoly:
         parts = []
         for exps, coeff in self.terms:
             factors = [str(coeff)] if abs(coeff) != 1 else (["-1"] if coeff == -1 else [])
-            factors += [
-                f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(exps) if e
-            ]
+            if any(exps):
+                factors.append(_mono_text(exps))
             parts.append("*".join(factors) if factors else str(coeff))
         return " + ".join(parts).replace("+ -1*", "- ").replace("+ -", "- ")
+
+
+def _mono_text(exps: Sequence[int]) -> str:
+    """A monomial as "x0^2*x3"; "1" for the constant monomial."""
+    return "*".join(f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(exps) if e) or "1"
 
 
 def parse(text: str, ambient: WeightVector) -> SparseWPoly:

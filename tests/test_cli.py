@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -62,6 +63,14 @@ def test_exit_code_2_on_precondition():
     code, rep = _run_json(["certify", "--weights", "2,4,6,8", "--degree", "3"])
     assert code == 2
 
+    for argv in (["certify", "--weights", "1,1,1,1,2", "--degree", "0"],
+                 ["blowup", "transform", "--weights", "1,1,1,2", "--r", "1",
+                  "--poly", "x0+x3"]):
+        code, rep = _run_json(argv)
+        assert code == 2
+        jsonschema.validate(rep, ERROR_SCHEMA)
+        assert rep["error"]["kind"] == "precondition"
+
 
 def test_usage_error_is_machine_readable():
     code, rep = _run_json(["certify", "--weights", "1,1,1,1,2"])
@@ -100,6 +109,14 @@ def test_moments_table_csv():
     lines = text.strip().splitlines()
     assert lines[0] == "n,a,k,j,q_in_W1,S,closed_form,match"
     assert all(line.endswith("True") for line in lines[1:])
+
+
+def test_moments_table_default_bytes():
+    """The default table (n, a, k up to 8, 6, 6) is pinned byte for byte."""
+    code, text = _run(["moments", "table"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "1edf3e8e5f01ec1c40c9dfb3c0f574b0390099da413adc0e8d80a6e90681b8b8"
 
 
 def test_okounkov_case_and_samples():

@@ -99,6 +99,42 @@ def test_s_value_closed_forms_small_grid():
                             mo.s_value_closed_form(n, a, k, j, q)
 
 
+def _dense_flag_integrals(n, a, k):
+    """The three S-values of (n, a, k) by dense Poly1D integration: powers of
+    t expanded coefficient by coefficient, independent of the antiderivatives
+    of powers of a linear function."""
+    fact_nm1 = math.factorial(n - 1)
+    top = F(a * k + 1, a)
+    pieces = [(mo.Poly1D([0, a]), F(0), F(1, a)),
+              (mo.Poly1D([top / k, F(-1, k)]), F(1, a), top)]
+    x = mo.Poly1D([0, 1])
+    first = sum(((x * t.power(n - 1)).integral(lo, hi) for t, lo, hi in pieces), F(0))
+    rest = sum((t.power(n).integral(lo, hi) for t, lo, hi in pieces), F(0))
+    t2, lo2, hi2 = pieces[1]
+    v = mo.Poly1D([F(-1, a * k), F(1, k)])  # (x - 1/a)/k
+    v_term = (v * t2.power(n - 1)).integral(lo2, hi2)
+    norm = mo.MomentRegion(n, a, k).normalizer
+    rest = rest / (fact_nm1 * n)
+    return (norm * first / fact_nm1, norm * rest, norm * (rest + v_term / fact_nm1))
+
+
+def test_flag_integrals_against_dense_integration():
+    for n in range(2, 11):
+        for a in range(1, 5):
+            for k in range(1, 5):
+                assert mo._flag_integrals(n, a, k) == _dense_flag_integrals(n, a, k)
+
+
+def test_s_value_closed_forms_high_dimension():
+    for n in (16, 32, 64):
+        for a in (1, 2, 5):
+            for k in (1, 3):
+                for j in range(1, n + 1):
+                    for q in (False, True):
+                        assert mo.s_value(n, a, k, j, q) == \
+                            mo.s_value_closed_form(n, a, k, j, q)
+
+
 def test_s_value_preconditions():
     with pytest.raises(ValueError):
         mo.s_value(1, 1, 1, 1)
