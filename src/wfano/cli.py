@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -216,13 +215,13 @@ def _run_certify(args, out) -> dict:
 
 
 def _run_enumerate(args, out) -> dict | None:
-    threads = max(1, int(os.environ.get("WFANO_THREADS", "1")))
+    """CSV rows are written as they are certified; JSON needs them all first
+    for ``row_count``."""
     try:
-        rows = list(ce.enumerate_data(
+        rows = ce.enumerate_data(
             n=args.n, max_weight=args.max_weight, index=args.index,
             degree=args.degree, eckardt=args.eckardt, general=args.general,
-            threads=threads,
-        ))
+        )
     except ValueError as exc:
         raise CLIError("precondition", str(exc))
     if args.csv:

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
 from .lattice import WeightVector, fano_index
 from .moments import delta_eckardt, unstable_check
-
-SCHEMA_VERSION = "wfano-certify/1"
+from .schema import SCHEMA_VERSION  # noqa: F401  (re-exported)
 
 
 class NonFanoError(ValueError):
@@ -53,35 +52,35 @@ class Flags:
 
 @dataclass(frozen=True)
 class FanoDatum:
-    """A weighted hypersurface family: ambient P(a_0,...,a_{n+1}), degree d."""
+    """A weighted hypersurface family: ambient P(a_0,...,a_{n+1}), degree d.
+
+    The shape every rule reads is computed once, at construction: the
+    dimension ``n``, the Fano ``index`` sum(a_i) - d, the ascending
+    ``sorted_weights`` and ``c1``, the number of weight-one entries.  Since
+    the weights are positive, the sorted weights have the shape
+    (1^(len - t), w_1 <= ... <= w_t) with every w_i >= 2 exactly when
+    ``c1 == len - t``.
+    """
 
     ambient: WeightVector
     d: int
     flags: Flags = field(default_factory=Flags)
+    n: int = field(init=False, compare=False, repr=False)
+    index: int = field(init=False, compare=False, repr=False)
+    sorted_weights: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    c1: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("degree must be a positive integer")
         if len(self.ambient) < 3:
             raise ValueError("a hypersurface datum needs at least three weights")
-
-    @property
-    def n(self) -> int:
-        """Dimension of the hypersurface."""
-        return len(self.ambient) - 2
-
-    @property
-    def index(self) -> int:
-        return fano_index(self.ambient, self.d)
-
-    @property
-    def sorted_weights(self) -> tuple[int, ...]:
-        return tuple(sorted(self.ambient.weights))
-
-    @property
-    def c1(self) -> int:
-        """Number of weight-one entries."""
-        return sum(1 for a in self.ambient if a == 1)
+        w = tuple(sorted(self.ambient.weights))
+        setattr_ = object.__setattr__
+        setattr_(self, "n", len(w) - 2)
+        setattr_(self, "index", fano_index(self.ambient, self.d))
+        setattr_(self, "sorted_weights", w)
+        setattr_(self, "c1", w.count(1))
 
 
 @dataclass(frozen=True)
@@ -157,18 +156,20 @@ class B1Result:
 
 
 def _representable(d: int, parts: tuple[int, ...]) -> bool:
-    """Whether d is a nonnegative integer combination of the given parts."""
-    if d == 0:
-        return True
-    if not parts:
-        return False
-    reachable = bytearray(d + 1)
-    reachable[0] = 1
+    """Whether d >= 0 is a nonnegative integer combination of the given parts.
+
+    Bit v of ``reach`` says v is a combination of the parts seen so far.
+    Shifting by p, 2p, 4p, ... while the step is at most d adds every
+    multiple of p up to d, so each part costs O(log d) big-int operations.
+    """
+    mask = (1 << (d + 1)) - 1
+    reach = 1
     for p in parts:
-        for v in range(p, d + 1):
-            if reachable[v - p]:
-                reachable[v] = 1
-    return bool(reachable[d])
+        step = p
+        while step <= d:
+            reach |= (reach << step) & mask
+            step *= 2
+    return bool(reach >> d & 1)
 
 
 def derive_b1(datum: FanoDatum) -> B1Result:
@@ -182,18 +183,17 @@ def derive_b1(datum: FanoDatum) -> B1Result:
           violation gives "no".
     When (2) fires together with (1) or (3) the asserted family is empty.
     """
-    n = datum.n
-    big = tuple(sorted(a for a in datum.ambient if a > 1))
-    c1 = datum.c1
+    n, d, c1 = datum.n, datum.d, datum.c1
+    big = datum.sorted_weights[c1:]
     no_reasons = []
     yes_reasons = []
     if n + 1 >= 2 * c1:
         no_reasons.append(f"n+1 = {n + 1} >= 2*c1 = {2 * c1}: locus too large to lie on X")
-    for a in sorted(set(big)):
-        if datum.d % a != 1:
-            no_reasons.append(f"d = {datum.d} is {datum.d % a} mod {a}, not 1")
+    for a in big:
+        if d % a != 1:
+            no_reasons.append(f"d = {d} is {d % a} mod {a}, not 1")
             break
-    if not _representable(datum.d, big):
+    if not _representable(d, big):
         yes_reasons.append(
             "degree is not a nonnegative combination of the weights > 1, so every "
             "monomial of degree d vanishes on the weight-one locus"
@@ -240,15 +240,6 @@ def _entry(rule_id, statement, scope, hypotheses, inputs, output,
                       inputs=inputs, output=str(output))
 
 
-def _is_tail_pattern(weights: tuple[int, ...], tail: int) -> bool:
-    """True when sorted weights equal (1,...,1, w_1 <= ... <= w_tail) with
-    every tail weight >= 2."""
-    lead = len(weights) - tail
-    return lead >= 0 and all(a == 1 for a in weights[:lead]) and all(
-        a >= 2 for a in weights[lead:]
-    )
-
-
 def certify(datum: FanoDatum) -> DeltaCertificate:
     """Best available certified bound for delta(X; O(1)) and the verdict.
 
@@ -266,12 +257,6 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
         raise NonFanoError(f"index sum(a_i) - d = {idx} is not positive")
 
     col = _Collector()
-    n = datum.n
-    d = datum.d
-    w = datum.sorted_weights
-    a_top = w[-1]
-    a_second = w[-2]
-
     b1 = datum.flags.b1_in_x
     derived = derive_b1(datum)
     if derived.verdict == "contradiction":
@@ -342,7 +327,7 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
 def _rule_external_divisible(datum: FanoDatum, col: _Collector) -> None:
     """delta(X; O(1)) >= (n+1) a_r / d when some weight a_r > 1 divides d."""
     n, d = datum.n, datum.d
-    best = max((a for a in datum.ambient if a > 1 and d % a == 0), default=None)
+    best = max((a for a in datum.sorted_weights[datum.c1:] if d % a == 0), default=None)
     if best is None:
         return
     value = Fraction((n + 1) * best, d)
@@ -365,7 +350,7 @@ def _rule_one_weight_gap(datum: FanoDatum, col: _Collector) -> None:
     delta(X; O(1)) >= (n+1)/(d-a)."""
     n, d = datum.n, datum.d
     w = datum.sorted_weights
-    if not (_is_tail_pattern(w, 1) and n >= 3 and d >= w[-1] + 2):
+    if not (datum.c1 == n + 1 and n >= 3 and d >= w[-1] + 2):
         return
     a = w[-1]
     value = Fraction(n + 1, d - a)
@@ -432,7 +417,7 @@ def _rule_two_weight_degree(datum: FanoDatum, col: _Collector) -> None:
     delta(X; O(1)) >= (n+1) a / d."""
     n, d = datum.n, datum.d
     w = datum.sorted_weights
-    if not (_is_tail_pattern(w, 2) and n >= 2 and d >= w[-1] + 2):
+    if not (datum.c1 == n and n >= 2 and d >= w[-1] + 2):
         return
     a, b = w[-2], w[-1]
     value = Fraction((n + 1) * a, d)
@@ -452,7 +437,7 @@ def _rule_theorem_one_weight(datum: FanoDatum, col: _Collector) -> None:
     delta(X; O(1)) >= (n+1)/n > 1, hence K-stable."""
     n = datum.n
     w = datum.sorted_weights
-    if not (_is_tail_pattern(w, 1) and n >= 3 and datum.index == 1):
+    if not (datum.c1 == n + 1 and n >= 3 and datum.index == 1):
         return
     value = Fraction(n + 1, n)
     col.add(_entry(
@@ -472,7 +457,7 @@ def _rule_theorem_two_weights(datum: FanoDatum, col: _Collector) -> None:
     delta(X; O(1)) >= (n+1)/(n + 1/a) > 1, hence K-stable."""
     n = datum.n
     w = datum.sorted_weights
-    if not (_is_tail_pattern(w, 2) and n >= 3 and datum.index == 1):
+    if not (datum.c1 == n and n >= 3 and datum.index == 1):
         return
     a, b = w[-2], w[-1]
     value = Fraction((n + 1) * a, n * a + 1)
@@ -494,10 +479,8 @@ def _rule_general_divisibility(datum: FanoDatum, col: _Collector) -> None:
     d = 1 mod a_i for every weight a_i > 1: K-stable (bound 1, strict)."""
     if not datum.flags.general_member:
         return
-    n = datum.n
-    w = datum.sorted_weights
-    c1 = datum.c1
-    big = [a for a in w if a > 1]
+    n, c1 = datum.n, datum.c1
+    big = datum.sorted_weights[c1:]
     if not (n >= 3 and datum.index == 1 and big and 2 * c1 >= n + 2):
         return
     if any(datum.d % a != 1 for a in big):
@@ -527,7 +510,7 @@ def _rule_eckardt(datum: FanoDatum, col: _Collector) -> None:
     flags = datum.flags
     k = None
     w = datum.sorted_weights
-    applicable = (_is_tail_pattern(w, 1) and datum.d % w[-1] == 1
+    applicable = (datum.c1 == datum.n + 1 and datum.d % w[-1] == 1
                   and datum.d >= w[-1] + 1)
     eck = flags.eckardt_at_p is True
     if flags.m is not None and applicable:
@@ -605,15 +588,15 @@ class EnumerationRow:
 
 def enumerate_data(n: int, max_weight: int, index: Optional[int] = None,
                    degree: Optional[int] = None, eckardt: bool = False,
-                   general: bool = False,
-                   threads: int = 1) -> Iterator[EnumerationRow]:
+                   general: bool = False) -> Iterator[EnumerationRow]:
     """All well-formed ascending weight tuples of length n+2 with entries up
     to max_weight, certified one by one in lexicographic order.
 
     Exactly one of ``index`` and ``degree`` must be given; ``eckardt`` and
     ``general`` set the corresponding assertion flags on every row where
-    they are meaningful.  Worker parallelism never changes the output
-    order.
+    they are meaningful.  The arguments and the row limit are checked
+    here, before the first row is certified; the rows are then yielded as
+    they are certified.
     """
     if (index is None) == (degree is None):
         raise ValueError("give exactly one of index or degree")
@@ -627,36 +610,27 @@ def enumerate_data(n: int, max_weight: int, index: Optional[int] = None,
     if len(tuples) > ENUM_LIMITS["max_rows"]:
         raise ValueError(f"enumeration would produce {len(tuples)} rows; "
                          f"limit is {ENUM_LIMITS['max_rows']}")
+    return _certified_rows(tuples, index, degree, eckardt, general)
 
-    def make_row(t: tuple[int, ...]) -> Optional[EnumerationRow]:
+
+def _certified_rows(tuples, index, degree, eckardt, general) -> Iterator[EnumerationRow]:
+    """The rows of :func:`enumerate_data` for ascending gcd-1 ``tuples``."""
+    plain = Flags(general_member=general)
+    marked = Flags(eckardt_at_p=True, general_member=general)
+    for t in tuples:
         w = WeightVector(t)
         if not w.is_well_formed:
-            return None
+            continue
         d = sum(t) - index if index is not None else degree
-        if d is None or d < 1:
-            return None
-        flags = Flags(general_member=general)
-        if eckardt and _is_tail_pattern(t, 1) and t[-1] > 1 and d % t[-1] == 1:
-            flags = replace(flags, eckardt_at_p=True)
-        datum = FanoDatum(ambient=w, d=d, flags=flags)
+        if d < 1:
+            continue
+        # the shape (1^(n+1), a) with a >= 2, as in FanoDatum
+        vertex = eckardt and t.count(1) == len(t) - 1 and d % t[-1] == 1
+        datum = FanoDatum(ambient=w, d=d, flags=marked if vertex else plain)
         if datum.index <= 0:
-            return None
+            continue
         try:
             cert = certify(datum)
         except (NonFanoError, ContradictoryFlagsError):
-            return None
-        return EnumerationRow(datum=datum, certificate=cert)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = pool.map(make_row, tuples)
-            for row in rows:
-                if row is not None:
-                    yield row
-    else:
-        for t in tuples:
-            row = make_row(t)
-            if row is not None:
-                yield row
+            continue
+        yield EnumerationRow(datum=datum, certificate=cert)

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .snf import QuotientLattice
@@ -49,21 +50,26 @@ class WeightVector:
 
     The constructor requires gcd(a_0,...,a_s) = 1 and length >= 2; it never
     rescales silently (use :func:`divide_common_factor` for that).
+    ``is_well_formed`` (no s of the s+1 weights share a common factor) is
+    decided once, at construction.
     """
 
     weights: tuple[int, ...]
+    is_well_formed: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        w = tuple(int(x) for x in self.weights)
+        w = tuple(map(int, self.weights))
         object.__setattr__(self, "weights", w)
         if len(w) < 2:
             raise ValueError("a weight vector needs at least two entries")
-        if any(x < 1 for x in w):
+        if min(w) < 1:
             raise ValueError("weights must be positive integers")
         if math.gcd(*w) != 1:
             raise ValueError(
                 f"gcd of weights {w} is {math.gcd(*w)} != 1; divide out the common factor first"
             )
+        object.__setattr__(self, "is_well_formed", all(
+            math.gcd(*rest) == 1 for rest in combinations(w, len(w) - 1)))
 
     @classmethod
     def parse(cls, text: str) -> "WeightVector":
@@ -86,11 +92,6 @@ class WeightVector:
     def omit(self, i: int) -> tuple[int, ...]:
         return self.weights[:i] + self.weights[i + 1 :]
 
-    @property
-    def is_well_formed(self) -> bool:
-        """No s of the s+1 weights share a common factor."""
-        return all(math.gcd(*self.omit(i)) == 1 for i in range(len(self.weights)))
-
     def require_well_formed(self) -> None:
         if not self.is_well_formed:
             raise ValueError(f"weights {self.weights} are not well-formed; normalize first")
@@ -99,7 +100,7 @@ class WeightVector:
         return math.prod(self.weights)
 
     def text(self) -> str:
-        return ",".join(str(w) for w in self.weights)
+        return ",".join(map(str, self.weights))
 
     def quotient_lattice(self) -> QuotientLattice:
         return QuotientLattice(self.weights)

@@ -84,13 +84,33 @@ def test_byte_identical_determinism():
     _, out2 = _run(argv)
     assert out1 == out2
 
-    import os
-    os.environ["WFANO_THREADS"] = "4"
-    try:
-        _, out3 = _run(argv)
-    finally:
-        del os.environ["WFANO_THREADS"]
-    assert out1 == out3
+
+def test_enumerate_csv_bytes():
+    """The benchmark's sweep CSV is pinned byte for byte."""
+    code, text = _run(["enumerate", "--n", "3", "--max-weight", "14", "--index", "1",
+                       "--eckardt", "--general", "--csv"])
+    assert code == 0
+    data = text.encode()
+    assert len(data) == 308_328
+    assert hashlib.sha256(data).hexdigest() == \
+        "1a373e534c0102396013921ee202fef8c3fc5863821fa17b69da28372b83d18d"
+
+
+def test_enumerate_json_bytes():
+    code, text = _run(["enumerate", "--n", "3", "--max-weight", "10", "--index", "1"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "081b12f88e8db29be320efd1c64d02ea31409fca383e6ad63ad8c6ab0d5ba463"
+
+
+def test_enumerate_csv_limit_error_has_no_header():
+    code, text = _run(["enumerate", "--n", "50", "--max-weight", "3", "--index", "1",
+                       "--csv"])
+    assert code == 2
+    rep = json.loads(text)
+    jsonschema.validate(rep, ERROR_SCHEMA)
+    assert rep["error"]["kind"] == "precondition"
+    assert text.startswith("{")
 
 
 def test_enumerate_csv():

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -182,10 +185,6 @@ def test_enumerate_deterministic_and_limits():
     assert [r.datum.ambient.weights for r in rows1] == \
            [r.datum.ambient.weights for r in rows2]
     assert rows1, "expected at least one row"
-    # threads must not change content or order
-    rows3 = list(ce.enumerate_data(n=3, max_weight=3, index=1, threads=4))
-    assert [(r.datum.ambient.weights, r.certificate.bound) for r in rows1] == \
-           [(r.datum.ambient.weights, r.certificate.bound) for r in rows3]
     with pytest.raises(ValueError):
         list(ce.enumerate_data(n=3, max_weight=3))
     with pytest.raises(ValueError):
@@ -220,3 +219,61 @@ def test_enumerate_unstable_sweep():
     for a in (4, 5, 6):
         threshold = F(2 * a * a, a - 1)
         assert (11 > threshold) == (unstable_check(11, a, 2).verdict == "K-unstable")
+
+
+def test_enumerate_checks_arguments_before_the_first_row():
+    with pytest.raises(ValueError):
+        ce.enumerate_data(n=50, max_weight=3, index=1)
+    with pytest.raises(ValueError):
+        ce.enumerate_data(n=3, max_weight=3, index=1, degree=5)
+
+
+def test_representable_against_brute_force():
+    top = 80
+    for length in range(5):
+        for parts in itertools.combinations_with_replacement(range(2, 13), length):
+            reach = [True] + [False] * top
+            for v in range(1, top + 1):
+                reach[v] = any(p <= v and reach[v - p] for p in parts)
+            for d in range(top + 1):
+                assert ce._representable(d, parts) == reach[d], (d, parts)
+
+
+def _tail_pattern_scan(weights, tail):
+    """Sorted weights are (1,...,1, w_1 <= ... <= w_tail), every w_i >= 2."""
+    lead = len(weights) - tail
+    return lead >= 0 and all(a == 1 for a in weights[:lead]) and all(
+        a >= 2 for a in weights[lead:])
+
+
+def test_datum_shape_fields_match_their_definitions():
+    rng = random.Random(3)
+    for t in itertools.combinations_with_replacement(range(1, 9), 5):
+        c1 = t.count(1)
+        for tail in range(len(t) + 2):
+            assert (c1 == len(t) - tail) == _tail_pattern_scan(t, tail), (t, tail)
+        if math.gcd(*t) != 1:
+            continue
+        shuffled = list(t)
+        rng.shuffle(shuffled)
+        w = WeightVector(tuple(shuffled))
+        assert w.is_well_formed == all(
+            math.gcd(*(w.weights[:i] + w.weights[i + 1:])) == 1 for i in range(len(t)))
+        d = sum(t) - 1
+        datum = ce.FanoDatum(ambient=w, d=d)
+        assert datum.n == len(t) - 2
+        assert datum.index == sum(t) - d == 1
+        assert datum.sorted_weights == t
+        assert datum.c1 == sum(1 for a in shuffled if a == 1)
+
+
+def test_datum_shape_fields_stay_out_of_equality():
+    datum = _datum([1, 1, 1, 1, 2], 5)
+    assert datum == _datum([1, 1, 1, 1, 2], 5)
+    assert hash(datum) == hash(_datum([1, 1, 1, 1, 2], 5))
+    assert "c1" not in repr(datum) and "sorted_weights" not in repr(datum)
+    lower = dataclasses.replace(datum, d=4)
+    assert (lower.index, lower.c1, lower.n) == (2, 4, 3)
+    assert dataclasses.replace(lower, d=5) == datum
+    with pytest.raises(ValueError):
+        dataclasses.replace(datum, d=0)
