@@ -77,16 +77,6 @@ class BlowupFrame:
     def exceptional(self) -> BiDegree:
         return BiDegree(-self.hp, self.h)
 
-    def x_degree(self, i: int) -> BiDegree:
-        if not 0 <= i <= self.r:
-            raise ValueError("x index out of range")
-        return BiDegree(self.app[i], 0)
-
-    def y_degree(self, j: int) -> BiDegree:
-        if not self.r < j <= self.s:
-            raise ValueError("y index out of range")
-        return BiDegree(0, self.app[j])
-
     @property
     def z_degree(self) -> BiDegree:
         return BiDegree(-self.hp, self.h)
@@ -195,25 +185,6 @@ def intersection_bi(frame: BlowupFrame, k: int) -> Fraction:
     if k > frame.r:
         return Fraction(0)
     return Fraction(frame.h**k * frame.hp ** (frame.s - k), frame.ambient.product())
-
-
-def intersection_pair(frame: BlowupFrame, first: Sequence[Fraction], second: Sequence[Fraction],
-                      k: int) -> Fraction:
-    """(first^k . second^(s-k)) for two Q-classes on the blowup, by bilinearity."""
-    a1, b1 = Fraction(first[0]), Fraction(first[1])
-    a2, b2 = Fraction(second[0]), Fraction(second[1])
-    s = frame.s
-    total = Fraction(0)
-    for i in range(k + 1):
-        for j in range(s - k + 1):
-            coeff = math.comb(k, i) * math.comb(s - k, j)
-            total += (
-                coeff
-                * a1**i * b1 ** (k - i)
-                * a2**j * b2 ** (s - k - j)
-                * intersection_bi(frame, i + j)
-            )
-    return total
 
 
 @dataclass(frozen=True)

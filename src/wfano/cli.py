@@ -190,13 +190,13 @@ def build_parser() -> _Parser:
 
 def _run_certify(args, out) -> dict:
     w = _weights(args.weights)
-    flags = ce.Flags(
-        eckardt_at_p=True if args.eckardt else None,
-        m=args.m,
-        b1_in_x=args.b1,
-        general_member=args.general,
-    )
     try:
+        flags = ce.Flags(
+            eckardt_at_p=True if args.eckardt else None,
+            m=args.m,
+            b1_in_x=args.b1,
+            general_member=args.general,
+        )
         datum = ce.FanoDatum(ambient=w, d=args.degree, flags=flags)
         cert = ce.certify(datum)
     except (ce.NonFanoError, ce.ContradictoryFlagsError, ValueError) as exc:
@@ -332,7 +332,10 @@ def _run_wps(args, out) -> dict:
                             None if loc.stratum is None
                             else loc.stratum.quotient_weights.text(),
                         "scale": None if loc.stratum is None else loc.stratum.scale})
-    idx = fano_index(w, args.degree)
+    try:
+        idx = fano_index(w, args.degree)
+    except ValueError as exc:
+        raise CLIError("precondition", str(exc))
     return _report("wps index",
                    {"weights": w.text(), "degree": args.degree},
                    {"index": idx, "fano": idx > 0})

@@ -3,12 +3,14 @@
 Input is a Fano datum: an ambient weight vector, a degree, and structural
 flags (all geometric hypotheses such as quasi-smoothness, a generalized
 Eckardt vertex, or generality of the member are caller-asserted and
-recorded).  The engine fires every rule whose hypotheses re-validate
-against the datum, combines the resulting bounds (maximum of lower bounds,
-local bounds combined over a vertex/away split), converts between the O(1)
-and anticanonical polarizations exactly, and emits a full audit trace.
+recorded).  The rules are data: :data:`RULES` is one table of
+:class:`Rule` rows.  :func:`certify` resolves the weight-one base locus
+containment and the Eckardt vertex once, folds over the table, combines
+the bounds that fired (maximum of lower bounds, local bounds combined over
+a vertex/away split), converts between the O(1) and anticanonical
+polarizations exactly, and emits a full audit trace.
 
-External inputs from the literature are separate rules tagged EXTERNAL and
+External inputs from the literature are separate rows tagged EXTERNAL and
 carry their own citation strings; they are never merged silently.
 """
 
@@ -18,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .lattice import WeightVector, fano_index
 from .moments import delta_eckardt, unstable_check
@@ -207,47 +209,244 @@ def derive_b1(datum: FanoDatum) -> B1Result:
     return B1Result("unknown", ())
 
 
-@dataclass
-class _Collector:
-    entries: list[TraceEntry] = field(default_factory=list)
-    global_lower: list[tuple[Fraction, bool]] = field(default_factory=list)
-    vertex_lower: list[Fraction] = field(default_factory=list)
-    away_lower: list[Fraction] = field(default_factory=list)
-    uppers: list[Fraction] = field(default_factory=list)
+@dataclass(frozen=True)
+class Rule:
+    """One row of :data:`RULES`.
 
-    def note(self, rule_id: str, statement: str, hypotheses=(), inputs=None) -> None:
-        self.entries.append(TraceEntry(rule_id, statement, None, False, "note",
-                                       tuple(hypotheses), inputs or {}, None))
+    ``fire(datum, b1, eckardt)`` returns ``(hypotheses, inputs, value)`` or
+    None when the rule does not apply; ``b1`` is the resolved containment
+    and ``eckardt`` the result of :func:`_eckardt_vertex`.  Only ``note``
+    rows have value None; a ``strict`` global bound is exclusive; a row
+    with a citation is an external input from the literature.
+    """
 
-    def add(self, entry: TraceEntry, value: Fraction, strict: bool = False) -> None:
-        self.entries.append(entry)
-        if entry.scope == "global":
-            self.global_lower.append((value, strict))
-        elif entry.scope == "vertex":
-            self.vertex_lower.append(value)
-        elif entry.scope == "away":
-            self.away_lower.append(value)
-        elif entry.scope == "upper":
-            self.uppers.append(value)
-        else:
-            raise AssertionError(f"unknown scope {entry.scope}")
+    id: str
+    scope: str                    # "global" | "vertex" | "away" | "upper" | "note"
+    statement: str
+    fire: Callable[[FanoDatum, str, Optional[int]], Optional[tuple]]
+    citation: Optional[str] = None
+    strict: bool = False
 
 
-def _entry(rule_id, statement, scope, hypotheses, inputs, output,
-           citation=None, external=False) -> TraceEntry:
-    return TraceEntry(rule_id=rule_id, statement=statement, citation=citation,
-                      external=external, scope=scope, hypotheses=tuple(hypotheses),
-                      inputs=inputs, output=str(output))
+def _divisible_weight(datum, b1, eckardt):
+    d = datum.d
+    for a in reversed(datum.sorted_weights):      # the largest a_r > 1 dividing d
+        if a == 1:
+            return None
+        if d % a == 0:
+            n = datum.n
+            return ((f"a_r = {a} divides d = {d}", "quasi-smooth asserted"),
+                    {"n": n, "d": d, "a_r": a}, Fraction((n + 1) * a, d))
+    return None
+
+
+def _one_weight_gap(datum, b1, eckardt):
+    n, d, a = datum.n, datum.d, datum.sorted_weights[-1]
+    if not (datum.c1 == n + 1 and n >= 3 and d >= a + 2):
+        return None
+    return ((f"weights are (1^{n + 1}, {a})", f"d = {d} >= a+2 = {a + 2}", "n >= 3"),
+            {"n": n, "d": d, "a": a}, Fraction(n + 1, d - a))
+
+
+def _tail(datum, b1):
+    """(n, d, a_top, k, hypotheses) when the weight-one base locus lies on X
+    (which forces d = 1 mod a_top), n >= 3 and d = k a_top + 1 > a_top + 1;
+    else None."""
+    n, d, a_top = datum.n, datum.d, datum.sorted_weights[-1]
+    if not (b1 == "yes" and n >= 3 and d > a_top + 1 and d % a_top == 1):
+        return None
+    k = (d - 1) // a_top
+    return n, d, a_top, k, ("weight-one base locus lies on X",
+                            f"d = {d} = {k}*{a_top}+1 > a_top+1", "n >= 3",
+                            "quasi-smooth asserted")
+
+
+def _tail_away(datum, b1, eckardt):
+    tail = _tail(datum, b1)
+    if tail is None:
+        return None
+    n, d, a_top, _, hypotheses = tail
+    return hypotheses, {"n": n, "d": d, "a_top": a_top}, Fraction((n + 1) * a_top, d)
+
+
+def _tail_vertex(datum, b1, eckardt):
+    tail = _tail(datum, b1)
+    if tail is None:
+        return None
+    n, d, a_top, k, hypotheses = tail
+    a_second = datum.sorted_weights[-2]
+    # k >= 2 and n >= 3 make (n+1)/(d-a_top) the least of the three terms of
+    # the inner min in the statement (test_tail_vertex_first_term_is_the_minimum)
+    value = max(Fraction((n + 1) * a_second, d), Fraction(n + 1, d - a_top))
+    return (hypotheses, {"n": n, "d": d, "a_top": a_top, "a_second": a_second, "k": k},
+            value)
+
+
+def _two_weight_degree(datum, b1, eckardt):
+    n, d = datum.n, datum.d
+    a, b = datum.sorted_weights[-2:]
+    if not (datum.c1 == n and n >= 2 and d >= b + 2):
+        return None
+    return ((f"weights are (1^{n}, {a}, {b})", f"d = {d} >= b+2 = {b + 2}", "n >= 2"),
+            {"n": n, "d": d, "a": a, "b": b}, Fraction((n + 1) * a, d))
+
+
+def _one_weight_index_one(datum, b1, eckardt):
+    n, a = datum.n, datum.sorted_weights[-1]
+    if not (datum.c1 == n + 1 and n >= 3 and datum.index == 1):
+        return None
+    return ((f"weights are (1^{n + 1}, {a})", "index 1", "n >= 3", "quasi-smooth asserted"),
+            {"n": n, "d": datum.d, "a": a}, Fraction(n + 1, n))
+
+
+def _two_weight_index_one(datum, b1, eckardt):
+    n = datum.n
+    a, b = datum.sorted_weights[-2:]
+    if not (datum.c1 == n and n >= 3 and datum.index == 1):
+        return None
+    return ((f"weights are (1^{n}, {a}, {b})", "index 1", "n >= 3", "quasi-smooth asserted"),
+            {"n": n, "d": datum.d, "a": a, "b": b}, Fraction((n + 1) * a, n * a + 1))
+
+
+def _general_divisibility(datum, b1, eckardt):
+    n, d, c1 = datum.n, datum.d, datum.c1
+    big = datum.sorted_weights[c1:]
+    if not (datum.flags.general_member and n >= 3 and datum.index == 1 and big
+            and 2 * c1 >= n + 2 and all(d % a == 1 for a in big)):
+        return None
+    return ((f"c1 = {c1} >= (n+2)/2", "index 1", "d = 1 mod a_i for all weights a_i > 1",
+             "general member asserted", "quasi-smooth asserted"),
+            {"n": n, "d": d, "c1": c1}, Fraction(1))
+
+
+def _eckardt_vertex(datum: FanoDatum) -> Optional[int]:
+    """k in d = ak + 1 when the last vertex of P(1^(n+1), a) is a generalized
+    Eckardt point of X, else None.
+
+    The vertex is Eckardt when asserted or when the escape level m equals
+    k; asserting it together with m != k is a contradiction.
+    """
+    flags, d, a = datum.flags, datum.d, datum.sorted_weights[-1]
+    if not (datum.c1 == datum.n + 1 and d % a == 1 and d >= a + 1):
+        return None
+    k = (d - 1) // a
+    if flags.m == k or (flags.m is None and flags.eckardt_at_p is True):
+        return k
+    if flags.m is not None and flags.eckardt_at_p is True:
+        raise ContradictoryFlagsError(
+            f"eckardt_at_P asserted but escape level m={flags.m} != k={k}"
+        )
+    return None
+
+
+def _eckardt_hypotheses(datum, k):
+    n, d, a = datum.n, datum.d, datum.sorted_weights[-1]
+    return (f"weights are (1^{n + 1}, {a})", f"d = {d} = {k}*{a}+1",
+            "generalized Eckardt vertex asserted", "quasi-smooth asserted")
+
+
+def _eckardt_lower(datum, b1, k):
+    if k is None:
+        return None
+    n, a = datum.n, datum.sorted_weights[-1]
+    bound, exact = delta_eckardt(n, a, k)
+    return _eckardt_hypotheses(datum, k), {"n": n, "a": a, "k": k, "exact": exact}, bound
+
+
+def _vertex_complement(datum, b1, k):
+    if k is None:
+        return None
+    n, d, a = datum.n, datum.d, datum.sorted_weights[-1]
+    return ((f"weights are (1^{n + 1}, {a})", f"d = {d} = {k}*{a}+1", "quasi-smooth asserted"),
+            {"n": n, "a": a, "d": d}, Fraction((n + 1) * a, d))
+
+
+def _eckardt_upper(datum, b1, k):
+    if k is None:
+        return None
+    n, a = datum.n, datum.sorted_weights[-1]
+    return (_eckardt_hypotheses(datum, k), {"n": n, "a": a, "k": k},
+            Fraction(n * (n + 1), a * k + n))
+
+
+def _eckardt_unstable(datum, b1, k):
+    if k is None:
+        return None
+    n = datum.n
+    report = unstable_check(n, datum.sorted_weights[-1], k)
+    if report.verdict != "K-unstable":
+        return None
+    return ((f"n = {n} > a^2 k(k-1)/(a-1) = {report.criterion_rhs}",),
+            {"witness": str(report.witness)}, None)
+
+
+RULES: tuple[Rule, ...] = (
+    Rule("external-divisible-weight", "global",
+         "for a quasi-smooth hypersurface of degree d in a well-formed weighted "
+         "projective space with a weight a_r > 1 dividing d, "
+         "delta(X; O(1)) >= (n+1) a_r / d",
+         _divisible_weight, citation="[ST24, Theorem 1.1]"),
+    Rule("one-weight-gap", "global",
+         "for a quasi-smooth hypersurface of degree d >= a+2 and dimension n >= 3 "
+         "in P(1^(n+1), a) with a >= 2, delta(X; O(1)) >= (n+1)/(d-a)",
+         _one_weight_gap),
+    Rule("tail-base-locus-away", "away",
+         "with the weight-one base locus on X, at every point away from the last "
+         "coordinate vertex delta_p(X; O(1)) >= (n+1) a_{n+1} / d",
+         _tail_away),
+    Rule("tail-base-locus-vertex", "vertex",
+         "with the weight-one base locus on X, at the last coordinate vertex "
+         "delta_p(X; O(1)) >= max((n+1) a_n/d, min((n+1)/(d-a_{n+1}), "
+         "n(n+1)/(a_{n+1}k+n), (a_{n+1}k+1)(n+1)/(2 a_{n+1}k+1)))",
+         _tail_vertex),
+    Rule("two-weight-degree", "global",
+         "for a quasi-smooth hypersurface of degree d >= b+2 and dimension n >= 2 "
+         "in P(1^n, a, b) with 2 <= a <= b, delta(X; O(1)) >= (n+1) a / d",
+         _two_weight_degree),
+    Rule("one-weight-index-one", "global",
+         "every quasi-smooth Fano hypersurface of index 1 and dimension n >= 3 in "
+         "P(1^(n+1), a) with a >= 2 has delta(X; O(1)) >= (n+1)/n > 1 and is K-stable",
+         _one_weight_index_one),
+    Rule("two-weight-index-one", "global",
+         "every quasi-smooth Fano hypersurface of index 1 and dimension n >= 3 in "
+         "P(1^n, a, b) with 2 <= a <= b has delta(X; O(1)) >= (n+1)/(n + 1/a) > 1 "
+         "and is K-stable",
+         _two_weight_index_one),
+    Rule("general-divisibility-stable", "global",
+         "a general quasi-smooth Fano hypersurface of index 1 with at least "
+         "(n+2)/2 weight-one coordinates and d = 1 mod a_i for every weight "
+         "a_i > 1 is K-stable",
+         _general_divisibility, strict=True),
+    Rule("eckardt-vertex-lower", "vertex",
+         "at a generalized Eckardt vertex of a quasi-smooth X_(ak+1) in "
+         "P(1^(n+1), a), delta_P(X; O(1)) >= min(n(n+1)/(ak+n), "
+         "(ak+1)(n+1)/(2ak+1)), with equality to n(n+1)/(ak+n) when ak+1 >= n",
+         _eckardt_lower),
+    Rule("vertex-complement", "away",
+         "for a quasi-smooth X_d in P(1^(n+1), a) containing the last coordinate "
+         "vertex, every other point satisfies delta_p(X; O(1)) >= (n+1) a / d",
+         _vertex_complement),
+    Rule("eckardt-vertex-upper", "upper",
+         "the exceptional divisor of the vertex blowup gives "
+         "delta(X; O(1)) <= delta_P(X; O(1)) <= A(E)/S(E) = n(n+1)/(ak+n)",
+         _eckardt_upper),
+    Rule("eckardt-unstable", "note",
+         "since n > a^2 k (k-1)/(a-1), the anticanonical bound "
+         "n(n+1)/((n+a-ak)(ak+n)) is < 1 and X is K-unstable",
+         _eckardt_unstable),
+)
 
 
 def certify(datum: FanoDatum) -> DeltaCertificate:
     """Best available certified bound for delta(X; O(1)) and the verdict.
 
-    Every applicable rule is recorded; the emitted bound is the maximum of
-    the global lower bounds and of min(best vertex bound, best away bound)
-    when a vertex/away split is available.  The verdict is taken against
-    the anticanonical polarization: strict bound > 1 gives K-stable, a
-    certified upper bound < 1 gives K-unstable.
+    The weight-one containment and the Eckardt vertex are resolved once;
+    then every row of :data:`RULES` that fires is recorded, in table order.
+    The emitted bound is the maximum of the global lower bounds and of
+    min(best vertex bound, best away bound) when a vertex/away split is
+    available.  The verdict is taken against the anticanonical
+    polarization: strict bound > 1 gives K-stable, a certified upper bound
+    < 1 gives K-unstable.
     """
     datum.ambient.require_well_formed()
     if not datum.flags.quasi_smooth:
@@ -256,60 +455,57 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
     if idx <= 0:
         raise NonFanoError(f"index sum(a_i) - d = {idx} is not positive")
 
-    col = _Collector()
-    b1 = datum.flags.b1_in_x
-    derived = derive_b1(datum)
-    if derived.verdict == "contradiction":
-        col.note(
-            "b1-derivation",
-            "the containment rules for the weight-one base locus contradict each "
-            "other, so no quasi-smooth member with this datum exists; the "
-            "certificate is vacuously sound",
-            hypotheses=derived.reasons,
-        )
-        b1_effective = "unknown"
-    else:
-        if b1 != "unknown" and derived.verdict != "unknown" and b1 != derived.verdict:
+    trace = []
+    b1, derived = datum.flags.b1_in_x, derive_b1(datum)
+    if derived.verdict != "unknown":
+        if derived.verdict == "contradiction":
+            b1, statement = "unknown", (
+                "the containment rules for the weight-one base locus contradict each "
+                "other, so no quasi-smooth member with this datum exists; the "
+                "certificate is vacuously sound")
+        elif b1 in ("unknown", derived.verdict):
+            b1 = derived.verdict
+            statement = f"weight-one base locus containment derived: {b1}"
+        else:
             raise ContradictoryFlagsError(
                 f"asserted b1_in_x={b1} contradicts the derived value {derived.verdict}: "
                 + "; ".join(derived.reasons)
             )
-        b1_effective = derived.verdict if derived.verdict != "unknown" else b1
-        if derived.verdict != "unknown":
-            col.note("b1-derivation",
-                     f"weight-one base locus containment derived: {derived.verdict}",
-                     hypotheses=derived.reasons)
+        trace.append(TraceEntry("b1-derivation", statement, None, False, "note",
+                                derived.reasons, {}, None))
+    eckardt = _eckardt_vertex(datum)
 
-    _rule_external_divisible(datum, col)
-    _rule_one_weight_gap(datum, col)
-    _rule_tail_base_locus(datum, col, b1_effective)
-    _rule_two_weight_degree(datum, col)
-    _rule_theorem_one_weight(datum, col)
-    _rule_theorem_two_weights(datum, col)
-    _rule_general_divisibility(datum, col)
-    _rule_eckardt(datum, col)
+    lower, strict, vertex, away, upper = Fraction(0), False, None, None, None
+    for rule in RULES:
+        fired = rule.fire(datum, b1, eckardt)
+        if fired is None:
+            continue
+        hypotheses, inputs, value = fired
+        scope = rule.scope
+        trace.append(TraceEntry(rule.id, rule.statement, rule.citation,
+                                rule.citation is not None, scope, hypotheses, inputs,
+                                None if value is None else str(value)))
+        if scope == "global":
+            if value > lower or (value == lower and rule.strict):
+                lower, strict = value, rule.strict
+        elif scope == "vertex":
+            vertex = value if vertex is None else max(vertex, value)
+        elif scope == "away":
+            away = value if away is None else max(away, value)
+        elif scope == "upper":
+            upper = value if upper is None else min(upper, value)
+    if vertex is not None and away is not None and min(vertex, away) > lower:
+        lower, strict = min(vertex, away), False
 
-    lower = Fraction(0)
-    strict = False
-    for value, st in col.global_lower:
-        if value > lower or (value == lower and st):
-            lower, strict = value, st
-    if col.vertex_lower and col.away_lower:
-        split = min(max(col.vertex_lower), max(col.away_lower))
-        if split > lower:
-            lower, strict = split, False
-    upper = min(col.uppers) if col.uppers else None
-
-    anti_lower = lower / idx
-    anti_upper = None if upper is None else upper / idx
     if upper is not None and lower > upper:
         raise ContradictoryFlagsError(
             f"certified lower bound {lower} exceeds certified upper bound {upper}; "
             "the asserted flags are inconsistent"
         )
-    if anti_upper is not None and anti_upper < 1:
+    # anticanonical values are the O(1) values divided by the index
+    if upper is not None and upper < idx:
         verdict = "K-unstable"
-    elif anti_lower > 1 or (anti_lower == 1 and strict):
+    elif lower > idx or (lower == idx and strict):
         verdict = "K-stable"
     else:
         verdict = "inconclusive"
@@ -320,248 +516,8 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
         upper=upper,
         verdict=verdict,
         index=idx,
-        trace=tuple(col.entries),
+        trace=tuple(trace),
     )
-
-
-def _rule_external_divisible(datum: FanoDatum, col: _Collector) -> None:
-    """delta(X; O(1)) >= (n+1) a_r / d when some weight a_r > 1 divides d."""
-    n, d = datum.n, datum.d
-    best = max((a for a in datum.sorted_weights[datum.c1:] if d % a == 0), default=None)
-    if best is None:
-        return
-    value = Fraction((n + 1) * best, d)
-    col.add(_entry(
-        "external-divisible-weight",
-        "for a quasi-smooth hypersurface of degree d in a well-formed weighted "
-        "projective space with a weight a_r > 1 dividing d, "
-        "delta(X; O(1)) >= (n+1) a_r / d",
-        "global",
-        [f"a_r = {best} divides d = {d}", "quasi-smooth asserted"],
-        {"n": n, "d": d, "a_r": best},
-        value,
-        citation="[ST24, Theorem 1.1]",
-        external=True,
-    ), value)
-
-
-def _rule_one_weight_gap(datum: FanoDatum, col: _Collector) -> None:
-    """Ambient (1^(n+1), a), a >= 2, n >= 3, d >= a+2:
-    delta(X; O(1)) >= (n+1)/(d-a)."""
-    n, d = datum.n, datum.d
-    w = datum.sorted_weights
-    if not (datum.c1 == n + 1 and n >= 3 and d >= w[-1] + 2):
-        return
-    a = w[-1]
-    value = Fraction(n + 1, d - a)
-    col.add(_entry(
-        "one-weight-gap",
-        "for a quasi-smooth hypersurface of degree d >= a+2 and dimension n >= 3 "
-        "in P(1^(n+1), a) with a >= 2, delta(X; O(1)) >= (n+1)/(d-a)",
-        "global",
-        [f"weights are (1^{n + 1}, {a})", f"d = {d} >= a+2 = {a + 2}", "n >= 3"],
-        {"n": n, "d": d, "a": a},
-        value,
-    ), value)
-
-
-def _rule_tail_base_locus(datum: FanoDatum, col: _Collector, b1: str) -> None:
-    """When the weight-one base locus lies on X (ascending weights, n >= 3,
-    a_n+1 >= 2, d > a_{n+1}+1): away from the last vertex
-    delta_p >= (n+1) a_{n+1} / d, and at the vertex
-    delta >= max((n+1) a_n / d, min of the three vertex bounds)."""
-    if b1 != "yes":
-        return
-    n, d = datum.n, datum.d
-    w = datum.sorted_weights
-    a_top, a_second = w[-1], w[-2]
-    if not (n >= 3 and a_top >= 2 and d > a_top + 1):
-        return
-    if d % a_top != 1:
-        return  # containment already forces d = 1 mod a_top; inapplicable otherwise
-    k = (d - 1) // a_top
-    away = Fraction((n + 1) * a_top, d)
-    term1 = Fraction(n + 1, d - a_top)
-    term2 = Fraction(n * (n + 1), a_top * k + n)
-    term3 = Fraction((a_top * k + 1) * (n + 1), 2 * a_top * k + 1)
-    vertex_min = min(term1, term2, term3)
-    if vertex_min != term1:
-        col.note("tail-base-locus-min",
-                 f"the three vertex bounds have minimum {vertex_min}, not the "
-                 f"first term {term1}; recording the exact minimum",
-                 inputs={"terms": f"{term1},{term2},{term3}"})
-    vertex = max(Fraction((n + 1) * a_second, d), vertex_min)
-    hyp = [
-        "weight-one base locus lies on X",
-        f"d = {d} = {k}*{a_top}+1 > a_top+1", "n >= 3", "quasi-smooth asserted",
-    ]
-    col.add(_entry(
-        "tail-base-locus-away",
-        "with the weight-one base locus on X, at every point away from the last "
-        "coordinate vertex delta_p(X; O(1)) >= (n+1) a_{n+1} / d",
-        "away", hyp, {"n": n, "d": d, "a_top": a_top}, away,
-    ), away)
-    col.add(_entry(
-        "tail-base-locus-vertex",
-        "with the weight-one base locus on X, at the last coordinate vertex "
-        "delta_p(X; O(1)) >= max((n+1) a_n/d, min((n+1)/(d-a_{n+1}), "
-        "n(n+1)/(a_{n+1}k+n), (a_{n+1}k+1)(n+1)/(2 a_{n+1}k+1)))",
-        "vertex", hyp,
-        {"n": n, "d": d, "a_top": a_top, "a_second": a_second, "k": k},
-        vertex,
-    ), vertex)
-
-
-def _rule_two_weight_degree(datum: FanoDatum, col: _Collector) -> None:
-    """Ambient (1^n, a, b) with a <= b, n >= 2, d >= b+2:
-    delta(X; O(1)) >= (n+1) a / d."""
-    n, d = datum.n, datum.d
-    w = datum.sorted_weights
-    if not (datum.c1 == n and n >= 2 and d >= w[-1] + 2):
-        return
-    a, b = w[-2], w[-1]
-    value = Fraction((n + 1) * a, d)
-    col.add(_entry(
-        "two-weight-degree",
-        "for a quasi-smooth hypersurface of degree d >= b+2 and dimension n >= 2 "
-        "in P(1^n, a, b) with 2 <= a <= b, delta(X; O(1)) >= (n+1) a / d",
-        "global",
-        [f"weights are (1^{n}, {a}, {b})", f"d = {d} >= b+2 = {b + 2}", "n >= 2"],
-        {"n": n, "d": d, "a": a, "b": b},
-        value,
-    ), value)
-
-
-def _rule_theorem_one_weight(datum: FanoDatum, col: _Collector) -> None:
-    """Index-one family in P(1^(n+1), a), a >= 2, n >= 3:
-    delta(X; O(1)) >= (n+1)/n > 1, hence K-stable."""
-    n = datum.n
-    w = datum.sorted_weights
-    if not (datum.c1 == n + 1 and n >= 3 and datum.index == 1):
-        return
-    value = Fraction(n + 1, n)
-    col.add(_entry(
-        "one-weight-index-one",
-        "every quasi-smooth Fano hypersurface of index 1 and dimension n >= 3 in "
-        "P(1^(n+1), a) with a >= 2 has delta(X; O(1)) >= (n+1)/n > 1 and is K-stable",
-        "global",
-        [f"weights are (1^{n + 1}, {w[-1]})", "index 1", "n >= 3",
-         "quasi-smooth asserted"],
-        {"n": n, "d": datum.d, "a": w[-1]},
-        value,
-    ), value)
-
-
-def _rule_theorem_two_weights(datum: FanoDatum, col: _Collector) -> None:
-    """Index-one family in P(1^n, a, b), 2 <= a <= b, n >= 3:
-    delta(X; O(1)) >= (n+1)/(n + 1/a) > 1, hence K-stable."""
-    n = datum.n
-    w = datum.sorted_weights
-    if not (datum.c1 == n and n >= 3 and datum.index == 1):
-        return
-    a, b = w[-2], w[-1]
-    value = Fraction((n + 1) * a, n * a + 1)
-    col.add(_entry(
-        "two-weight-index-one",
-        "every quasi-smooth Fano hypersurface of index 1 and dimension n >= 3 in "
-        "P(1^n, a, b) with 2 <= a <= b has delta(X; O(1)) >= (n+1)/(n + 1/a) > 1 "
-        "and is K-stable",
-        "global",
-        [f"weights are (1^{n}, {a}, {b})", "index 1", "n >= 3",
-         "quasi-smooth asserted"],
-        {"n": n, "d": datum.d, "a": a, "b": b},
-        value,
-    ), value)
-
-
-def _rule_general_divisibility(datum: FanoDatum, col: _Collector) -> None:
-    """General index-one member with c1 >= (n+2)/2 weight-one entries and
-    d = 1 mod a_i for every weight a_i > 1: K-stable (bound 1, strict)."""
-    if not datum.flags.general_member:
-        return
-    n, c1 = datum.n, datum.c1
-    big = datum.sorted_weights[c1:]
-    if not (n >= 3 and datum.index == 1 and big and 2 * c1 >= n + 2):
-        return
-    if any(datum.d % a != 1 for a in big):
-        return
-    col.add(_entry(
-        "general-divisibility-stable",
-        "a general quasi-smooth Fano hypersurface of index 1 with at least "
-        "(n+2)/2 weight-one coordinates and d = 1 mod a_i for every weight "
-        "a_i > 1 is K-stable",
-        "global",
-        [f"c1 = {c1} >= (n+2)/2", "index 1",
-         "d = 1 mod a_i for all weights a_i > 1", "general member asserted",
-         "quasi-smooth asserted"],
-        {"n": n, "d": datum.d, "c1": c1},
-        Fraction(1),
-    ), Fraction(1), strict=True)
-
-
-def _rule_eckardt(datum: FanoDatum, col: _Collector) -> None:
-    """Rules at an asserted generalized Eckardt vertex of (1^(n+1), a).
-
-    Lower: the flag through the exceptional divisor gives the vertex bound
-    min(n(n+1)/(ak+n), (ak+1)(n+1)/(2ak+1)), exact once d >= n, and the
-    away-from-vertex bound (n+1) a / d.  Upper: delta <= local delta at the
-    vertex <= n(n+1)/(ak+n); below index*1 this certifies K-instability.
-    """
-    flags = datum.flags
-    k = None
-    w = datum.sorted_weights
-    applicable = (datum.c1 == datum.n + 1 and datum.d % w[-1] == 1
-                  and datum.d >= w[-1] + 1)
-    eck = flags.eckardt_at_p is True
-    if flags.m is not None and applicable:
-        k = (datum.d - 1) // w[-1]
-        if flags.m == k:
-            eck = True
-        elif flags.eckardt_at_p is True:
-            raise ContradictoryFlagsError(
-                f"eckardt_at_P asserted but escape level m={flags.m} != k={k}"
-            )
-        else:
-            eck = False
-    if not (eck and applicable):
-        return
-    n, d = datum.n, datum.d
-    a = w[-1]
-    k = (d - 1) // a
-    hyp = [f"weights are (1^{n + 1}, {a})", f"d = {d} = {k}*{a}+1",
-           "generalized Eckardt vertex asserted", "quasi-smooth asserted"]
-    vertex_bound, exact = delta_eckardt(n, a, k)
-    col.add(_entry(
-        "eckardt-vertex-lower",
-        "at a generalized Eckardt vertex of a quasi-smooth X_(ak+1) in "
-        "P(1^(n+1), a), delta_P(X; O(1)) >= min(n(n+1)/(ak+n), "
-        "(ak+1)(n+1)/(2ak+1)), with equality to n(n+1)/(ak+n) when ak+1 >= n",
-        "vertex", hyp, {"n": n, "a": a, "k": k, "exact": exact}, vertex_bound,
-    ), vertex_bound)
-    away = Fraction((n + 1) * a, d)
-    col.add(_entry(
-        "vertex-complement",
-        "for a quasi-smooth X_d in P(1^(n+1), a) containing the last coordinate "
-        "vertex, every other point satisfies delta_p(X; O(1)) >= (n+1) a / d",
-        "away", hyp[:2] + ["quasi-smooth asserted"], {"n": n, "a": a, "d": d}, away,
-    ), away)
-    upper = Fraction(n * (n + 1), a * k + n)
-    col.add(_entry(
-        "eckardt-vertex-upper",
-        "the exceptional divisor of the vertex blowup gives "
-        "delta(X; O(1)) <= delta_P(X; O(1)) <= A(E)/S(E) = n(n+1)/(ak+n)",
-        "upper", hyp, {"n": n, "a": a, "k": k}, upper,
-    ), upper)
-    if a >= 2:
-        report = unstable_check(n, a, k)
-        if report.verdict == "K-unstable":
-            col.note(
-                "eckardt-unstable",
-                "since n > a^2 k (k-1)/(a-1), the anticanonical bound "
-                "n(n+1)/((n+a-ak)(ak+n)) is < 1 and X is K-unstable",
-                hypotheses=[f"n = {n} > a^2 k(k-1)/(a-1) = {report.criterion_rhs}"],
-                inputs={"witness": str(report.witness)},
-            )
 
 
 def replay(cert: DeltaCertificate, datum: FanoDatum) -> bool:
@@ -600,6 +556,8 @@ def enumerate_data(n: int, max_weight: int, index: Optional[int] = None,
     """
     if (index is None) == (degree is None):
         raise ValueError("give exactly one of index or degree")
+    if n < 1:
+        raise ValueError("dimension n must be >= 1")
     if n > ENUM_LIMITS["max_n"] or max_weight > ENUM_LIMITS["max_weight"]:
         raise ValueError(f"enumeration limits exceeded: {ENUM_LIMITS}")
     tuples = [
@@ -624,8 +582,9 @@ def _certified_rows(tuples, index, degree, eckardt, general) -> Iterator[Enumera
         d = sum(t) - index if index is not None else degree
         if d < 1:
             continue
-        # the shape (1^(n+1), a) with a >= 2, as in FanoDatum
-        vertex = eckardt and t.count(1) == len(t) - 1 and d % t[-1] == 1
+        # the shape (1^(n+1), a), a >= 2, with n >= 2 for the vertex moments
+        vertex = (eckardt and len(t) >= 4 and t.count(1) == len(t) - 1
+                  and d % t[-1] == 1)
         datum = FanoDatum(ambient=w, d=d, flags=marked if vertex else plain)
         if datum.index <= 0:
             continue

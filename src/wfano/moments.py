@@ -44,11 +44,6 @@ class Poly1D:
             cs.pop()
         self.coeffs = cs
 
-    @classmethod
-    def x_shifted(cls, shift: Fraction, scale: Fraction) -> "Poly1D":
-        """The linear polynomial scale * x + shift."""
-        return cls([shift, scale])
-
     def __mul__(self, other: "Poly1D") -> "Poly1D":
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):

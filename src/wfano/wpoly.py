@@ -6,10 +6,9 @@ a standard weighted blowup (strict transforms).  Coefficients are
 :class:`fractions.Fraction`; exponent vectors are dense integer tuples and
 terms are kept in lexicographic order for deterministic serialization.
 
-Quasi-smoothness is not decided for arbitrary polynomials.  The checker is
-tiered: exact tests at supplied points, combinatorial tests at coordinate
-points, and a seeded floating-point falsifier that reports non-certified
-evidence only.
+Quasi-smoothness is not decided for arbitrary polynomials.  The checker
+has two exact tiers: tests at supplied points and combinatorial tests at
+the coordinate points.
 """
 
 from __future__ import annotations
@@ -51,7 +50,10 @@ def _parse_terms(text: str, nvars: int, var_index) -> dict[tuple[int, ...], Frac
         exps = [0] * nvars
         for factor in chunk.split("*"):
             if _COEFF_RE.match(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in coefficient {factor!r}")
                 continue
             m = _VAR_RE.match(factor)
             if not m:
@@ -209,10 +211,6 @@ class BiGradedPoly:
         alpha = sum(fr.app[i] * exps[i] for i in range(fr.r + 1)) - fr.hp * exps[-1]
         beta = sum(fr.app[j] * exps[j] for j in range(fr.r + 1, fr.s + 1)) + fr.h * exps[-1]
         return (alpha, beta)
-
-    @property
-    def z_index(self) -> int:
-        return self.frame.s + 1
 
     def divisible_by_z(self) -> bool:
         return all(exps[-1] > 0 for exps, _ in self.terms)
@@ -490,82 +488,3 @@ def eckardt_analyze(f: SparseWPoly) -> Union[EckardtDatum, EckardtNotApplicable]
         if any(exps[0] == 0 for exps, _ in part):
             return EckardtDatum(a=a, k=k, m=t)
     return EckardtNotApplicable("every slice is divisible by x0, so x0 divides f")
-
-
-def falsify_quasi_smoothness(f: SparseWPoly, seed: int, tries: int = 64,
-                             steps: int = 200, tol: float = 1e-18) -> list[dict]:
-    """Seeded floating-point search for singular points of the affine cone.
-
-    Descends |f|^2 + |grad f|^2 (analytic gradient, backtracking step) from
-    random starts on the unit spheres of the coordinate strata.  Returns a
-    list of non-certified candidate records (floating point coordinates and
-    residuals); an empty list proves nothing.
-    """
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    n = len(f.ambient)
-    first = [f.partial(i) for i in range(n)]
-    system = [f] + first
-    second = [[first[i].partial(j) if first[i] is not None else None
-               for j in range(n)] for i in range(n)]
-
-    def peval(p, vec) -> float:
-        if p is None:
-            return 0.0
-        v = 0.0
-        for exps, coeff in p.terms:
-            term = float(coeff)
-            for x, e in zip(vec, exps):
-                if e:
-                    term *= x**e
-            v += term
-        return v
-
-    def value(vec) -> float:
-        return sum(peval(p, vec) ** 2 for p in system)
-
-    def grad(vec):
-        out = np.zeros(n)
-        fval = peval(f, vec)
-        firsts = [peval(p, vec) for p in first]
-        for j in range(n):
-            out[j] = 2.0 * fval * firsts[j]
-            for i in range(n):
-                out[j] += 2.0 * firsts[i] * peval(second[i][j], vec)
-        return out
-
-    candidates = []
-    strata = [tuple(range(n))] + [tuple(j for j in range(n) if j != i) for i in range(n)]
-    for _ in range(tries):
-        support = list(strata[int(rng.integers(0, len(strata)))])
-        vec = np.zeros(n)
-        vec[support] = rng.standard_normal(len(support))
-        vec /= max(float(np.linalg.norm(vec)), 1e-9)
-        cur = value(vec)
-        lr = 0.25
-        for _ in range(steps):
-            g = grad(vec)
-            gn = float(np.linalg.norm(g))
-            if gn == 0.0:
-                break
-            while lr > 1e-14:
-                cand = vec - lr * g
-                nrm = float(np.linalg.norm(cand))
-                if nrm > 1e-9:
-                    cand /= nrm
-                nxt = value(cand)
-                if nxt < cur:
-                    vec, cur = cand, nxt
-                    lr = min(lr * 2.0, 1.0)
-                    break
-                lr *= 0.5
-            if cur < tol * 1e-6:
-                break
-        if cur < tol:
-            candidates.append({
-                "coordinates": [float(x) for x in vec],
-                "residual": float(cur),
-                "certified": False,
-            })
-    return candidates

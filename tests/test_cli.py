@@ -4,6 +4,8 @@ import json
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wfano.cli import run
 from wfano.schema import ERROR_SCHEMA, REPORT_SCHEMA
@@ -65,11 +67,69 @@ def test_exit_code_2_on_precondition():
 
     for argv in (["certify", "--weights", "1,1,1,1,2", "--degree", "0"],
                  ["blowup", "transform", "--weights", "1,1,1,2", "--r", "1",
-                  "--poly", "x0+x3"]):
+                  "--poly", "x0+x3"],
+                 ["certify", "--weights", "1,1,1,1,2", "--degree", "5", "--m", "0"],
+                 ["certify", "--weights", "1,1,1,1,2", "--degree", "5", "--m", "-3"],
+                 ["wps", "index", "--weights", "1,1,2", "--degree", "0"],
+                 ["wps", "index", "--weights", "1,1,2", "--degree", "-3"],
+                 ["blowup", "transform", "--weights", "1,1,1,2", "--r", "1",
+                  "--poly", "1/0*x2"],
+                 ["enumerate", "--n", "0", "--max-weight", "3", "--index", "1"],
+                 ["enumerate", "--n", "-1", "--max-weight", "3", "--index", "1", "--csv"]):
         code, rep = _run_json(argv)
         assert code == 2
         jsonschema.validate(rep, ERROR_SCHEMA)
         assert rep["error"]["kind"] == "precondition"
+
+
+_WEIGHTS = st.one_of(
+    st.lists(st.integers(-1, 8), min_size=0, max_size=7).map(
+        lambda ws: ",".join(map(str, ws))),
+    st.sampled_from(["P(1^4,2)", "P(1^12,4)", "P(2^3,1)", "1,,2", "x", "P()"]),
+)
+_MONOMIAL = st.tuples(
+    st.sampled_from(["", "2*", "-3*", "1/2*", "0*", "1/0*"]),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3)), min_size=1, max_size=3),
+).map(lambda t: t[0] + "*".join(f"x{i}^{e}" for i, e in t[1]))
+_POLY = st.lists(st.tuples(st.sampled_from(["+", "-"]), _MONOMIAL),
+                 min_size=1, max_size=4).map(lambda ts: "".join(s + m for s, m in ts))
+_FLAGS = st.lists(st.sampled_from([["--eckardt"], ["--general"], ["--csv"]]),
+                  max_size=2).map(lambda fs: [f for flag in fs for f in flag])
+
+_ARGV = st.one_of(
+    st.builds(lambda w, d, fl, m, b1: ["certify", "--weights", w, "--degree", str(d),
+                                       *[f for f in fl if f != "--csv"], *m, *b1],
+              _WEIGHTS, st.integers(-3, 30), _FLAGS,
+              st.one_of(st.just([]), st.integers(-3, 4).map(lambda m: ["--m", str(m)])),
+              st.one_of(st.just([]), st.sampled_from(["yes", "no", "unknown"]).map(
+                  lambda b: ["--b1", b]))),
+    st.builds(lambda w, d: ["wps", "index", "--weights", w, "--degree", str(d)],
+              _WEIGHTS, st.integers(-3, 30)),
+    st.builds(lambda n, mw, by, fl: ["enumerate", "--n", str(n), "--max-weight", str(mw),
+                                     *by, *fl],
+              st.integers(-2, 2), st.integers(-1, 6),
+              st.sampled_from([[], ["--index", "1"], ["--index", "-2"], ["--degree", "7"],
+                               ["--degree", "0"], ["--index", "1", "--degree", "5"]]),
+              _FLAGS),
+    st.builds(lambda w, r, poly: ["blowup", "transform", "--weights", w, "--r", str(r),
+                                  "--poly", poly],
+              _WEIGHTS, st.integers(-1, 4), _POLY),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_ARGV)
+@example(["certify", "--weights", "1,1,1,1,2", "--degree", "5", "--m", "0"])
+@example(["wps", "index", "--weights", "1,1,2", "--degree", "0"])
+@example(["blowup", "transform", "--weights", "1,1,1,2", "--r", "1", "--poly", "1/0*x2"])
+@example(["enumerate", "--n", "0", "--max-weight", "3", "--index", "1", "--csv"])
+@example(["enumerate", "--n", "1", "--max-weight", "2", "--index", "1", "--eckardt"])
+def test_exit_code_contract_fuzzed(argv):
+    """Any argv of these subcommands exits 0, or 2 with a valid error object."""
+    code, text = _run(argv)
+    assert code in (0, 2), (argv, text)
+    if code == 2:
+        jsonschema.validate(json.loads(text), ERROR_SCHEMA)
 
 
 def test_usage_error_is_machine_readable():
@@ -183,6 +243,28 @@ def test_text_format():
                        "--degree", "5"])
     assert code == 0
     assert "K-stable" in text and "4/3" in text
+
+
+@pytest.mark.parametrize("argv, size, sha256, lines", [
+    (["--weights", "1,1,1,1,2", "--degree", "4"], 1008,
+     "68b2da206d708532eface434f7fa139ccf8d24e6408b8e005b120de874a9cdcd",
+     ["rule b1-derivation [note] -> None",
+      "rule external-divisible-weight [global] EXTERNAL -> 2",
+      "    citation: [ST24, Theorem 1.1]"]),
+    (["--weights", "P(1^12,4)", "--degree", "9", "--eckardt"], 1918,
+     "059a7a12fc9a876751592a0cc25b6c02acf21db13c00917e1dbfb3d894cd11df",
+     ["rule tail-base-locus-vertex [vertex] -> 12/5",
+      "rule eckardt-vertex-upper [upper] -> 132/19",
+      "rule eckardt-unstable [note] -> None"]),
+])
+def test_certify_text_bytes(argv, size, sha256, lines):
+    """The text emitter's trace lines: scope, EXTERNAL tag, citation, notes."""
+    code, text = _run(["--format", "text", "certify", *argv])
+    assert code == 0
+    assert all(line in text.splitlines() for line in lines)
+    data = text.encode()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == sha256
 
 
 def test_base_locus_subcommand():

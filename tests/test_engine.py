@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -277,3 +279,73 @@ def test_datum_shape_fields_stay_out_of_equality():
     assert dataclasses.replace(lower, d=5) == datum
     with pytest.raises(ValueError):
         dataclasses.replace(datum, d=0)
+
+
+_CORPUS_FLAGS = ({}, {"eckardt_at_p": True, "general_member": True}, {"m": 2},
+                 {"b1_in_x": "yes"})
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Every gcd-1 ascending tuple of length 4-6 with entries 1..5, every
+    positive degree from sum-4 to sum-1, four flag sets: (case, certificate
+    or error)."""
+    return list(_certify_corpus())
+
+
+def _certify_corpus():
+    for length in (4, 5, 6):
+        for t in itertools.combinations_with_replacement(range(1, 6), length):
+            if math.gcd(*t) != 1:
+                continue
+            for d in range(max(1, sum(t) - 4), sum(t)):
+                for flags in _CORPUS_FLAGS:
+                    try:
+                        yield (t, d, flags), ce.certify(_datum(t, d, **flags))
+                    except ValueError as exc:
+                        yield (t, d, flags), exc
+
+
+def test_certify_corpus_trace_is_pinned(corpus):
+    """The certificate JSON (or the error type and message) of every corpus
+    case, hashed in order: a rule rewrite must not move a byte."""
+    digest = hashlib.sha256()
+    count = 0
+    for case, result in corpus:
+        if isinstance(result, Exception):
+            text = f"{type(result).__name__}: {result}"
+        else:
+            text = json.dumps(result.to_json_dict(), sort_keys=True)
+        digest.update(f"{case!r} {text}\n".encode())
+        count += 1
+    assert count == 6108
+    assert digest.hexdigest() == \
+        "81a9facfa44390115b9d84633bb39ac401e881e051ed07c3065e774fe01ee313"
+
+
+def test_tail_vertex_first_term_is_the_minimum():
+    """d = k*a + 1 > a + 1 forces k >= 2, and then (n+1)/(d-a) is at most
+    n(n+1)/(ak+n) and (ak+1)(n+1)/(2ak+1) for every n >= 3."""
+    for n in range(3, 61):
+        for a in range(2, 41):
+            for k in range(2, 41):
+                d = k * a + 1
+                term1 = F(n + 1, d - a)
+                assert term1 <= F(n * (n + 1), a * k + n), (n, a, k)
+                assert term1 <= F((a * k + 1) * (n + 1), 2 * a * k + 1), (n, a, k)
+
+
+def test_every_rule_fires_in_the_corpus(corpus):
+    ids = [rule.id for rule in ce.RULES]
+    assert len(ids) == len(set(ids)) == 12
+    assert all(rule.scope in ("global", "vertex", "away", "upper", "note")
+               for rule in ce.RULES)
+    fired = set()
+    for _, result in corpus:
+        if isinstance(result, Exception):
+            continue
+        for entry in result.trace:
+            fired.add(entry.rule_id)
+            assert (entry.output is None) == (entry.scope == "note"), entry
+            assert entry.external == (entry.citation is not None)
+    assert fired == set(ids) | {"b1-derivation"}
