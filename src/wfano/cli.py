@@ -6,7 +6,10 @@ Reports are emitted as JSON (default) or aligned text; all rationals are
 exact fraction strings "p/q" and ``--approx`` adds a clearly labelled
 12-significant-digit decimal column.  Exit codes: 0 success, 2 precondition
 or usage violation (machine-readable error object), 3 internal invariant
-failure.
+failure.  The library signals a precondition violation with ``ValueError``
+(or a subclass); :func:`run` maps it to exit 2 with kind "precondition",
+and any other exception to exit 3.  ``enumerate --csv``, ``moments table``
+and ``okounkov --csv-samples`` finish their checks before their first byte.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .schema import SCHEMA_VERSION
 
 
 class CLIError(Exception):
-    """Usage or precondition violation; maps to exit code 2."""
+    """Usage or weights violation; maps to exit code 2 with its own kind."""
 
     def __init__(self, kind: str, message: str):
         super().__init__(message)
@@ -190,18 +193,14 @@ def build_parser() -> _Parser:
 
 def _run_certify(args, out) -> dict:
     w = _weights(args.weights)
-    try:
-        flags = ce.Flags(
-            eckardt_at_p=True if args.eckardt else None,
-            m=args.m,
-            b1_in_x=args.b1,
-            general_member=args.general,
-        )
-        datum = ce.FanoDatum(ambient=w, d=args.degree, flags=flags)
-        cert = ce.certify(datum)
-    except (ce.NonFanoError, ce.ContradictoryFlagsError, ValueError) as exc:
-        raise CLIError("precondition", str(exc))
-    cj = cert.to_json_dict()
+    flags = ce.Flags(
+        eckardt_at_p=True if args.eckardt else None,
+        m=args.m,
+        b1_in_x=args.b1,
+        general_member=args.general,
+    )
+    datum = ce.FanoDatum(ambient=w, d=args.degree, flags=flags)
+    cj = ce.certify(datum).to_json_dict()
     trace = cj.pop("trace")
     return _report(
         "certify",
@@ -217,13 +216,10 @@ def _run_certify(args, out) -> dict:
 def _run_enumerate(args, out) -> dict | None:
     """CSV rows are written as they are certified; JSON needs them all first
     for ``row_count``."""
-    try:
-        rows = ce.enumerate_data(
-            n=args.n, max_weight=args.max_weight, index=args.index,
-            degree=args.degree, eckardt=args.eckardt, general=args.general,
-        )
-    except ValueError as exc:
-        raise CLIError("precondition", str(exc))
+    rows = ce.enumerate_data(
+        n=args.n, max_weight=args.max_weight, index=args.index,
+        degree=args.degree, eckardt=args.eckardt, general=args.general,
+    )
     if args.csv:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["weights", "degree", "index", "bound", "anticanonical_bound",
@@ -255,37 +251,31 @@ def _run_enumerate(args, out) -> dict | None:
 
 def _run_moments(args, out) -> dict | None:
     if args.moments_command == "s-value":
-        try:
-            s = mo.s_value(args.n, args.a, args.k, args.j, args.q_in_w1)
-            cf = mo.s_value_closed_form(args.n, args.a, args.k, args.j, args.q_in_w1)
-        except ValueError as exc:
-            raise CLIError("precondition", str(exc))
+        s = mo.s_value(args.n, args.a, args.k, args.j, args.q_in_w1)
+        cf = mo.s_value_closed_form(args.n, args.a, args.k, args.j, args.q_in_w1)
         return _report("moments s-value",
                        {"n": args.n, "a": args.a, "k": args.k, "j": args.j,
                         "q_in_w1": args.q_in_w1},
                        {"s_value": s, "closed_form": cf, "match": s == cf},
                        approx=args.approx)
+    rows = mo.moment_table(range(2, args.n_max + 1), range(1, args.a_max + 1),
+                           range(1, args.k_max + 1))
     writer = csv.DictWriter(out, fieldnames=["n", "a", "k", "j", "q_in_W1", "S",
                                              "closed_form", "match"],
                             lineterminator="\n")
     writer.writeheader()
-    for row in mo.moment_table(range(2, args.n_max + 1), range(1, args.a_max + 1),
-                               range(1, args.k_max + 1)):
-        writer.writerow(row)
+    writer.writerows(rows)
     return None
 
 
 def _run_okounkov(args, out) -> dict | None:
-    try:
-        case = cx.okounkov_body_surface(args.name, a=args.a, b=args.b, k=args.k,
-                                        flag_in_surface=args.flag_in_surface)
-    except ValueError as exc:
-        raise CLIError("precondition", str(exc))
+    case = cx.okounkov_body_surface(args.name, a=args.a, b=args.b, k=args.k,
+                                    flag_in_surface=args.flag_in_surface)
     if args.csv_samples:
+        samples = case.body.boundary_samples(args.csv_samples)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["x", "upper"])
-        for x, y in case.body.boundary_samples(args.csv_samples):
-            writer.writerow([str(x), str(y)])
+        writer.writerows([str(x), str(y)] for x, y in samples)
         return None
     return _report("okounkov case",
                    {"case": args.name, "a": args.a, "b": args.b, "k": args.k,
@@ -306,11 +296,8 @@ def _run_wps(args, out) -> dict:
                        {"weights": rep.output.text(), "g_i": list(rep.g_i),
                         "g": rep.g, "well_formed_input": w.is_well_formed})
     if args.wps_command == "stratum":
-        try:
-            vanish = [int(x) for x in args.vanish.split(",")]
-            st = stratum(w, vanish)
-        except ValueError as exc:
-            raise CLIError("precondition", str(exc))
+        vanish = [int(x) for x in args.vanish.split(",")]
+        st = stratum(w, vanish)
         return _report("wps stratum",
                        {"weights": w.text(), "vanish": vanish},
                        {"quotient_weights": st.quotient_weights.text(),
@@ -318,10 +305,7 @@ def _run_wps(args, out) -> dict:
                         "dimension": st.dimension},
                        approx=args.approx)
     if args.wps_command == "base-locus":
-        try:
-            loc = base_locus(w, args.threshold, args.point)
-        except ValueError as exc:
-            raise CLIError("precondition", str(exc))
+        loc = base_locus(w, args.threshold, args.point)
         return _report("wps base-locus",
                        {"weights": w.text(), "threshold": args.threshold,
                         "point": args.point},
@@ -332,10 +316,7 @@ def _run_wps(args, out) -> dict:
                             None if loc.stratum is None
                             else loc.stratum.quotient_weights.text(),
                         "scale": None if loc.stratum is None else loc.stratum.scale})
-    try:
-        idx = fano_index(w, args.degree)
-    except ValueError as exc:
-        raise CLIError("precondition", str(exc))
+    idx = fano_index(w, args.degree)
     return _report("wps index",
                    {"weights": w.text(), "degree": args.degree},
                    {"index": idx, "fano": idx > 0})
@@ -343,10 +324,7 @@ def _run_wps(args, out) -> dict:
 
 def _run_blowup(args, out) -> dict:
     w = _weights(args.weights)
-    try:
-        frame = bl.build(w, args.r)
-    except (ValueError, AssertionError) as exc:
-        raise CLIError("precondition", str(exc))
+    frame = bl.build(w, args.r)
     if args.blowup_command == "build":
         exc_data = bl.exceptional_class(frame)
         return _report("blowup build",
@@ -361,18 +339,10 @@ def _run_blowup(args, out) -> dict:
                         "psi_pullback_o1": list(bl.psi_pullback_o1(frame)),
                         "pi_pullback_o1": list(bl.pi_pullback_o1(frame))})
     if args.blowup_command == "intersect":
-        try:
-            val = bl.intersection_bi(frame, args.k)
-        except ValueError as exc:
-            raise CLIError("precondition", str(exc))
         return _report("blowup intersect",
                        {"weights": w.text(), "r": args.r, "k": args.k},
-                       {"value": val}, approx=args.approx)
-    try:
-        f = wp.parse(args.poly, w)
-        ft = wp.strict_transform(f, args.r)
-    except (ValueError, AssertionError) as exc:
-        raise CLIError("precondition", str(exc))
+                       {"value": bl.intersection_bi(frame, args.k)}, approx=args.approx)
+    ft = wp.strict_transform(wp.parse(args.poly, w), args.r)
     return _report("blowup transform",
                    {"weights": w.text(), "r": args.r, "poly": args.poly},
                    {"bidegree": list(ft.bidegree),
@@ -399,9 +369,10 @@ def run(argv, out=None) -> int:
         if rep is not None:
             _emit(rep, args.format, out)
         return 0
-    except CLIError as exc:
+    except (CLIError, ValueError) as exc:
         json.dump({"schema_version": SCHEMA_VERSION,
-                   "error": {"kind": exc.kind, "message": str(exc)}}, out, indent=2)
+                   "error": {"kind": getattr(exc, "kind", "precondition"),
+                             "message": str(exc)}}, out, indent=2)
         out.write("\n")
         return 2
     except Exception as exc:  # internal invariant violation

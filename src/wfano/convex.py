@@ -172,6 +172,9 @@ class SlicedBody:
         return (mx / a, my / a)
 
     def boundary_samples(self, count: int) -> list[Point]:
+        """``count + 1`` equally spaced points (x, g(x)) from x = 0 to t_q."""
+        if count < 1:
+            raise ValueError("sample count must be >= 1")
         t = self.breakpoints[-1]
         out = []
         for i in range(count + 1):

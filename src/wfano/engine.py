@@ -1,14 +1,16 @@
 """Rule-based lower-bound certificates for stability thresholds.
 
 Input is a Fano datum: an ambient weight vector, a degree, and structural
-flags (all geometric hypotheses such as quasi-smoothness, a generalized
-Eckardt vertex, or generality of the member are caller-asserted and
-recorded).  The rules are data: :data:`RULES` is one table of
-:class:`Rule` rows.  :func:`certify` resolves the weight-one base locus
-containment and the Eckardt vertex once, folds over the table, combines
-the bounds that fired (maximum of lower bounds, local bounds combined over
-a vertex/away split), converts between the O(1) and anticanonical
-polarizations exactly, and emits a full audit trace.
+flags (a generalized Eckardt vertex, its escape level, the weight-one base
+locus containment, generality of the member), all caller-asserted and
+recorded.  Quasi-smoothness of the member is a standing assumption of
+every rule; the traces list it as the hypothesis "quasi-smooth asserted".
+The rules are data: :data:`RULES` is one table of :class:`Rule` rows.
+:func:`certify` resolves the weight-one base locus containment and the
+Eckardt vertex once, folds over the table, combines the bounds that fired
+(maximum of lower bounds, local bounds combined over a vertex/away split),
+converts between the O(1) and anticanonical polarizations exactly, and
+emits a full audit trace.
 
 External inputs from the literature are separate rows tagged EXTERNAL and
 carry their own citation strings; they are never merged silently.
@@ -39,7 +41,6 @@ class ContradictoryFlagsError(ValueError):
 class Flags:
     """Caller-asserted structural information about the member."""
 
-    quasi_smooth: bool = True
     eckardt_at_p: Optional[bool] = None
     m: Optional[int] = None
     b1_in_x: str = "unknown"          # "yes" | "no" | "unknown"
@@ -320,14 +321,15 @@ def _general_divisibility(datum, b1, eckardt):
 
 
 def _eckardt_vertex(datum: FanoDatum) -> Optional[int]:
-    """k in d = ak + 1 when the last vertex of P(1^(n+1), a) is a generalized
-    Eckardt point of X, else None.
+    """k in d = ak + 1 when the last vertex of P(1^(n+1), a), n >= 2, is a
+    generalized Eckardt point of X, else None.
 
     The vertex is Eckardt when asserted or when the escape level m equals
-    k; asserting it together with m != k is a contradiction.
+    k; asserting it together with m != k is a contradiction.  For any other
+    shape, curves included, the assertion is ignored.
     """
     flags, d, a = datum.flags, datum.d, datum.sorted_weights[-1]
-    if not (datum.c1 == datum.n + 1 and d % a == 1 and d >= a + 1):
+    if not (datum.n >= 2 and datum.c1 == datum.n + 1 and d % a == 1 and d >= a + 1):
         return None
     k = (d - 1) // a
     if flags.m == k or (flags.m is None and flags.eckardt_at_p is True):
@@ -449,8 +451,6 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
     < 1 gives K-unstable.
     """
     datum.ambient.require_well_formed()
-    if not datum.flags.quasi_smooth:
-        raise ValueError("certification requires the quasi-smoothness assertion")
     idx = datum.index
     if idx <= 0:
         raise NonFanoError(f"index sum(a_i) - d = {idx} is not positive")
@@ -549,10 +549,11 @@ def enumerate_data(n: int, max_weight: int, index: Optional[int] = None,
     to max_weight, certified one by one in lexicographic order.
 
     Exactly one of ``index`` and ``degree`` must be given; ``eckardt`` and
-    ``general`` set the corresponding assertion flags on every row where
-    they are meaningful.  The arguments and the row limit are checked
-    here, before the first row is certified; the rows are then yielded as
-    they are certified.
+    ``general`` set the corresponding assertion flags on every row, and
+    :func:`certify` ignores the Eckardt assertion where the last vertex is
+    not of Eckardt shape, as for a single datum.  The arguments and the row
+    limit are checked here, before the first row is certified; the rows are
+    then yielded as they are certified.
     """
     if (index is None) == (degree is None):
         raise ValueError("give exactly one of index or degree")
@@ -573,8 +574,7 @@ def enumerate_data(n: int, max_weight: int, index: Optional[int] = None,
 
 def _certified_rows(tuples, index, degree, eckardt, general) -> Iterator[EnumerationRow]:
     """The rows of :func:`enumerate_data` for ascending gcd-1 ``tuples``."""
-    plain = Flags(general_member=general)
-    marked = Flags(eckardt_at_p=True, general_member=general)
+    flags = Flags(eckardt_at_p=True if eckardt else None, general_member=general)
     for t in tuples:
         w = WeightVector(t)
         if not w.is_well_formed:
@@ -582,10 +582,7 @@ def _certified_rows(tuples, index, degree, eckardt, general) -> Iterator[Enumera
         d = sum(t) - index if index is not None else degree
         if d < 1:
             continue
-        # the shape (1^(n+1), a), a >= 2, with n >= 2 for the vertex moments
-        vertex = (eckardt and len(t) >= 4 and t.count(1) == len(t) - 1
-                  and d % t[-1] == 1)
-        datum = FanoDatum(ambient=w, d=d, flags=marked if vertex else plain)
+        datum = FanoDatum(ambient=w, d=d, flags=flags)
         if datum.index <= 0:
             continue
         try:

@@ -242,7 +242,20 @@ def unstable_check(n: int, a: int, k: int) -> UnstableReport:
 
 
 def moment_table(n_range, a_range, k_range) -> Iterator[dict]:
-    """Rows (n,a,k,j,q_in_W1,S,closed_form,match) for the CSV emitter."""
+    """Rows (n,a,k,j,q_in_W1,S,closed_form,match) for the CSV emitter.
+
+    Every (n, a, k) of the re-iterable ranges is checked here, before the
+    first row is computed; the rows are then yielded as they are computed.
+    """
+    for n in n_range:
+        for a in a_range:
+            for k in k_range:
+                _validate(n, a, k)
+    return _table_rows(n_range, a_range, k_range)
+
+
+def _table_rows(n_range, a_range, k_range) -> Iterator[dict]:
+    """The rows of :func:`moment_table` for checked ranges."""
     for n in n_range:
         for a in a_range:
             for k in k_range:

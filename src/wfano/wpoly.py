@@ -76,8 +76,46 @@ def _parse_terms(text: str, nvars: int, var_index) -> dict[tuple[int, ...], Frac
     return terms
 
 
+class _Terms:
+    """Evaluation and differentiation shared by both polynomial types.
+
+    ``terms`` holds (exponents, coefficient) pairs; ``_graded(terms, i)``
+    builds d/dx_i of the subclass's type from its terms, shifting the grading
+    by the degree of x_i.
+    """
+
+    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+
+    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
+        pt = [Fraction(x) for x in point]
+        total = Fraction(0)
+        for exps, coeff in self.terms:
+            val = coeff
+            for x, e in zip(pt, exps):
+                if e:
+                    if x == 0:
+                        val = Fraction(0)
+                        break
+                    val *= x**e
+            total += val
+        return total
+
+    def partial(self, i: int) -> Optional["_Terms"]:
+        """d/dx_i, or None when it vanishes identically."""
+        out: dict[tuple[int, ...], Fraction] = {}
+        for exps, coeff in self.terms:
+            if exps[i] == 0:
+                continue
+            new = list(exps)
+            new[i] -= 1
+            key = tuple(new)
+            out[key] = out.get(key, Fraction(0)) + coeff * exps[i]
+        out = {k: v for k, v in out.items() if v != 0}
+        return self._graded(tuple(out.items()), i) if out else None
+
+
 @dataclass(frozen=True)
-class SparseWPoly:
+class SparseWPoly(_Terms):
     """A nonzero weighted-homogeneous polynomial on P(a_0,...,a_s)."""
 
     ambient: WeightVector
@@ -122,34 +160,8 @@ class SparseWPoly:
                 return c
         return Fraction(0)
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for exps, coeff in self.terms:
-            val = coeff
-            for x, e in zip(pt, exps):
-                if e:
-                    if x == 0:
-                        val = Fraction(0)
-                        break
-                    val *= x**e
-            total += val
-        return total
-
-    def partial(self, i: int) -> Optional["SparseWPoly"]:
-        """d/dx_i, or None when it vanishes identically."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms:
-            if exps[i] == 0:
-                continue
-            new = list(exps)
-            new[i] -= 1
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff * exps[i]
-        out = {k: v for k, v in out.items() if v != 0}
-        if not out:
-            return None
-        return SparseWPoly(self.ambient, tuple(out.items()), self.degree - self.ambient[i])
+    def _graded(self, terms, i: int) -> "SparseWPoly":
+        return SparseWPoly(self.ambient, terms, self.degree - self.ambient[i])
 
     def divisible_by_variable(self, i: int) -> bool:
         return all(exps[i] > 0 for exps, _ in self.terms)
@@ -182,8 +194,17 @@ def parse(text: str, ambient: WeightVector) -> SparseWPoly:
     return SparseWPoly.from_dict(ambient, terms)
 
 
+def _bidegree(frame: BlowupFrame, exps: Sequence[int]) -> tuple[int, int]:
+    """The class (alpha, beta) of the monomial x^exps in the Cox ring of
+    ``frame``, variables ordered x_0..x_r, y_{r+1}..y_s, z."""
+    r, s, app = frame.r, frame.s, frame.app
+    alpha = sum(app[i] * exps[i] for i in range(r + 1)) - frame.hp * exps[-1]
+    beta = sum(app[j] * exps[j] for j in range(r + 1, s + 1)) + frame.h * exps[-1]
+    return alpha, beta
+
+
 @dataclass(frozen=True)
-class BiGradedPoly:
+class BiGradedPoly(_Terms):
     """A polynomial in the Cox ring of a standard weighted blowup.
 
     Variables are ordered x_0..x_r, y_{r+1}..y_s, z; every stored term must
@@ -202,53 +223,21 @@ class BiGradedPoly:
         for exps, coeff in self.terms:
             if len(exps) != nv or coeff == 0:
                 raise ValueError("malformed term")
-            if self._term_bidegree(exps) != (self.bidegree.alpha, self.bidegree.beta):
-                raise ValueError(f"term {exps} has bidegree {self._term_bidegree(exps)}, "
+            if _bidegree(self.frame, exps) != self.bidegree.as_tuple():
+                raise ValueError(f"term {exps} has bidegree {_bidegree(self.frame, exps)}, "
                                  f"expected {self.bidegree.as_tuple()}")
 
-    def _term_bidegree(self, exps: Sequence[int]) -> tuple[int, int]:
-        fr = self.frame
-        alpha = sum(fr.app[i] * exps[i] for i in range(fr.r + 1)) - fr.hp * exps[-1]
-        beta = sum(fr.app[j] * exps[j] for j in range(fr.r + 1, fr.s + 1)) + fr.h * exps[-1]
-        return (alpha, beta)
+    @classmethod
+    def from_terms(cls, frame: BlowupFrame, terms) -> "BiGradedPoly":
+        """The bidegree is read off the first term; the constructor checks the rest."""
+        terms = tuple(terms)
+        return cls(frame, terms, BiDegree(*_bidegree(frame, terms[0][0])))
 
     def divisible_by_z(self) -> bool:
         return all(exps[-1] > 0 for exps, _ in self.terms)
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for exps, coeff in self.terms:
-            val = coeff
-            for x, e in zip(pt, exps):
-                if e:
-                    if x == 0:
-                        val = Fraction(0)
-                        break
-                    val *= x**e
-            total += val
-        return total
-
-    def partial(self, i: int) -> Optional["BiGradedPoly"]:
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms:
-            if exps[i] == 0:
-                continue
-            new = list(exps)
-            new[i] -= 1
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff * exps[i]
-        out = {k: v for k, v in out.items() if v != 0}
-        if not out:
-            return None
-        fr = self.frame
-        if i <= fr.r:
-            bd = BiDegree(self.bidegree.alpha - fr.app[i], self.bidegree.beta)
-        elif i <= fr.s:
-            bd = BiDegree(self.bidegree.alpha, self.bidegree.beta - fr.app[i])
-        else:
-            bd = BiDegree(self.bidegree.alpha + fr.hp, self.bidegree.beta - fr.h)
-        return BiGradedPoly(fr, tuple(out.items()), bd)
+    def _graded(self, terms, i: int) -> "BiGradedPoly":
+        return BiGradedPoly.from_terms(self.frame, terms)
 
     def collapse(self) -> SparseWPoly:
         """Substitute z -> 1 and y_j -> x_j; inverts the strict transform."""
@@ -276,13 +265,7 @@ def parse_bigraded(text: str, frame: BlowupFrame) -> BiGradedPoly:
             return i
         return s + 1
 
-    terms = _parse_terms(text, s + 2, var_index)
-    fr_terms = [(k, v) for k, v in terms.items()]
-    # bidegree read off the first term; constructor validates the rest
-    probe = BiGradedPoly.__new__(BiGradedPoly)
-    object.__setattr__(probe, "frame", frame)
-    alpha, beta = probe._term_bidegree(fr_terms[0][0])
-    return BiGradedPoly(frame=frame, terms=tuple(fr_terms), bidegree=BiDegree(alpha, beta))
+    return BiGradedPoly.from_terms(frame, _parse_terms(text, s + 2, var_index).items())
 
 
 def strict_transform(f: SparseWPoly, r: int) -> BiGradedPoly:

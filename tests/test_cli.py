@@ -7,6 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wfano import cli
+from wfano import convex as cx
+from wfano import engine as ce
 from wfano.cli import run
 from wfano.schema import ERROR_SCHEMA, REPORT_SCHEMA
 
@@ -75,11 +78,27 @@ def test_exit_code_2_on_precondition():
                  ["blowup", "transform", "--weights", "1,1,1,2", "--r", "1",
                   "--poly", "1/0*x2"],
                  ["enumerate", "--n", "0", "--max-weight", "3", "--index", "1"],
-                 ["enumerate", "--n", "-1", "--max-weight", "3", "--index", "1", "--csv"]):
-        code, rep = _run_json(argv)
+                 ["enumerate", "--n", "-1", "--max-weight", "3", "--index", "1", "--csv"],
+                 ["moments", "table", "--n-max", "65", "--a-max", "1", "--k-max", "1"],
+                 ["okounkov", "case", "hirzebruch", "--a", "2", "--csv-samples", "-3"]):
+        code, text = _run(argv)
         assert code == 2
+        assert text.startswith("{"), argv
+        rep = json.loads(text)
         jsonschema.validate(rep, ERROR_SCHEMA)
         assert rep["error"]["kind"] == "precondition"
+
+
+def test_eckardt_assertion_on_a_curve_is_ignored():
+    """n = 1 has no Eckardt vertex: --eckardt leaves the certificate as it is."""
+    base = ["certify", "--weights", "1,1,2", "--degree", "3"]
+    code, plain = _run_json(base)
+    assert code == 0
+    for extra in (["--eckardt"], ["--m", "1"], ["--eckardt", "--m", "1"]):
+        code, rep = _run_json(base + extra)
+        assert code == 0, extra
+        assert rep["outputs"] == plain["outputs"]
+        assert rep["trace"] == plain["trace"]
 
 
 _WEIGHTS = st.one_of(
@@ -95,6 +114,9 @@ _POLY = st.lists(st.tuples(st.sampled_from(["+", "-"]), _MONOMIAL),
                  min_size=1, max_size=4).map(lambda ts: "".join(s + m for s, m in ts))
 _FLAGS = st.lists(st.sampled_from([["--eckardt"], ["--general"], ["--csv"]]),
                   max_size=2).map(lambda fs: [f for flag in fs for f in flag])
+
+_INT = st.integers(-2, 6).map(str)
+_Q_IN_W1 = st.sampled_from([[], ["--q-in-w1"]])
 
 _ARGV = st.one_of(
     st.builds(lambda w, d, fl, m, b1: ["certify", "--weights", w, "--degree", str(d),
@@ -114,22 +136,71 @@ _ARGV = st.one_of(
     st.builds(lambda w, r, poly: ["blowup", "transform", "--weights", w, "--r", str(r),
                                   "--poly", poly],
               _WEIGHTS, st.integers(-1, 4), _POLY),
+    st.builds(lambda n, a, k, j, q: ["moments", "s-value", "--n", n, "--a", a, "--k", k,
+                                     "--j", j, *q],
+              _INT, _INT, _INT, _INT, _Q_IN_W1),
+    st.builds(lambda n, a, k: ["moments", "table", "--n-max", str(n), "--a-max", a,
+                               "--k-max", k],
+              st.one_of(st.integers(-1, 9), st.sampled_from([65, 70])),
+              st.integers(-1, 3).map(str), st.integers(-1, 3).map(str)),
+    st.builds(lambda name, a, b, k, fl, cs: ["okounkov", "case", name, "--a", a, "--b", b,
+                                             "--k", k, *fl, *cs],
+              st.sampled_from(["hirzebruch", "hirzebruch2", "perhaps-useful"]),
+              _INT, _INT, _INT, st.sampled_from([[], ["--flag-in-surface"]]),
+              st.one_of(st.just([]), st.integers(-3, 20).map(
+                  lambda c: ["--csv-samples", str(c)]))),
+    st.builds(lambda w: ["wps", "normalize", "--weights", w], _WEIGHTS),
+    st.builds(lambda w, v: ["wps", "stratum", "--weights", w, "--vanish", v],
+              _WEIGHTS, st.one_of(
+                  st.lists(st.integers(-1, 7), min_size=1, max_size=5).map(
+                      lambda vs: ",".join(map(str, vs))),
+                  st.sampled_from(["", "x", "0,,1"]))),
+    st.builds(lambda w, t, p: ["wps", "base-locus", "--weights", w, "--threshold", t, *p],
+              _WEIGHTS, _INT,
+              st.one_of(st.just([]), st.integers(-1, 7).map(lambda i: ["--point", str(i)]))),
+    st.builds(lambda w, r: ["blowup", "build", "--weights", w, "--r", str(r)],
+              _WEIGHTS, st.integers(-1, 6)),
+    st.builds(lambda w, r, k: ["blowup", "intersect", "--weights", w, "--r", str(r),
+                               "--k", k],
+              _WEIGHTS, st.integers(-1, 6), _INT),
 )
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(_ARGV)
 @example(["certify", "--weights", "1,1,1,1,2", "--degree", "5", "--m", "0"])
 @example(["wps", "index", "--weights", "1,1,2", "--degree", "0"])
 @example(["blowup", "transform", "--weights", "1,1,1,2", "--r", "1", "--poly", "1/0*x2"])
 @example(["enumerate", "--n", "0", "--max-weight", "3", "--index", "1", "--csv"])
 @example(["enumerate", "--n", "1", "--max-weight", "2", "--index", "1", "--eckardt"])
+@example(["moments", "table", "--n-max", "65", "--a-max", "1", "--k-max", "1"])
+@example(["okounkov", "case", "hirzebruch", "--a", "2", "--csv-samples", "-3"])
 def test_exit_code_contract_fuzzed(argv):
-    """Any argv of these subcommands exits 0, or 2 with a valid error object."""
+    """Any argv of any leaf subcommand exits 0, or 2 with a valid error object."""
     code, text = _run(argv)
     assert code in (0, 2), (argv, text)
     if code == 2:
         jsonschema.validate(json.loads(text), ERROR_SCHEMA)
+
+
+@pytest.mark.parametrize("exc, code, kind", [
+    (ValueError("outside the theorem"), 2, "precondition"),
+    (ce.NonFanoError("outside the theorem"), 2, "precondition"),
+    (cx.NotPseudoEffectiveError("outside the theorem"), 2, "precondition"),
+    (AssertionError("broken invariant"), 3, "internal"),
+    (ZeroDivisionError("broken invariant"), 3, "internal"),
+])
+def test_error_boundary_maps_exception_types(monkeypatch, exc, code, kind):
+    """run alone decides the exit code: ValueError is the user's, the rest ours."""
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli.bl, "build", fail)
+    got, text = _run(["blowup", "build", "--weights", "2,3,4,4,5", "--r", "2"])
+    assert got == code
+    rep = json.loads(text)
+    jsonschema.validate(rep, ERROR_SCHEMA)
+    assert rep["error"]["kind"] == kind
 
 
 def test_usage_error_is_machine_readable():

@@ -252,6 +252,16 @@ def test_okounkov_hirzebruch2():
         assert case.s_value == F(a + 2, 3 * a * (a + 1))
 
 
+def test_boundary_samples_need_a_positive_count():
+    body = cx.okounkov_body_surface("hirzebruch", a=2).body
+    assert body.boundary_samples(2) == [(0, body.upper(0)),
+                                        (F(1, 4), body.upper(F(1, 4))),
+                                        (F(1, 2), body.upper(F(1, 2)))]
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="sample count"):
+            body.boundary_samples(count)
+
+
 def test_okounkov_perhaps_useful():
     # general flag curve: the triangle with vertices (0,0), (1,0), (0,d/b)
     case = cx.okounkov_body_surface("perhaps-useful", a=1, b=2, k=3)

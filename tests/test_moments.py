@@ -200,3 +200,12 @@ def test_moment_table_rows():
     assert len(rows) == 2 * 2  # j in {1,2}, two flags
     assert all(r["match"] for r in rows)
     assert set(rows[0]) == {"n", "a", "k", "j", "q_in_W1", "S", "closed_form", "match"}
+
+
+def test_moment_table_checks_every_triple_before_the_first_row():
+    with pytest.raises(ValueError, match="dimension bounded by 64"):
+        mo.moment_table(range(2, 66), range(1, 2), range(1, 2))
+    with pytest.raises(ValueError, match="a and k must be positive"):
+        mo.moment_table(range(2, 3), range(0, 2), range(1, 2))
+    # no triple, no row, nothing to check
+    assert list(mo.moment_table(range(2, 66), range(1, 1), range(1, 2))) == []

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -88,8 +89,6 @@ def _random_poly(rng, w: WeightVector, d: int):
 
 
 def test_push_pull_property():
-    import math
-
     rng = random.Random(77)
     count = 0
     while count < 80:
@@ -110,6 +109,34 @@ def test_push_pull_property():
         assert ft.collapse() == f
         assert not ft.divisible_by_z()
         count += 1
+
+
+def test_partials_shift_the_grading_by_the_variable():
+    """d/dx_i lowers the degree by a_i, and the bidegree by the class of the
+    i-th Cox variable: (a''_i, 0) for x_i, (0, a''_j) for y_j, (-h', h) for z."""
+    rng = random.Random(11)
+    checked = 0
+    while checked < 40:
+        ws = tuple(sorted(rng.randint(1, 4) for _ in range(4)))
+        if math.gcd(*ws) != 1 or not WeightVector(ws).is_well_formed:
+            continue
+        w = WeightVector(ws)
+        f = _random_poly(rng, w, rng.randint(2, 9))
+        if f is None:
+            continue
+        ft = wp.strict_transform(f, rng.randint(1, w.s - 1))
+        fr = ft.frame
+        shifts = ([(fr.app[i], 0) for i in range(fr.r + 1)]
+                  + [(0, fr.app[j]) for j in range(fr.r + 1, fr.s + 1)] + [(-fr.hp, fr.h)])
+        for i, (da, db) in enumerate(shifts):
+            p = ft.partial(i)
+            if p is not None:
+                assert p.bidegree.as_tuple() == (ft.bidegree.alpha - da, ft.bidegree.beta - db)
+        for i in range(len(w)):
+            p = f.partial(i)
+            if p is not None:
+                assert p.degree == f.degree - w[i]
+        checked += 1
 
 
 def test_gradient_vanishing_scale_invariant():
