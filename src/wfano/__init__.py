@@ -9,7 +9,6 @@ from .lattice import (
     CoordinateStratum,
     BaseLocus,
     base_locus,
-    divide_common_factor,
     fano_index,
     normalize,
     stratum,
@@ -22,7 +21,6 @@ from .blowup import (
     exceptional_class,
     finite_cover_pull,
     intersection_bi,
-    pullback_psi,
     restrict_to_divisor,
 )
 from .wpoly import (
@@ -46,10 +44,8 @@ from .convex import (
     SurfaceLocalData,
     barycenter,
     delta_lower_gravity,
-    delta_surface_bounds,
     gravity_bounds,
     okounkov_body_surface,
-    seshadri_vertex_lower,
     zariski_decompose,
 )
 from .moments import (

@@ -39,14 +39,6 @@ class BiDegree:
         return iter((self.alpha, self.beta))
 
 
-def _block_data(block: Sequence[int]) -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]:
-    """(h, a'' list, g_i list, g, a' list) for one block of weights."""
-    h = math.gcd(*block) if len(block) > 1 else block[0]
-    second = tuple(a // h for a in block)
-    gi, g, reduced = reduce_weights(second)
-    return h, second, gi, g, reduced
-
-
 @dataclass(frozen=True)
 class BlowupFrame:
     """All derived data of the standard weighted blowup along (x_0=...=x_r=0).
@@ -75,10 +67,6 @@ class BlowupFrame:
 
     @property
     def exceptional(self) -> BiDegree:
-        return BiDegree(-self.hp, self.h)
-
-    @property
-    def z_degree(self) -> BiDegree:
         return BiDegree(-self.hp, self.h)
 
     def lattice(self) -> QuotientLattice:
@@ -111,8 +99,8 @@ def build(ambient: WeightVector, r: int) -> BlowupFrame:
         raise ValueError(f"split index r={r} out of range 1..{s - 1}")
     left = ambient.weights[: r + 1]
     right = ambient.weights[r + 1 :]
-    h, app_l, gi_l, g, ap_l = _block_data(left)
-    hp, app_r, gi_r, gp, ap_r = _block_data(right)
+    h, app_l, gi_l, g, ap_l = reduce_weights(left)
+    hp, app_r, gi_r, gp, ap_r = reduce_weights(right)
     if math.gcd(h, hp) != 1:
         raise AssertionError("well-formed input must give coprime block gcds")
     # Bezout certificate h'*k - h*k' = 1
@@ -153,19 +141,6 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def pullback_psi(frame: BlowupFrame, i: int) -> Fraction:
-    """Coefficient c in psi^* D_i = D~_i + c * E.
-
-    c = a_i / (h*h') for i <= r and 0 for i > r.  Consequently
-    psi^*[O(1)] = [O(0, 1/h')].
-    """
-    if not 0 <= i <= frame.s:
-        raise ValueError("index out of range")
-    if i <= frame.r:
-        return Fraction(frame.ambient[i], frame.h * frame.hp)
-    return Fraction(0)
 
 
 def psi_pullback_o1(frame: BlowupFrame) -> tuple[Fraction, Fraction]:
@@ -289,38 +264,28 @@ def restrict_to_divisor(frame: BlowupFrame, i: int) -> DivisorRestriction:
     canonical way and is rejected.
     """
     s, r = frame.s, frame.r
-    if i == 0:
-        exc = Fraction(1, frame.gi[0])
-        if r == 1:
-            return DivisorRestriction(index=0, iso=True, section=False,
-                                      exc_coefficient=exc, frame=None, scaling=None)
-        rest = frame.ambient.omit(0)
-        _, _, reduced = reduce_weights(rest)
-        sub = build(WeightVector(reduced), r - 1)
-        scaling = (
-            Fraction(sub.hp, frame.gi[0] * frame.hp),
-            Fraction(sub.h, frame.gi[0] * frame.h),
+    if i not in (0, s):
+        raise ValueError(
+            "restriction is only defined for the first (i=0) and last (i=s) coordinate "
+            "divisors; middle-index divisors do not inherit a standard weighted blowup"
         )
-        return DivisorRestriction(index=0, iso=False, section=False,
-                                  exc_coefficient=exc, frame=sub, scaling=scaling)
-    if i == s:
-        exc = Fraction(1, frame.gi[s])
-        if r == s - 1:
-            return DivisorRestriction(index=s, iso=True, section=True,
-                                      exc_coefficient=exc, frame=None, scaling=None)
-        rest = frame.ambient.omit(s)
-        _, _, reduced = reduce_weights(rest)
-        sub = build(WeightVector(reduced), r)
-        scaling = (
-            Fraction(sub.hp, frame.gi[s] * frame.hp),
-            Fraction(sub.h, frame.gi[s] * frame.h),
-        )
-        return DivisorRestriction(index=s, iso=False, section=False,
-                                  exc_coefficient=exc, frame=sub, scaling=scaling)
-    raise ValueError(
-        "restriction is only defined for the first (i=0) and last (i=s) coordinate "
-        "divisors; middle-index divisors do not inherit a standard weighted blowup"
+    exc = Fraction(1, frame.gi[i])
+    # D_0 loses a weight of the left block, D_s one of the right block.  A
+    # standard blowup of D_i needs two left weights and one right weight;
+    # otherwise the centre meets D_i in a divisor (i = 0) or not at all
+    # (i = s), and the blowup restricts isomorphically.
+    split = r - 1 if i == 0 else r
+    if not 1 <= split <= s - 2:
+        return DivisorRestriction(index=i, iso=True, section=i == s,
+                                  exc_coefficient=exc, frame=None, scaling=None)
+    *_, reduced = reduce_weights(frame.ambient.omit(i))
+    sub = build(WeightVector(reduced), split)
+    scaling = (
+        Fraction(sub.hp, frame.gi[i] * frame.hp),
+        Fraction(sub.h, frame.gi[i] * frame.h),
     )
+    return DivisorRestriction(index=i, iso=False, section=False,
+                              exc_coefficient=exc, frame=sub, scaling=scaling)
 
 
 def ray_membership_witness(frame: BlowupFrame) -> tuple[Fraction, Fraction]:

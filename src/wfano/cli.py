@@ -3,10 +3,10 @@
 Subcommands: certify, enumerate, moments (s-value | table), okounkov,
 wps (normalize | stratum | index), blowup (build | intersect | transform).
 Reports are emitted as JSON (default) or aligned text; all rationals are
-exact fraction strings "p/q" and ``--approx`` adds a clearly labelled
-12-significant-digit decimal column.  Exit codes: 0 success, 2 precondition
-or usage violation (machine-readable error object), 3 internal invariant
-failure.  The library signals a precondition violation with ``ValueError``
+exact fraction strings "p/q", and ``--approx`` adds a clearly labelled
+block with a 12-significant-digit decimal for each of them.  Exit codes: 0
+success, 2 precondition or usage violation (machine-readable error object),
+3 internal invariant failure.  The library signals a precondition violation with ``ValueError``
 (or a subclass); :func:`run` maps it to exit 2 with kind "precondition",
 and any other exception to exit 3.  ``enumerate --csv``, ``moments table``
 and ``okounkov --csv-samples`` finish their checks before their first byte.
@@ -57,27 +57,31 @@ def _fmt(value) -> object:
 
 
 def _approx(value) -> object:
+    """12-significant-digit decimals of the Fractions in ``value``.
+
+    Dict entries without a Fraction are dropped; list positions are kept.
+    None when ``value`` holds no Fraction at all.
+    """
     if isinstance(value, Fraction):
         return f"{float(value):.12g}"
     if isinstance(value, (list, tuple)):
-        return [_approx(v) for v in value]
+        items = [_approx(v) for v in value]
+        return items if any(a is not None for a in items) else None
     if isinstance(value, dict):
-        return {k: _approx(v) for k, v in value.items()}
+        return {k: a for k, v in value.items() if (a := _approx(v)) is not None} or None
     return None
 
 
-def _report(command: str, inputs: dict, outputs: dict, trace=None, approx=False) -> dict:
+def _report(command: str, inputs: dict, outputs: dict, trace=None) -> dict:
+    """A report whose outputs stay exact; :func:`run` formats them."""
     rep = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "inputs": _fmt(inputs),
-        "outputs": _fmt(outputs),
+        "outputs": outputs,
     }
     if trace is not None:
         rep["trace"] = trace
-    if approx:
-        rep["approx"] = {k: a for k, v in outputs.items()
-                         if (a := _approx(v)) is not None}
     return rep
 
 
@@ -200,16 +204,16 @@ def _run_certify(args, out) -> dict:
         general_member=args.general,
     )
     datum = ce.FanoDatum(ambient=w, d=args.degree, flags=flags)
-    cj = ce.certify(datum).to_json_dict()
+    cert = ce.certify(datum)
+    cj = cert.to_json_dict()
     trace = cj.pop("trace")
     return _report(
         "certify",
         {"weights": w.text(), "degree": args.degree, "index": datum.index,
          "flags": {"eckardt_at_P": args.eckardt, "m": args.m, "b1_in_x": args.b1,
                    "general_member": args.general, "quasi_smooth": True}},
-        cj,
+        {k: getattr(cert, k) for k in cj},  # the exact values, in the JSON's key order
         trace=trace,
-        approx=args.approx,
     )
 
 
@@ -236,9 +240,9 @@ def _run_enumerate(args, out) -> dict | None:
         "weights": row.datum.ambient.text(),
         "degree": row.datum.d,
         "index": row.certificate.index,
-        "bound": str(row.certificate.bound),
-        "anticanonical_bound": str(row.certificate.anticanonical_bound),
-        "upper": None if row.certificate.upper is None else str(row.certificate.upper),
+        "bound": row.certificate.bound,
+        "anticanonical_bound": row.certificate.anticanonical_bound,
+        "upper": row.certificate.upper,
         "verdict": row.certificate.verdict,
         "rules": list(row.fired_rules()),
     } for row in rows]
@@ -256,8 +260,7 @@ def _run_moments(args, out) -> dict | None:
         return _report("moments s-value",
                        {"n": args.n, "a": args.a, "k": args.k, "j": args.j,
                         "q_in_w1": args.q_in_w1},
-                       {"s_value": s, "closed_form": cf, "match": s == cf},
-                       approx=args.approx)
+                       {"s_value": s, "closed_form": cf, "match": s == cf})
     rows = mo.moment_table(range(2, args.n_max + 1), range(1, args.a_max + 1),
                            range(1, args.k_max + 1))
     writer = csv.DictWriter(out, fieldnames=["n", "a", "k", "j", "q_in_W1", "S",
@@ -283,8 +286,7 @@ def _run_okounkov(args, out) -> dict | None:
                    {"body": case.body.to_json_obj(), "area": case.area,
                     "L2": case.L2, "eps": case.eps, "t_max": case.t_max,
                     "s_value": case.s_value,
-                    "second_coordinate": case.second_coordinate},
-                   approx=args.approx)
+                    "second_coordinate": case.second_coordinate})
 
 
 def _run_wps(args, out) -> dict:
@@ -302,8 +304,7 @@ def _run_wps(args, out) -> dict:
                        {"weights": w.text(), "vanish": vanish},
                        {"quotient_weights": st.quotient_weights.text(),
                         "scale": st.scale, "mult": st.mult,
-                        "dimension": st.dimension},
-                       approx=args.approx)
+                        "dimension": st.dimension})
     if args.wps_command == "base-locus":
         loc = base_locus(w, args.threshold, args.point)
         return _report("wps base-locus",
@@ -341,7 +342,7 @@ def _run_blowup(args, out) -> dict:
     if args.blowup_command == "intersect":
         return _report("blowup intersect",
                        {"weights": w.text(), "r": args.r, "k": args.k},
-                       {"value": bl.intersection_bi(frame, args.k)}, approx=args.approx)
+                       {"value": bl.intersection_bi(frame, args.k)})
     ft = wp.strict_transform(wp.parse(args.poly, w), args.r)
     return _report("blowup transform",
                    {"weights": w.text(), "r": args.r, "poly": args.poly},
@@ -367,6 +368,9 @@ def run(argv, out=None) -> int:
         }
         rep = dispatch[args.command](args, out)
         if rep is not None:
+            if args.approx and (approx := _approx(rep["outputs"])) is not None:
+                rep["approx"] = approx
+            rep["outputs"] = _fmt(rep["outputs"])
             _emit(rep, args.format, out)
         return 0
     except (CLIError, ValueError) as exc:

@@ -6,6 +6,11 @@ extremal quadrilateral), the induced lower bounds for local stability
 thresholds on surfaces, an exact iterative Zariski decomposition for small
 curve models, and the Okounkov bodies of the three surface families used by
 the certificate engine.
+
+Both the Zariski decomposition and the chamber walk behind the Okounkov
+bodies go through one elimination, :func:`_solve_negative_definite`: its
+pivots decide negative definiteness by Sylvester's criterion, and the same
+pass solves the orthogonality system.
 """
 
 from __future__ import annotations
@@ -314,38 +319,6 @@ def delta_lower_gravity(data: SurfaceLocalData) -> SurfaceDeltaBound:
     )
 
 
-def seshadri_vertex_lower(a: int, m: int) -> Fraction:
-    """Certified Seshadri lower bound ((m+1)a + 1)/((m a + 1) a) for the
-    exceptional curve over the vertex of a degree a*k+1 hypersurface in
-    P(1,1,1,a) with escape level m <= k-1."""
-    if a < 1 or m < 1:
-        raise ValueError("need a >= 1 and m >= 1")
-    return Fraction((m + 1) * a + 1, (m * a + 1) * a)
-
-
-@dataclass(frozen=True)
-class ApplicableBound:
-    value: Fraction
-    applicable: bool
-
-
-def delta_surface_bounds(a: int, m: int, d: int) -> tuple[ApplicableBound, ApplicableBound]:
-    """The two vertex bounds for surfaces S of degree d = a*k + 1 in P(1,1,1,a).
-
-    First: 3((m+1)a + 1)/((ma+1) d), needs escape level m <= k - 1.
-    Second: 3(ma+1)/d, needs d >= (ma+1)^2.
-    The caller takes the max of the applicable ones.
-    """
-    if a < 1 or m < 1 or d < 2:
-        raise ValueError("need a >= 1, m >= 1, d >= 2")
-    k, rem = divmod(d - 1, a)
-    first_ok = rem == 0 and k >= m + 1
-    first = ApplicableBound(Fraction(3 * ((m + 1) * a + 1), (m * a + 1) * d), first_ok)
-    second_ok = rem == 0 and d >= (m * a + 1) ** 2
-    second = ApplicableBound(Fraction(3 * (m * a + 1), d), second_ok)
-    return first, second
-
-
 class NotPseudoEffectiveError(ValueError):
     """The class admits no Zariski decomposition in the given curve model."""
 
@@ -357,50 +330,33 @@ class ZariskiDecomposition:
     support: tuple[int, ...]
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise NotPseudoEffectiveError("singular intersection form on the support")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+def _solve_negative_definite(gram: list[list[Fraction]], columns: list[list[Fraction]],
+                             message: str) -> list[list[Fraction]]:
+    """Solve gram @ x = c for each column c; gram must be negative definite.
 
-
-def _negative_definite(gram: list[list[Fraction]]) -> bool:
+    Elimination without row exchanges: the k-th pivot of a symmetric matrix
+    is D_k / D_{k-1}, the ratio of consecutive leading minors.  By
+    Sylvester's criterion the matrix is negative definite exactly when every
+    pivot is negative, so the first pivot >= 0 raises
+    :class:`NotPseudoEffectiveError` with ``message``.
+    """
     n = len(gram)
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in gram[:k]]
-        det = _det(minor)
-        if det * (-1) ** k <= 0:
-            return False
-    return True
-
-
-def _det(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    a = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / a[col][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    rows = [list(row) + [c[i] for c in columns] for i, row in enumerate(gram)]
+    for k in range(n):
+        pivot = rows[k][k]
+        if pivot >= 0:
+            raise NotPseudoEffectiveError(message)
+        for r in range(k + 1, n):
+            f = rows[r][k] / pivot
+            if f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[k])]
+    solutions = []
+    for col in range(n, n + len(columns)):
+        x = [Fraction(0)] * n
+        for k in reversed(range(n)):
+            x[k] = (rows[k][col] - sum(rows[k][j] * x[j] for j in range(k + 1, n))) / rows[k][k]
+        solutions.append(x)
+    return solutions
 
 
 def zariski_decompose(intersection: Sequence[Sequence], cls: Sequence) -> ZariskiDecomposition:
@@ -436,13 +392,10 @@ def zariski_decompose(intersection: Sequence[Sequence], cls: Sequence) -> Zarisk
             return decomposition
         support.extend(bad)
         gram = [[m[i][j] for j in support] for i in support]
-        if not _negative_definite(gram):
-            raise NotPseudoEffectiveError(
-                "support is not negative definite; class is not pseudo-effective "
-                "within this curve model"
-            )
         rhs = [sum(d[i] * m[i][j] for i in range(n)) for j in support]
-        sol = _solve_linear(gram, rhs)
+        [sol] = _solve_negative_definite(
+            gram, [rhs], "support is not negative definite; class is not pseudo-effective "
+            "within this curve model")
         if any(x < 0 for x in sol):
             raise NotPseudoEffectiveError("negative part would have a negative coefficient")
         beta = [Fraction(0)] * n
@@ -529,14 +482,13 @@ def _okounkov_from_curve_model(intersection: Sequence[Sequence], l_coeffs: Seque
     for _ in range(n + 2):
         # solve for the negative part on the current support, linearly in x
         beta: list[_LinFn] = [_LinFn(Fraction(0), Fraction(0)) for _ in range(n)]
-        if support:
-            gram = [[m[i][j] for j in support] for i in support]
-            rhs_c = [pair_lin(dvec, j).c for j in support]
-            rhs_m = [pair_lin(dvec, j).m for j in support]
-            sol_c = _solve_linear([row[:] for row in gram], rhs_c)
-            sol_m = _solve_linear([row[:] for row in gram], rhs_m)
-            for idx, j in enumerate(support):
-                beta[j] = _LinFn(sol_c[idx], sol_m[idx])
+        gram = [[m[i][j] for j in support] for i in support]
+        rhs = [pair_lin(dvec, j) for j in support]
+        sol_c, sol_m = _solve_negative_definite(
+            gram, [[f.c for f in rhs], [f.m for f in rhs]],
+            "chamber support is not negative definite")
+        for idx, j in enumerate(support):
+            beta[j] = _LinFn(sol_c[idx], sol_m[idx])
         pvec = [dvec[i] - beta[i] for i in range(n)]
         # volume of the positive part: quadratic in x
         q2 = Fraction(0)
@@ -575,9 +527,6 @@ def _okounkov_from_curve_model(intersection: Sequence[Sequence], l_coeffs: Seque
             pieces.append((slice_fn.m, slice_fn.c))
             breakpoints.append(end)
         support.append(j)
-        gram = [[m[i][jj] for jj in support] for i in support]
-        if not _negative_definite(gram):
-            raise NotPseudoEffectiveError("chamber support is not negative definite")
         x0 = end
     raise AssertionError("chamber walk failed to terminate")
 

@@ -49,7 +49,7 @@ class WeightVector:
     """Weights (a_0,...,a_s) of a weighted projective space.
 
     The constructor requires gcd(a_0,...,a_s) = 1 and length >= 2; it never
-    rescales silently (use :func:`divide_common_factor` for that).
+    rescales silently.
     ``is_well_formed`` (no s of the s+1 weights share a common factor) is
     decided once, at construction.
     """
@@ -109,31 +109,24 @@ class WeightVector:
         return f"P({self.text()})"
 
 
-def divide_common_factor(weights: Sequence[int]) -> WeightVector:
-    """Divide out gcd > 1 (the constructor itself rejects such input)."""
-    w = [int(x) for x in weights]
-    g = math.gcd(*w)
-    return WeightVector(tuple(x // g for x in w))
+def reduce_weights(weights: Sequence[int]) -> tuple[int, tuple[int, ...], tuple[int, ...], int,
+                                                     tuple[int, ...]]:
+    """Well-formed presentation of one block of weights.
 
-
-def reduce_weights(weights: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """One well-formedness reduction pass on a gcd-1 weight tuple.
-
-    Returns (g_i per index, g = prod g_i, reduced weights a'_i = a_i*g_i/g).
-    The reduced tuple is well-formed and satisfies
-    prod a_i = g**(len-1) * prod a'_i.
+    Returns (h, a'', g_i per index, g = prod g_i, a'): h is the gcd of the
+    block, a''_i = a_i/h, g_i the gcd of the a'' other than a''_i, and the
+    reduced weights a'_i = a''_i*g_i/g are well-formed with
+    prod a''_i = g**(len-1) * prod a'_i.  A gcd-1 tuple has h = 1.
     """
-    w = [int(x) for x in weights]
-    if len(w) == 1:
+    h = math.gcd(*weights)
+    second = tuple(a // h for a in weights)
+    if len(second) == 1:
         # a point; the only sensible normalization
-        return (1,), 1, (1,)
-    gi = []
-    for i in range(len(w)):
-        rest = w[:i] + w[i + 1 :]
-        gi.append(math.gcd(*rest) if len(rest) > 1 else rest[0])
+        return h, second, (1,), 1, (1,)
+    gi = tuple(math.gcd(*second[:i], *second[i + 1 :]) for i in range(len(second)))
     g = math.prod(gi)
-    reduced = tuple(a * d // g for a, d in zip(w, gi))
-    return tuple(gi), g, reduced
+    reduced = tuple(a * d // g for a, d in zip(second, gi))
+    return h, second, gi, g, reduced
 
 
 @dataclass(frozen=True)
@@ -163,7 +156,7 @@ def normalize(w: WeightVector) -> NormalizationReport:
     Idempotent: normalizing an already well-formed vector returns the
     identity report (all g_i = 1).
     """
-    gi, g, reduced = reduce_weights(w.weights)
+    _, _, gi, g, reduced = reduce_weights(w.weights)
     return NormalizationReport(input=w, g_i=gi, g=g, output=WeightVector(reduced))
 
 
@@ -218,10 +211,7 @@ def stratum(w: WeightVector, vanish: Iterable[int]) -> CoordinateStratum:
     kept = [i for i in range(len(w)) if i not in vanish]
     if len(kept) < 2:
         raise ValueError("stratum must keep at least two coordinates")
-    kept_weights = [w[i] for i in kept]
-    h = math.gcd(*kept_weights)
-    second = [a // h for a in kept_weights]
-    _, g, reduced = reduce_weights(second)
+    h, _, _, g, reduced = reduce_weights([w[i] for i in kept])
     return CoordinateStratum(
         ambient=w,
         vanishing=vanish,

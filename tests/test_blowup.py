@@ -40,17 +40,9 @@ def test_bezout_certificate_and_grading():
             fr = bl.build(w, r)
             k, kp = fr.bezout
             assert fr.hp * k - fr.h * kp == 1
-            assert fr.z_degree.as_tuple() == (-fr.hp, fr.h)
+            assert fr.exceptional.as_tuple() == (-fr.hp, fr.h)
             assert bl.psi_pullback_o1(fr) == (0, Fraction(1, fr.hp))
             assert bl.pi_pullback_o1(fr) == (fr.g, 0)
-
-
-def test_pullback_psi():
-    fr = bl.build(WeightVector((1, 1, 1, 1, 7)), 3)
-    assert bl.pullback_psi(fr, 0) == Fraction(1, 7)
-    assert bl.pullback_psi(fr, 4) == 0
-    fr2 = bl.build(WeightVector((2, 3, 4, 4, 5)), 2)
-    assert bl.pullback_psi(fr2, 1) == 3
 
 
 def test_intersection_examples():

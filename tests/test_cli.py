@@ -1,16 +1,24 @@
 import hashlib
 import io
+import itertools
 import json
+import math
+import random
+import shlex
+from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wfano import blowup as bl
 from wfano import cli
 from wfano import convex as cx
 from wfano import engine as ce
 from wfano.cli import run
+from wfano.lattice import WeightVector
 from wfano.schema import ERROR_SCHEMA, REPORT_SCHEMA
 
 
@@ -101,11 +109,21 @@ def test_eckardt_assertion_on_a_curve_is_ignored():
         assert rep["trace"] == plain["trace"]
 
 
-_WEIGHTS = st.one_of(
+def _mostly(valid, anything):
+    """Draw from ``valid`` four times in five, so that the fuzz reaches the
+    success paths, and from ``anything`` otherwise."""
+    return st.sampled_from([valid] * 4 + [anything]).flatmap(lambda s: s)
+
+
+_WELL_FORMED_WEIGHTS = st.lists(st.integers(1, 8), min_size=3, max_size=6).map(sorted).filter(
+    lambda ws: all(math.gcd(*ws[:i], *ws[i + 1:]) == 1 for i in range(len(ws)))).map(
+    lambda ws: ",".join(map(str, ws)))
+_ANY_WEIGHTS = st.one_of(
     st.lists(st.integers(-1, 8), min_size=0, max_size=7).map(
         lambda ws: ",".join(map(str, ws))),
     st.sampled_from(["P(1^4,2)", "P(1^12,4)", "P(2^3,1)", "1,,2", "x", "P()"]),
 )
+_WEIGHTS = _mostly(_WELL_FORMED_WEIGHTS, _ANY_WEIGHTS)
 _MONOMIAL = st.tuples(
     st.sampled_from(["", "2*", "-3*", "1/2*", "0*", "1/0*"]),
     st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3)), min_size=1, max_size=3),
@@ -121,8 +139,9 @@ _Q_IN_W1 = st.sampled_from([[], ["--q-in-w1"]])
 _ARGV = st.one_of(
     st.builds(lambda w, d, fl, m, b1: ["certify", "--weights", w, "--degree", str(d),
                                        *[f for f in fl if f != "--csv"], *m, *b1],
-              _WEIGHTS, st.integers(-3, 30), _FLAGS,
-              st.one_of(st.just([]), st.integers(-3, 4).map(lambda m: ["--m", str(m)])),
+              _WEIGHTS, _mostly(st.integers(1, 24), st.integers(-3, 30)), _FLAGS,
+              st.one_of(st.just([]), _mostly(st.integers(1, 4), st.integers(-3, 4)).map(
+                  lambda m: ["--m", str(m)])),
               st.one_of(st.just([]), st.sampled_from(["yes", "no", "unknown"]).map(
                   lambda b: ["--b1", b]))),
     st.builds(lambda w, d: ["wps", "index", "--weights", w, "--degree", str(d)],
@@ -270,6 +289,93 @@ def test_moments_table_default_bytes():
         "1edf3e8e5f01ec1c40c9dfb3c0f574b0390099da413adc0e8d80a6e90681b8b8"
 
 
+_PIN_WELL_FORMED = ["1,1,2,2", "1,1,1,1,7", "2,3,4,4,5", "1,1,2,3", "1,2,3,5", "3,1,1,1"]
+
+
+def _geometry_argvs():
+    for w in ["2,2,3", "6,10,15", *_PIN_WELL_FORMED]:
+        yield ["wps", "normalize", "--weights", w]
+    for w in _PIN_WELL_FORMED:
+        ws = [int(a) for a in w.split(",")]
+        s = len(ws) - 1
+        yield ["wps", "stratum", "--weights", w, "--vanish", "0,1"]
+        yield ["wps", "stratum", "--weights", w, "--vanish", str(s)]
+        for t in (1, 2):
+            yield ["wps", "base-locus", "--weights", w, "--threshold", str(t)]
+            yield ["wps", "base-locus", "--weights", w, "--threshold", str(t), "--point", "0"]
+        top = math.lcm(*ws)
+        poly = " + ".join(f"x{i}^{top // a}" for i, a in enumerate(ws))
+        for r in range(1, s):
+            yield ["blowup", "build", "--weights", w, "--r", str(r)]
+            for k in (0, r, r + 1):
+                yield ["blowup", "intersect", "--weights", w, "--r", str(r), "--k", str(k)]
+            yield ["blowup", "transform", "--weights", w, "--r", str(r), "--poly", poly]
+    for name, a in itertools.product(["hirzebruch", "hirzebruch2"], range(5)):
+        yield ["okounkov", "case", name, "--a", str(a)]
+    for a, b, k, flag in itertools.product((1, 2, 3), (1, 2), (2, 3),
+                                           ([], ["--flag-in-surface"])):
+        yield ["okounkov", "case", "perhaps-useful", "--a", str(a), "--b", str(b),
+               "--k", str(k), *flag]
+
+
+def _zariski_models():
+    for a, b, k in itertools.product((1, 2, 3), (1, 2), (2, 3)):
+        m = [[-a * b, 1, a - 1], [1, -k, k], [a - 1, k, 0]]
+        for x in (Fraction(1, 4), Fraction(1)):
+            yield m, [Fraction(1, b), 1 - x, Fraction(1)]
+    for a, k in itertools.product((2, 3), (1, 2)):
+        e = 1 + a * k
+        for x in (Fraction(1, 2), Fraction(e, a), Fraction(e + 1, a)):
+            yield [[-a, e], [e, -k * e]], [k + Fraction(1, a) - x, Fraction(1)]
+    rng = random.Random(6)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.randint(-4, 3)
+        yield m, [Fraction(rng.randint(-1, 4), rng.randint(1, 2)) for _ in range(n)]
+    yield [[1, 2], [3, 4]], [1, 1]
+
+
+def _geometry_results():
+    for argv in _geometry_argvs():
+        code, text = _run(argv)
+        yield f"{code} {' '.join(argv)}\n{text}"
+    for w in _PIN_WELL_FORMED:
+        wv = WeightVector.parse(w)
+        for r in range(1, wv.s):
+            frame = bl.build(wv, r)
+            for i in (0, wv.s):
+                yield repr(bl.restrict_to_divisor(frame, i))
+    for m, cls in _zariski_models():
+        try:
+            yield repr(cx.zariski_decompose(m, cls))
+        except ValueError as exc:
+            yield f"{type(exc).__name__}: {exc}"
+
+
+def test_geometry_outputs_pinned():
+    """wps, blowup and okounkov JSON, both divisor restrictions and Zariski
+    decompositions (with their NotPseudoEffectiveError messages), pinned."""
+    results = list(_geometry_results())
+    assert len(results) == 273
+    assert sum(r.startswith("NotPseudoEffectiveError") for r in results) == 37
+    assert hashlib.sha256("\n".join(results).encode()).hexdigest() == \
+        "5f1eec2c405917122967bd0ba2f785ac44a9d5ec69c12d395dc0e68388d966ef"
+
+
+def test_readme_commands_run():
+    """Every `wfano ...` line of the README's command block exits 0."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("wfano ")]
+    assert len(commands) >= 10
+    for argv in commands:
+        assert _run(argv)[0] == 0, argv
+
+
 def test_okounkov_case_and_samples():
     code, rep = _run_json(["okounkov", "case", "hirzebruch2", "--a", "2"])
     assert code == 0
@@ -307,6 +413,42 @@ def test_approx_column():
                            "--a", "2", "--k", "2", "--j", "1"])
     assert code == 0
     assert rep["approx"]["s_value"] == "0.875"
+
+
+@pytest.mark.parametrize("argv, approx", [
+    (["certify", "--weights", "P(1^12,4)", "--degree", "9", "--eckardt"],
+     {"bound": "5.33333333333", "upper": "6.94736842105",
+      "anticanonical_bound": "0.761904761905", "anticanonical_upper": "0.992481203008"}),
+    (["enumerate", "--n", "2", "--max-weight", "2", "--degree", "4"],
+     {"rows": [{"bound": "1.5", "anticanonical_bound": "1.5"},
+               {"bound": "1.5", "anticanonical_bound": "0.75"}]}),
+    (["okounkov", "case", "hirzebruch", "--a", "2"],
+     {"area": "0.25", "L2": "0.5", "eps": "0.5", "t_max": "0.5", "s_value": "0.333333333333",
+      "second_coordinate": "0.333333333333"}),
+    (["wps", "base-locus", "--weights", "1,1,1,1,2,3", "--threshold", "2", "--point", "0"],
+     {"scale": "0.333333333333"}),
+    (["blowup", "build", "--weights", "2,3,4,4,5", "--r", "2"],
+     {"exceptional_product": {"restriction_scale": ["0.5", "0.05"],
+                              "self_restriction": ["-0.5", "0.05"]},
+      "psi_pullback_o1": ["0", "1"], "pi_pullback_o1": ["2", "0"]}),
+])
+def test_approx_covers_every_fraction(argv, approx):
+    """--approx approximates each exact rational output, whatever the subcommand,
+    and drops entries that hold none; without it the report is unchanged."""
+    code, rep = _run_json(["--approx", *argv])
+    assert code == 0
+    jsonschema.validate(rep, REPORT_SCHEMA)
+    assert rep.pop("approx") == approx
+    assert rep == _run_json(argv)[1]
+    lines = _run(["--format", "text", "--approx", *argv])[1].splitlines()
+    start = lines.index("approx (12 significant digits, not exact):") + 1
+    assert [line.split()[0] for line in lines[start:start + len(approx)]] == list(approx)
+
+
+def test_approx_block_absent_without_fractions():
+    code, rep = _run_json(["--approx", "wps", "normalize", "--weights", "2,2,3"])
+    assert code == 0
+    assert "approx" not in rep
 
 
 def test_text_format():

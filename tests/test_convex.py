@@ -165,25 +165,6 @@ def test_delta_lower_gravity_with_boundary():
     assert res.bound == min(term1, term2)
 
 
-def test_seshadri_vertex_lower():
-    assert cx.seshadri_vertex_lower(2, 1) == F(5, 6)
-    assert cx.seshadri_vertex_lower(3, 2) == F(10, 21)
-
-
-def test_delta_surface_bounds():
-    first, second = cx.delta_surface_bounds(2, 1, 5)
-    assert first.applicable and first.value == 1
-    assert not second.applicable
-
-    first, second = cx.delta_surface_bounds(2, 1, 9)
-    assert second.applicable and second.value == 1
-    assert first.applicable and first.value == F(15, 27)
-
-    # second bound inapplicable when d < (ma+1)^2
-    _, second = cx.delta_surface_bounds(3, 2, 13)
-    assert not second.applicable
-
-
 def test_zariski_decompose_examples():
     # three-curve model: E, l, C with the stated intersections
     for (a, b, k) in [(2, 1, 2), (3, 2, 3), (1, 2, 2)]:
@@ -231,6 +212,53 @@ def test_zariski_postconditions_random():
                  for i in range(n) for j in range(n))
         assert pn == 0
         checked += 1
+
+
+def _cofactor_det(m):
+    if not m:
+        return F(1)
+    return sum((-1) ** j * m[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def test_negative_definite_solve_matches_sylvester():
+    """The elimination raises exactly when some leading minor D_k has sign
+    other than (-1)^k, and otherwise solves every column exactly."""
+    rng = random.Random(17)
+    outcomes = {"raised": 0, "solved": 0}
+    for trial in range(400):
+        n = rng.randint(1, 4)
+        gram = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = F(rng.randint(-6, 3), rng.randint(1, 3))
+        if trial % 3 == 0:
+            for i in range(n):
+                gram[i][i] -= 10
+        if trial % 5 == 1 and n > 1:
+            # the last row and column repeat the first: singular
+            for j in range(n):
+                gram[n - 1][j] = gram[j][n - 1] = gram[0][j]
+            gram[n - 1][n - 1] = gram[0][0]
+        if trial % 7 == 2:
+            gram[0][0] = F(rng.randint(0, 3))
+        columns = [[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                   for _ in range(rng.randint(1, 3))]
+        before = [row[:] for row in gram]
+        definite = all(_cofactor_det([row[:k] for row in gram[:k]]) * (-1) ** k > 0
+                       for k in range(1, n + 1))
+        if not definite:
+            with pytest.raises(cx.NotPseudoEffectiveError, match="^not definite$"):
+                cx._solve_negative_definite(gram, columns, "not definite")
+            outcomes["raised"] += 1
+        else:
+            solutions = cx._solve_negative_definite(gram, columns, "not definite")
+            assert len(solutions) == len(columns)
+            for x, c in zip(solutions, columns):
+                assert [sum(gram[i][j] * x[j] for j in range(n)) for i in range(n)] == c
+            outcomes["solved"] += 1
+        assert gram == before
+    assert min(outcomes.values()) > 100
 
 
 def test_okounkov_hirzebruch():

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from wfano.lattice import (
     WeightVector,
     base_locus,
-    divide_common_factor,
     fano_index,
     normalize,
     parse_weight_text,
@@ -31,7 +30,6 @@ def test_parse_forms():
 def test_constructor_rejects_common_factor():
     with pytest.raises(ValueError):
         WeightVector((2, 4, 6))
-    assert divide_common_factor((2, 4, 6)).weights == (1, 2, 3)
     with pytest.raises(ValueError):
         WeightVector((3,))
 
