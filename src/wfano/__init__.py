@@ -62,7 +62,6 @@ from .engine import (
     certify,
     derive_b1,
     enumerate_data,
-    replay,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

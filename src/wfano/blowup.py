@@ -72,21 +72,6 @@ class BlowupFrame:
     def lattice(self) -> QuotientLattice:
         return self.ambient.quotient_lattice()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ambient": self.ambient.text(),
-            "r": self.r,
-            "h": self.h,
-            "hp": self.hp,
-            "app": list(self.app),
-            "gi": list(self.gi),
-            "g": self.g,
-            "gp": self.gp,
-            "ap": list(self.ap_left) + list(self.ap_right),
-            "v_rep": list(self.v_rep),
-            "bezout": list(self.bezout),
-        }
-
 
 def build(ambient: WeightVector, r: int) -> BlowupFrame:
     """Construct the blowup frame; certifies primitivity of the new ray.

@@ -2,6 +2,7 @@
 
 Subcommands: certify, enumerate, moments (s-value | table), okounkov,
 wps (normalize | stratum | index), blowup (build | intersect | transform).
+The library returns exact values and this module alone lays them out.
 Reports are emitted as JSON (default) or aligned text; all rationals are
 exact fraction strings "p/q", and ``--approx`` adds a clearly labelled
 block with a 12-significant-digit decimal for each of them.  Exit codes: 0
@@ -25,7 +26,7 @@ from . import convex as cx
 from . import engine as ce
 from . import moments as mo
 from . import wpoly as wp
-from .lattice import WeightVector, base_locus, fano_index, normalize, stratum, top_intersection
+from .lattice import WeightVector, base_locus, fano_index, normalize, stratum
 from .schema import SCHEMA_VERSION
 
 
@@ -195,6 +196,19 @@ def build_parser() -> _Parser:
     return p
 
 
+_CERTIFICATE_OUTPUTS = ("polarization", "bound", "strict", "upper", "index",
+                        "anticanonical_bound", "anticanonical_upper", "verdict")
+
+
+def _certificate(cert: ce.DeltaCertificate) -> tuple[dict, list[dict]]:
+    """The exact outputs of ``cert`` in report key order, and its trace with
+    each entry's ``inputs`` as strings in sorted key order."""
+    outputs = {k: getattr(cert, k) for k in _CERTIFICATE_OUTPUTS}
+    trace = [{**vars(t), "inputs": {k: str(v) for k, v in sorted(t.inputs.items())}}
+             for t in cert.trace]
+    return outputs, trace
+
+
 def _run_certify(args, out) -> dict:
     w = _weights(args.weights)
     flags = ce.Flags(
@@ -204,17 +218,25 @@ def _run_certify(args, out) -> dict:
         general_member=args.general,
     )
     datum = ce.FanoDatum(ambient=w, d=args.degree, flags=flags)
-    cert = ce.certify(datum)
-    cj = cert.to_json_dict()
-    trace = cj.pop("trace")
+    outputs, trace = _certificate(ce.certify(datum))
     return _report(
         "certify",
         {"weights": w.text(), "degree": args.degree, "index": datum.index,
          "flags": {"eckardt_at_P": args.eckardt, "m": args.m, "b1_in_x": args.b1,
                    "general_member": args.general, "quasi_smooth": True}},
-        {k: getattr(cert, k) for k in cj},  # the exact values, in the JSON's key order
-        trace=trace,
-    )
+        outputs, trace=trace)
+
+
+_ENUMERATE_HEADER = ("weights", "degree", "index", "bound", "anticanonical_bound",
+                     "upper", "verdict", "rules")
+
+
+def _enumerate_values(row: ce.EnumerationRow) -> tuple:
+    """One row's exact values in :data:`_ENUMERATE_HEADER` order; ``rules`` is
+    the tuple of fired rule ids."""
+    c = row.certificate
+    return (row.datum.ambient.text(), row.datum.d, c.index, c.bound,
+            c.anticanonical_bound, c.upper, c.verdict, row.fired_rules())
 
 
 def _run_enumerate(args, out) -> dict | None:
@@ -224,28 +246,13 @@ def _run_enumerate(args, out) -> dict | None:
         n=args.n, max_weight=args.max_weight, index=args.index,
         degree=args.degree, eckardt=args.eckardt, general=args.general,
     )
+    values = map(_enumerate_values, rows)
     if args.csv:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["weights", "degree", "index", "bound", "anticanonical_bound",
-                         "upper", "verdict", "rules"])
-        for row in rows:
-            c = row.certificate
-            writer.writerow([
-                row.datum.ambient.text(), row.datum.d, c.index, str(c.bound),
-                str(c.anticanonical_bound), "" if c.upper is None else str(c.upper),
-                c.verdict, ";".join(row.fired_rules()),
-            ])
+        writer.writerow(_ENUMERATE_HEADER)
+        writer.writerows((*v[:-1], ";".join(v[-1])) for v in values)
         return None
-    payload = [{
-        "weights": row.datum.ambient.text(),
-        "degree": row.datum.d,
-        "index": row.certificate.index,
-        "bound": row.certificate.bound,
-        "anticanonical_bound": row.certificate.anticanonical_bound,
-        "upper": row.certificate.upper,
-        "verdict": row.certificate.verdict,
-        "rules": list(row.fired_rules()),
-    } for row in rows]
+    payload = [dict(zip(_ENUMERATE_HEADER, v)) for v in values]
     return _report("enumerate",
                    {"n": args.n, "max_weight": args.max_weight, "index": args.index,
                     "degree": args.degree, "eckardt": args.eckardt,
@@ -278,12 +285,14 @@ def _run_okounkov(args, out) -> dict | None:
         samples = case.body.boundary_samples(args.csv_samples)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["x", "upper"])
-        writer.writerows([str(x), str(y)] for x, y in samples)
+        writer.writerows(samples)
         return None
     return _report("okounkov case",
                    {"case": args.name, "a": args.a, "b": args.b, "k": args.k,
                     "flag_in_surface": args.flag_in_surface},
-                   {"body": case.body.to_json_obj(), "area": case.area,
+                   {"body": {"breakpoints": case.body.breakpoints,
+                             "pieces": case.body.pieces},
+                    "area": case.area,
                     "L2": case.L2, "eps": case.eps, "t_max": case.t_max,
                     "s_value": case.s_value,
                     "second_coordinate": case.second_coordinate})
@@ -330,7 +339,11 @@ def _run_blowup(args, out) -> dict:
         exc_data = bl.exceptional_class(frame)
         return _report("blowup build",
                        {"weights": w.text(), "r": args.r},
-                       {"frame": frame.to_json_dict(),
+                       {"frame": {"ambient": frame.ambient.text(), "r": frame.r,
+                                  "h": frame.h, "hp": frame.hp, "app": frame.app,
+                                  "gi": frame.gi, "g": frame.g, "gp": frame.gp,
+                                  "ap": frame.ap_left + frame.ap_right,
+                                  "v_rep": frame.v_rep, "bezout": frame.bezout},
                         "exceptional_class": list(exc_data.cls),
                         "exceptional_product": {
                             "left": list(exc_data.left_factor),

@@ -108,9 +108,6 @@ class RationalPolygon:
         a = tot / 2
         return (ax / (6 * a), ay / (6 * a))
 
-    def to_json_obj(self) -> list[list[str]]:
-        return [[str(x), str(y)] for x, y in self.vertices]
-
 
 @dataclass(frozen=True)
 class SlicedBody:
@@ -186,12 +183,6 @@ class SlicedBody:
             x = t * i / count
             out.append((x, self.upper(x)))
         return out
-
-    def to_json_obj(self) -> dict:
-        return {
-            "breakpoints": [str(x) for x in self.breakpoints],
-            "pieces": [[str(m), str(c)] for m, c in self.pieces],
-        }
 
 
 BodyLike = Union[RationalPolygon, SlicedBody]
@@ -440,9 +431,6 @@ class _LinFn:
     def __init__(self, c: Fraction, m: Fraction):
         self.c = Fraction(c)
         self.m = Fraction(m)
-
-    def __call__(self, x: Fraction) -> Fraction:
-        return self.c + self.m * x
 
     def __add__(self, other):
         return _LinFn(self.c + other.c, self.m + other.m)

@@ -4,7 +4,9 @@ Input is a Fano datum: an ambient weight vector, a degree, and structural
 flags (a generalized Eckardt vertex, its escape level, the weight-one base
 locus containment, generality of the member), all caller-asserted and
 recorded.  Quasi-smoothness of the member is a standing assumption of
-every rule; the traces list it as the hypothesis "quasi-smooth asserted".
+every rule.  Most rules list it in their trace as the hypothesis
+"quasi-smooth asserted"; one-weight-gap, two-weight-degree,
+eckardt-unstable and the b1-derivation note leave it implicit.
 The rules are data: :data:`RULES` is one table of :class:`Rule` rows.
 :func:`certify` resolves the weight-one base locus containment and the
 Eckardt vertex once, folds over the table, combines the bounds that fired
@@ -26,7 +28,6 @@ from typing import Callable, Iterator, Optional
 
 from .lattice import WeightVector, fano_index
 from .moments import delta_eckardt, unstable_check
-from .schema import SCHEMA_VERSION  # noqa: F401  (re-exported)
 
 
 class NonFanoError(ValueError):
@@ -99,18 +100,6 @@ class TraceEntry:
     inputs: dict
     output: Optional[str]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rule_id": self.rule_id,
-            "statement": self.statement,
-            "citation": self.citation,
-            "external": self.external,
-            "scope": self.scope,
-            "hypotheses": list(self.hypotheses),
-            "inputs": {k: str(v) for k, v in sorted(self.inputs.items())},
-            "output": self.output,
-        }
-
 
 @dataclass(frozen=True)
 class DeltaCertificate:
@@ -136,20 +125,6 @@ class DeltaCertificate:
     @property
     def anticanonical_upper(self) -> Optional[Fraction]:
         return None if self.upper is None else self.upper / self.index
-
-    def to_json_dict(self) -> dict:
-        return {
-            "polarization": self.polarization,
-            "bound": str(self.bound),
-            "strict": self.strict,
-            "upper": None if self.upper is None else str(self.upper),
-            "index": self.index,
-            "anticanonical_bound": str(self.anticanonical_bound),
-            "anticanonical_upper":
-                None if self.upper is None else str(self.anticanonical_upper),
-            "verdict": self.verdict,
-            "trace": [t.to_json_dict() for t in self.trace],
-        }
 
 
 @dataclass(frozen=True)
@@ -379,7 +354,7 @@ def _eckardt_unstable(datum, b1, k):
     if report.verdict != "K-unstable":
         return None
     return ((f"n = {n} > a^2 k(k-1)/(a-1) = {report.criterion_rhs}",),
-            {"witness": str(report.witness)}, None)
+            {"witness": report.witness}, None)
 
 
 RULES: tuple[Rule, ...] = (
@@ -520,12 +495,6 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
     )
 
 
-def replay(cert: DeltaCertificate, datum: FanoDatum) -> bool:
-    """Re-run the engine and check the recorded trace reproduces itself."""
-    again = certify(datum)
-    return again == cert
-
-
 # ---------------------------------------------------------------------------
 # deterministic enumeration
 
@@ -559,6 +528,8 @@ def enumerate_data(n: int, max_weight: int, index: Optional[int] = None,
         raise ValueError("give exactly one of index or degree")
     if n < 1:
         raise ValueError("dimension n must be >= 1")
+    if max_weight < 1 or (index if degree is None else degree) < 1:
+        raise ValueError("max_weight, index and degree must be >= 1")
     if n > ENUM_LIMITS["max_n"] or max_weight > ENUM_LIMITS["max_weight"]:
         raise ValueError(f"enumeration limits exceeded: {ENUM_LIMITS}")
     tuples = [

@@ -242,7 +242,8 @@ def unstable_check(n: int, a: int, k: int) -> UnstableReport:
 
 
 def moment_table(n_range, a_range, k_range) -> Iterator[dict]:
-    """Rows (n,a,k,j,q_in_W1,S,closed_form,match) for the CSV emitter.
+    """Rows (n,a,k,j,q_in_W1,S,closed_form,match) with exact Fraction S and
+    closed_form.
 
     Every (n, a, k) of the re-iterable ranges is checked here, before the
     first row is computed; the rows are then yielded as they are computed.
@@ -267,7 +268,7 @@ def _table_rows(n_range, a_range, k_range) -> Iterator[dict]:
                         yield {
                             "n": n, "a": a, "k": k, "j": j,
                             "q_in_W1": q,
-                            "S": str(s),
-                            "closed_form": str(cf),
+                            "S": s,
+                            "closed_form": cf,
                             "match": s == cf,
                         }

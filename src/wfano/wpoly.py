@@ -166,15 +166,6 @@ class SparseWPoly(_Terms):
     def divisible_by_variable(self, i: int) -> bool:
         return all(exps[i] > 0 for exps, _ in self.terms)
 
-    def text(self) -> str:
-        parts = []
-        for exps, coeff in self.terms:
-            factors = [str(coeff)] if abs(coeff) != 1 else (["-1"] if coeff == -1 else [])
-            if any(exps):
-                factors.append(_mono_text(exps))
-            parts.append("*".join(factors) if factors else str(coeff))
-        return " + ".join(parts).replace("+ -1*", "- ").replace("+ -", "- ")
-
 
 def _mono_text(exps: Sequence[int]) -> str:
     """A monomial as "x0^2*x3"; "1" for the constant monomial."""
@@ -360,17 +351,10 @@ def qsm_at_point(f: AnyPoly, point: Sequence) -> QsmPointReport:
         raise ValueError("point lies in the irrelevant locus")
     if f.evaluate(pt) != 0:
         raise ValueError("point does not lie on the hypersurface")
-    vanishing = []
-    witness = None
     for i in range(nv):
         p = f.partial(i)
-        val = p.evaluate(pt) if p is not None else Fraction(0)
-        if val != 0:
-            witness = i
-            break
-        vanishing.append(i)
-    if witness is not None:
-        return QsmPointReport(True, witness, ())
+        if p is not None and p.evaluate(pt) != 0:
+            return QsmPointReport(True, i, ())
     return QsmPointReport(False, None, tuple(range(nv)))
 
 

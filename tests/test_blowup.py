@@ -1,3 +1,5 @@
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from wfano import blowup as bl
+from wfano import cli
 from wfano.lattice import WeightVector
 
 from helpers import random_weight_vector, smooth_blowup_intersection
@@ -154,8 +157,9 @@ def test_intersection_pair_reproduces_degree_chain():
 
 
 def test_frame_json_fields():
-    fr = bl.build(WeightVector((2, 3, 4, 4, 5)), 2)
-    d = fr.to_json_dict()
+    out = io.StringIO()
+    assert cli.run(["blowup", "build", "--weights", "2,3,4,4,5", "--r", "2"], out) == 0
+    d = json.loads(out.getvalue())["outputs"]["frame"]
     assert set(d) == {"ambient", "r", "h", "hp", "app", "gi", "g", "gp", "ap",
                       "v_rep", "bezout"}
     assert d["h"] == 1 and d["hp"] == 1

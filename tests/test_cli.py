@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import itertools
@@ -130,6 +131,50 @@ _MONOMIAL = st.tuples(
 ).map(lambda t: t[0] + "*".join(f"x{i}^{e}" for i, e in t[1]))
 _POLY = st.lists(st.tuples(st.sampled_from(["+", "-"]), _MONOMIAL),
                  min_size=1, max_size=4).map(lambda ts: "".join(s + m for s, m in ts))
+
+
+@functools.lru_cache(maxsize=None)
+def _monomials(weights: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
+    """Every exponent vector of weighted degree ``d`` over ``weights``."""
+    if not weights:
+        return ((),) if d == 0 else ()
+    head, rest = weights[0], weights[1:]
+    return tuple((e, *tail) for e in range(d // head + 1)
+                 for tail in _monomials(rest, d - e * head))
+
+
+def _int_weights(weights: str) -> tuple[int, ...]:
+    """``weights`` as integers when it is a comma list of positive integers,
+    else ()."""
+    try:
+        ws = tuple(int(x) for x in weights.split(","))
+    except ValueError:
+        return ()
+    return ws if min(ws) >= 1 else ()
+
+
+def _transform_argv(weights: str):
+    """``blowup transform`` over ``weights``: for integer weights, mostly a
+    split index in range and a sum of monomials of one weighted degree (at
+    most 10); else any index and any ``_POLY``."""
+    ws = _int_weights(weights)
+    degrees = [d for d in range(1, 11) if ws and _monomials(ws, d)]
+    if not degrees:
+        r, poly = st.integers(-1, 4), _POLY
+    else:
+        term = st.tuples(st.sampled_from(["+", "-"]), st.sampled_from(["", "2*", "1/2*"]))
+        homogeneous = st.sampled_from(degrees).flatmap(lambda d: st.lists(
+            st.tuples(term, st.sampled_from(_monomials(ws, d))), min_size=1, max_size=4)).map(
+            lambda ts: "".join(sign + coeff + "*".join(
+                f"x{i}^{e}" for i, e in enumerate(exps) if e)
+                for (sign, coeff), exps in ts))
+        r = _mostly(st.integers(1, max(1, len(ws) - 2)), st.integers(-1, 4))
+        poly = _mostly(homogeneous, _POLY)
+    # "--poly=" keeps a text with a leading "-" from reading as an option
+    return st.builds(lambda r, poly: ["blowup", "transform", "--weights", weights,
+                                      "--r", str(r), f"--poly={poly}"], r, poly)
+
+
 _FLAGS = st.lists(st.sampled_from([["--eckardt"], ["--general"], ["--csv"]]),
                   max_size=2).map(lambda fs: [f for flag in fs for f in flag])
 
@@ -152,9 +197,7 @@ _ARGV = st.one_of(
               st.sampled_from([[], ["--index", "1"], ["--index", "-2"], ["--degree", "7"],
                                ["--degree", "0"], ["--index", "1", "--degree", "5"]]),
               _FLAGS),
-    st.builds(lambda w, r, poly: ["blowup", "transform", "--weights", w, "--r", str(r),
-                                  "--poly", poly],
-              _WEIGHTS, st.integers(-1, 4), _POLY),
+    _WEIGHTS.flatmap(_transform_argv),
     st.builds(lambda n, a, k, j, q: ["moments", "s-value", "--n", n, "--a", a, "--k", k,
                                      "--j", j, *q],
               _INT, _INT, _INT, _INT, _Q_IN_W1),
@@ -395,7 +438,10 @@ def test_blowup_subcommands():
     assert code == 0
     jsonschema.validate(rep, REPORT_SCHEMA)
     frame = rep["outputs"]["frame"]
+    assert set(frame) == {"ambient", "r", "h", "hp", "app", "gi", "g", "gp", "ap",
+                          "v_rep", "bezout"}
     assert frame["h"] == 1 and frame["hp"] == 1 and frame["g"] == 2
+    assert frame["ap"] == [1, 3, 2, 1, 1]
 
     code, rep = _run_json(["blowup", "intersect", "--weights", "2,3,4,4,5",
                            "--r", "2", "--k", "2"])
@@ -423,7 +469,7 @@ def test_approx_column():
      {"rows": [{"bound": "1.5", "anticanonical_bound": "1.5"},
                {"bound": "1.5", "anticanonical_bound": "0.75"}]}),
     (["okounkov", "case", "hirzebruch", "--a", "2"],
-     {"area": "0.25", "L2": "0.5", "eps": "0.5", "t_max": "0.5", "s_value": "0.333333333333",
+     {"body": {"breakpoints": ["0", "0.5"], "pieces": [["2", "0"]]}, "area": "0.25", "L2": "0.5", "eps": "0.5", "t_max": "0.5", "s_value": "0.333333333333",
       "second_coordinate": "0.333333333333"}),
     (["wps", "base-locus", "--weights", "1,1,1,1,2,3", "--threshold", "2", "--point", "0"],
      {"scale": "0.333333333333"}),

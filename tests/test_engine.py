@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from wfano import cli
 from wfano import engine as ce
 from wfano.lattice import WeightVector
 
@@ -130,27 +131,6 @@ def test_anticanonical_conversion():
         count += 1
 
 
-def test_replay_soundness():
-    rng = random.Random(17)
-    count = 0
-    while count < 40:
-        import math
-        ws = sorted(rng.randint(1, 5) for _ in range(rng.randint(4, 6)))
-        if math.gcd(*ws) != 1:
-            continue
-        w = WeightVector(tuple(ws))
-        if not w.is_well_formed:
-            continue
-        d = sum(ws) - 1
-        datum = ce.FanoDatum(ambient=w, d=d)
-        try:
-            cert = ce.certify(datum)
-        except (ce.NonFanoError, ce.ContradictoryFlagsError):
-            continue
-        assert ce.replay(cert, datum)
-        count += 1
-
-
 def test_monotonicity_in_flags():
     base = _datum([1, 1, 1, 1, 2, 2], 7)
     with_general = _datum([1, 1, 1, 1, 2, 2], 7, general_member=True)
@@ -228,6 +208,10 @@ def test_enumerate_checks_arguments_before_the_first_row():
         ce.enumerate_data(n=50, max_weight=3, index=1)
     with pytest.raises(ValueError):
         ce.enumerate_data(n=3, max_weight=3, index=1, degree=5)
+    for kwargs in ({"max_weight": 3, "index": 0}, {"max_weight": 3, "index": -2},
+                   {"max_weight": 3, "degree": 0}, {"max_weight": 0, "index": 1}):
+        with pytest.raises(ValueError):
+            ce.enumerate_data(n=2, **kwargs)
 
 
 def test_representable_against_brute_force():
@@ -307,15 +291,17 @@ def _certify_corpus():
 
 
 def test_certify_corpus_trace_is_pinned(corpus):
-    """The certificate JSON (or the error type and message) of every corpus
-    case, hashed in order: a rule rewrite must not move a byte."""
+    """The certificate JSON that ``cli`` renders (or the error type and
+    message) of every corpus case, hashed in order: a rule rewrite must not
+    move a byte."""
     digest = hashlib.sha256()
     count = 0
     for case, result in corpus:
         if isinstance(result, Exception):
             text = f"{type(result).__name__}: {result}"
         else:
-            text = json.dumps(result.to_json_dict(), sort_keys=True)
+            outputs, trace = cli._certificate(result)
+            text = json.dumps({**cli._fmt(outputs), "trace": trace}, sort_keys=True)
         digest.update(f"{case!r} {text}\n".encode())
         count += 1
     assert count == 6108

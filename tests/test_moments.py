@@ -200,6 +200,7 @@ def test_moment_table_rows():
     assert len(rows) == 2 * 2  # j in {1,2}, two flags
     assert all(r["match"] for r in rows)
     assert set(rows[0]) == {"n", "a", "k", "j", "q_in_W1", "S", "closed_form", "match"}
+    assert all(isinstance(r[k], Fraction) for r in rows for k in ("S", "closed_form"))
 
 
 def test_moment_table_checks_every_triple_before_the_first_row():
