@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -270,11 +271,9 @@ def _run_moments(args, out) -> dict | None:
                        {"s_value": s, "closed_form": cf, "match": s == cf})
     rows = mo.moment_table(range(2, args.n_max + 1), range(1, args.a_max + 1),
                            range(1, args.k_max + 1))
-    writer = csv.DictWriter(out, fieldnames=["n", "a", "k", "j", "q_in_W1", "S",
-                                             "closed_form", "match"],
-                            lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("n", "a", "k", "j", "q_in_W1", "S", "closed_form", "match"))
+    writer.writerows(r.values() for r in rows)
     return None
 
 
@@ -401,7 +400,15 @@ def run(argv, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head`): exit 1 quietly, with
+        # stdout on the null device so the flush at shutdown cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

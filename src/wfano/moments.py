@@ -11,11 +11,11 @@ divisor reduce to moments of the region
 normalized by n! a / (ak+1).  The inner integrals over the simplex
 {x_2 + ... + x_n < t} have the closed forms vol = t^(n-1)/(n-1)! and
 integral of a single coordinate = t^n/n!, which reduces everything to 1D
-integrals in x_1 of t^m and x_1 t^m, with t linear in x_1 on each piece.
-Those are evaluated exactly over Fractions by the antiderivative of a power
-of a linear function, t^(m+1)/(alpha (m+1)) for t = alpha x_1 + beta, and
-the substitution x_1 = (t - beta)/alpha for the first moment.  Only three
-distinct S-values exist per (n, a, k), so they are computed together once.
+integrals in x_1.  One affine substitution per piece, x_1 = t/a on the
+first and x_1 = (ak+1)/a - k t on the second, makes the simplex size t on
+both, with t in [0, 1]; every integrand is then a polynomial in t, and
+each of its terms integrates to 1/(e+1) for t^e.  Only three distinct
+S-values exist per (n, a, k), so they are computed together once.
 ``Poly1D`` remains as the dense-polynomial reference behind
 ``MomentRegion.volume``.
 
@@ -85,13 +85,15 @@ class Poly1D:
         return total
 
 
-def _validate(n: int, a: int, k: int) -> None:
+def _validate(n: int, a: int, k: int, j: int = 1) -> None:
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if n > MAX_DIMENSION:
         raise ValueError(f"dimension bounded by {MAX_DIMENSION}")
     if a < 1 or k < 1:
         raise ValueError("a and k must be positive integers")
+    if not 1 <= j <= n:
+        raise ValueError("flag depth j must satisfy 1 <= j <= n")
 
 
 @dataclass(frozen=True)
@@ -121,44 +123,39 @@ class MomentRegion:
         return Fraction(math.factorial(self.n) * self.a, self.a * self.k + 1)
 
 
-def _power_integrals(alpha: Fraction, beta: Fraction, lo: Fraction, hi: Fraction,
-                     m: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact integrals over [lo, hi] of t^m, t^(m+1) and x t^m, t = alpha x + beta.
-
-    Uses the antiderivative t^(e+1)/(alpha (e+1)) and, for the first moment,
-    x = (t - beta)/alpha, so x t^m = (t^(m+1) - beta t^m)/alpha.
-    """
-    t_lo = alpha * lo + beta
-    t_hi = alpha * hi + beta
-    p_m = (t_hi ** (m + 1) - t_lo ** (m + 1)) / (alpha * (m + 1))
-    p_m1 = (t_hi ** (m + 2) - t_lo ** (m + 2)) / (alpha * (m + 2))
-    return p_m, p_m1, (p_m1 - beta * p_m) / alpha
-
-
 def _flag_integrals(n: int, a: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
     """The three distinct S-values of (n, a, k), integrated over the region.
 
     Returns (S for j = 1, S for 2 <= j <= n, S for j = n with the point on
-    W_1).  Integrands per piece: x t^(n-1)/(n-1)! for j = 1, t^n/n! for
-    j >= 2, plus (x - 1/a)/k * t^(n-1)/(n-1)! on the second piece for W_1.
+    W_1).  Integrands: x t^(n-1)/(n-1)! for j = 1, t^n/n! for j >= 2, plus
+    (x - 1/a)/k * t^(n-1)/(n-1)! on the second piece for W_1, in the simplex
+    size t of the module docstring: x = t/a, dx = dt/a on the first piece,
+    x = top - k t, dx = -k dt (t from 1 down to 0) on the second.
     """
-    norm = MomentRegion(n, a, k).normalizer
-    fact_nm1 = math.factorial(n - 1)
-    one_over_a = Fraction(1, a)
-    top = Fraction(a * k + 1, a)
-    # t = a x on the first piece, t = (top - x)/k on the second
-    _, t1_n, x1 = _power_integrals(Fraction(a), Fraction(0), Fraction(0), one_over_a, n - 1)
-    t2_nm1, t2_n, x2 = _power_integrals(Fraction(-1, k), top / k, one_over_a, top, n - 1)
-    first = (x1 + x2) / fact_nm1
-    rest = (t1_n + t2_n) / (fact_nm1 * n)
-    v_term = (x2 - one_over_a * t2_nm1) / (k * fact_nm1)
-    return norm * first, norm * rest, norm * (rest + v_term)
+    scale = MomentRegion(n, a, k).normalizer / math.factorial(n - 1)
+    top = Fraction(a * k + 1, a)  # = 1/a + k, the two Jacobians together
+    t_nm1 = Fraction(1, n)        # integral of t^(n-1) over [0, 1]
+    t_n = Fraction(1, n + 1)      # integral of t^n
+    # x t^(n-1): (t/a) t^(n-1) dt/a, then (top - k t) t^(n-1) k dt
+    first = t_n / (a * a) + k * (top * t_nm1 - k * t_n)
+    # t^n/n! = (t^n/n)/(n-1)!, and dt/a plus k dt is top dt
+    rest = top * t_n / n
+    # on the second piece (x - 1/a)/k = 1 - t, with k dt
+    on_w1 = rest + k * (t_nm1 - t_n)
+    return scale * first, scale * rest, scale * on_w1
 
 
-def _pick(integrals: tuple[Fraction, Fraction, Fraction], n: int, j: int,
+def _closed_forms(n: int, a: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
+    """The paper's closed forms in the order of :func:`_flag_integrals`:
+    (ak+n)/(a(n+1)), 1/(n+1) and (2ak+1)/((ak+1)(n+1))."""
+    return (Fraction(a * k + n, a * (n + 1)), Fraction(1, n + 1),
+            Fraction(2 * a * k + 1, (a * k + 1) * (n + 1)))
+
+
+def _pick(values: tuple[Fraction, Fraction, Fraction], n: int, j: int,
           q_in_w1: bool) -> Fraction:
-    """The entry of ``_flag_integrals`` that flag depth j selects."""
-    first, rest, on_w1 = integrals
+    """The entry of a (first, rest, on_w1) triple that flag depth j selects."""
+    first, rest, on_w1 = values
     if j == 1:
         return first
     return on_w1 if q_in_w1 and j == n else rest
@@ -169,26 +166,18 @@ def s_value(n: int, a: int, k: int, j: int, q_in_w1: bool = False) -> Fraction:
 
     The flag runs through the exceptional divisor; j = n additionally
     distinguishes whether the final point lies on the residual hypersurface
-    W_1 (the ``q_in_w1`` flag).  Integration is reduced to 1D integrals of
-    powers of a linear function via the simplex closed forms.
+    W_1 (the ``q_in_w1`` flag).  Integration is reduced by the simplex
+    closed forms to polynomials in t over [0, 1] (see ``_flag_integrals``).
     """
-    _validate(n, a, k)
-    if not 1 <= j <= n:
-        raise ValueError("flag depth j must satisfy 1 <= j <= n")
+    _validate(n, a, k, j)
     return _pick(_flag_integrals(n, a, k), n, j, q_in_w1)
 
 
 def s_value_closed_form(n: int, a: int, k: int, j: int, q_in_w1: bool = False) -> Fraction:
     """Closed forms: (ak+n)/(a(n+1)) for j = 1, (2ak+1)/((ak+1)(n+1)) for
     j = n with the point on W_1, and 1/(n+1) otherwise."""
-    _validate(n, a, k)
-    if not 1 <= j <= n:
-        raise ValueError("flag depth j must satisfy 1 <= j <= n")
-    if j == 1:
-        return Fraction(a * k + n, a * (n + 1))
-    if j == n and q_in_w1:
-        return Fraction(2 * a * k + 1, (a * k + 1) * (n + 1))
-    return Fraction(1, n + 1)
+    _validate(n, a, k, j)
+    return _pick(_closed_forms(n, a, k), n, j, q_in_w1)
 
 
 def delta_eckardt(n: int, a: int, k: int) -> tuple[Fraction, bool]:
@@ -261,10 +250,11 @@ def _table_rows(n_range, a_range, k_range) -> Iterator[dict]:
         for a in a_range:
             for k in k_range:
                 integrals = _flag_integrals(n, a, k)
+                closed = _closed_forms(n, a, k)
                 for j in range(1, n + 1):
                     for q in (False, True):
                         s = _pick(integrals, n, j, q)
-                        cf = s_value_closed_form(n, a, k, j, q)
+                        cf = _pick(closed, n, j, q)
                         yield {
                             "n": n, "a": a, "k": k, "j": j,
                             "q_in_W1": q,

@@ -4,8 +4,11 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -287,6 +290,24 @@ def test_enumerate_csv_bytes():
     assert len(data) == 308_328
     assert hashlib.sha256(data).hexdigest() == \
         "1a373e534c0102396013921ee202fef8c3fc5863821fa17b69da28372b83d18d"
+
+
+def test_closed_output_pipe_exits_1_without_a_traceback():
+    """A reader that stops after one line of the 308 KB sweep CSV, like
+    ``| head -1``, leaves the console entry point with exit 1 and nothing
+    on stderr."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wfano.cli", "enumerate", "--n", "3", "--max-weight", "14",
+         "--index", "1", "--eckardt", "--general", "--csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"weights,degree,")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_enumerate_json_bytes():

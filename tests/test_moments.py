@@ -100,9 +100,9 @@ def test_s_value_closed_forms_small_grid():
 
 
 def _dense_flag_integrals(n, a, k):
-    """The three S-values of (n, a, k) by dense Poly1D integration: powers of
-    t expanded coefficient by coefficient, independent of the antiderivatives
-    of powers of a linear function."""
+    """The three S-values of (n, a, k) by dense Poly1D integration in x over
+    the region's own bounds: powers of t expanded coefficient by
+    coefficient, independent of the substitution in t."""
     fact_nm1 = math.factorial(n - 1)
     top = F(a * k + 1, a)
     pieces = [(mo.Poly1D([0, a]), F(0), F(1, a)),
@@ -119,10 +119,12 @@ def _dense_flag_integrals(n, a, k):
 
 
 def test_flag_integrals_against_dense_integration():
-    for n in range(2, 11):
-        for a in range(1, 5):
-            for k in range(1, 5):
-                assert mo._flag_integrals(n, a, k) == _dense_flag_integrals(n, a, k)
+    """Over the default table's a, k <= 6, and on the high dimensions and
+    (a, k) of ``test_s_value_closed_forms_high_dimension``."""
+    grid = [(n, a, k) for n in range(2, 11) for a in range(1, 7) for k in range(1, 7)]
+    grid += [(n, a, k) for n in (16, 32, 64) for a in (1, 2, 5) for k in (1, 3)]
+    for n, a, k in grid:
+        assert mo._flag_integrals(n, a, k) == _dense_flag_integrals(n, a, k)
 
 
 def test_s_value_closed_forms_high_dimension():
