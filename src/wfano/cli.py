@@ -7,7 +7,9 @@ Reports are emitted as JSON (default) or aligned text; all rationals are
 exact fraction strings "p/q", and ``--approx`` adds a clearly labelled
 block with a 12-significant-digit decimal for each of them.  Exit codes: 0
 success, 2 precondition or usage violation (machine-readable error object),
-3 internal invariant failure.  The library signals a precondition violation with ``ValueError``
+3 internal invariant failure.  The ``wfano`` command exits 1, with no
+output of its own, when its reader closes the output early (``| head``).
+The library signals a precondition violation with ``ValueError``
 (or a subclass); :func:`run` maps it to exit 2 with kind "precondition",
 and any other exception to exit 3.  ``enumerate --csv``, ``moments table``
 and ``okounkov --csv-samples`` finish their checks before their first byte.

@@ -7,10 +7,15 @@ thresholds on surfaces, an exact iterative Zariski decomposition for small
 curve models, and the Okounkov bodies of the three surface families used by
 the certificate engine.
 
-Both the Zariski decomposition and the chamber walk behind the Okounkov
-bodies go through one elimination, :func:`_solve_negative_definite`: its
-pivots decide negative definiteness by Sylvester's criterion, and the same
-pass solves the orthogonality system.
+Each formula lives in one place.  Polygons and sliced bodies take their
+area and centroid from one shoelace formula, :func:`_moments`, computed
+once per body at construction; a sliced body passes its outline (0,0),
+(t_q,0), then back along the graph of g.  Intersection numbers come from
+:func:`_pair` and :func:`_form`.  Both the Zariski decomposition and the
+chamber walk behind the Okounkov bodies go through one elimination,
+:func:`_solve_negative_definite`: its pivots decide negative definiteness by
+Sylvester's criterion, and the same pass solves the orthogonality system
+(the walk solves for the constants and the slopes in x as two columns).
 """
 
 from __future__ import annotations
@@ -42,8 +47,39 @@ def sqrt_fraction(q: Fraction) -> Optional[Fraction]:
     return None
 
 
+def _moments(vertices: Sequence[Point]) -> tuple[Fraction, Fraction, Fraction]:
+    """(area, integral of x, integral of y) over the polygon with this
+    counterclockwise outline, by the shoelace formula.  Repeated and
+    collinear vertices add nothing to the sums."""
+    area = mx = my = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:] + vertices[:1]):
+        w = x0 * y1 - x1 * y0
+        area += w
+        mx += (x0 + x1) * w
+        my += (y0 + y1) * w
+    return area / 2, mx / 6, my / 6
+
+
+class _Body:
+    """Area and centroid of both body types, stored once by ``__post_init__``
+    as plain attributes, so they stay out of equality, hashing and the repr."""
+
+    def _store_moments(self, outline: Sequence[Point], kind: str) -> None:
+        area, mx, my = _moments(outline)
+        if area <= 0:
+            raise ValueError(f"{kind} must have positive area")
+        object.__setattr__(self, "_area", area)
+        object.__setattr__(self, "_centroid", (mx / area, my / area))
+
+    def area(self) -> Fraction:
+        return self._area
+
+    def centroid(self) -> Point:
+        return self._centroid
+
+
 @dataclass(frozen=True)
-class RationalPolygon:
+class RationalPolygon(_Body):
     """Convex polygon with exact rational vertices in counterclockwise order.
 
     The constructor enforces convexity, positive area, and no three
@@ -63,8 +99,7 @@ class RationalPolygon:
             c = _cross(verts[i], verts[(i + 1) % n], verts[(i + 2) % n])
             if c <= 0:
                 raise ValueError("vertices must be strictly convex counterclockwise")
-        if self.area() <= 0:
-            raise ValueError("polygon must have positive area")
+        self._store_moments(verts, "polygon")
 
     @classmethod
     def from_points(cls, points: Sequence[Sequence]) -> "RationalPolygon":
@@ -84,38 +119,15 @@ class RationalPolygon:
         hull = lower[:-1] + upper[:-1]
         return cls(tuple(hull))
 
-    def area(self) -> Fraction:
-        v = self.vertices
-        tot = Fraction(0)
-        for i in range(len(v)):
-            x0, y0 = v[i]
-            x1, y1 = v[(i + 1) % len(v)]
-            tot += x0 * y1 - x1 * y0
-        return tot / 2
-
-    def centroid(self) -> Point:
-        v = self.vertices
-        ax = Fraction(0)
-        ay = Fraction(0)
-        tot = Fraction(0)
-        for i in range(len(v)):
-            x0, y0 = v[i]
-            x1, y1 = v[(i + 1) % len(v)]
-            w = x0 * y1 - x1 * y0
-            tot += w
-            ax += (x0 + x1) * w
-            ay += (y0 + y1) * w
-        a = tot / 2
-        return (ax / (6 * a), ay / (6 * a))
-
 
 @dataclass(frozen=True)
-class SlicedBody:
+class SlicedBody(_Body):
     """A 2D body {0 <= x <= t_q, 0 <= y <= g(x)} with piecewise-affine g.
 
     ``breakpoints`` are 0 = t_0 < ... < t_q and ``pieces`` holds one
     (slope, intercept) pair per interval.  g must be nonnegative,
-    continuous, and concave across pieces.
+    continuous, and concave across pieces, and the body must have positive
+    area.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -141,6 +153,11 @@ class SlicedBody:
                 raise ValueError("upper boundary must be continuous")
             if m1 > m0:
                 raise ValueError("upper boundary must be concave")
+        # outline: (0,0), (t_q,0), then back along g to (0, g(0))
+        top = [(x, m * x + c) for (m, c), x in zip(pc, bp[1:])]
+        zero = Fraction(0)
+        self._store_moments([(zero, zero), (bp[-1], zero), *reversed(top), (zero, pc[0][1])],
+                            "body")
 
     def upper(self, x: Fraction) -> Fraction:
         x = Fraction(x)
@@ -150,28 +167,6 @@ class SlicedBody:
             if x <= hi:
                 return m * x + c
         raise AssertionError
-
-    def area(self) -> Fraction:
-        tot = Fraction(0)
-        for (m, c), lo, hi in zip(self.pieces, self.breakpoints, self.breakpoints[1:]):
-            tot += m * (hi**2 - lo**2) / 2 + c * (hi - lo)
-        if tot <= 0:
-            raise ValueError("body must have positive area")
-        return tot
-
-    def centroid(self) -> Point:
-        a = self.area()
-        mx = Fraction(0)
-        my = Fraction(0)
-        for (m, c), lo, hi in zip(self.pieces, self.breakpoints, self.breakpoints[1:]):
-            # integral of x*g(x) and of g(x)^2/2
-            mx += m * (hi**3 - lo**3) / 3 + c * (hi**2 - lo**2) / 2
-            my += (
-                m**2 * (hi**3 - lo**3) / 3
-                + m * c * (hi**2 - lo**2)
-                + c**2 * (hi - lo)
-            ) / 2
-        return (mx / a, my / a)
 
     def boundary_samples(self, count: int) -> list[Point]:
         """``count + 1`` equally spaced points (x, g(x)) from x = 0 to t_q."""
@@ -350,6 +345,17 @@ def _solve_negative_definite(gram: list[list[Fraction]], columns: list[list[Frac
     return solutions
 
 
+def _pair(m: Sequence[Sequence[Fraction]], u: Sequence[Fraction], j: int) -> Fraction:
+    """Intersection number of the class u with the j-th curve."""
+    return sum(u[i] * m[i][j] for i in range(len(u)))
+
+
+def _form(m: Sequence[Sequence[Fraction]], u: Sequence[Fraction],
+          v: Sequence[Fraction]) -> Fraction:
+    """Intersection number of the classes u and v."""
+    return sum(_pair(m, u, j) * v[j] for j in range(len(v)))
+
+
 def zariski_decompose(intersection: Sequence[Sequence], cls: Sequence) -> ZariskiDecomposition:
     """Zariski decomposition of a class in the span of listed curves.
 
@@ -367,23 +373,20 @@ def zariski_decompose(intersection: Sequence[Sequence], cls: Sequence) -> Zarisk
     if len(d) != n:
         raise ValueError("class vector length mismatch")
 
-    def pair(u: list[Fraction], j: int) -> Fraction:
-        return sum(u[i] * m[i][j] for i in range(n))
-
     support: list[int] = []
     beta = [Fraction(0)] * n
     for _ in range(n + 1):
         pos = [d[i] - beta[i] for i in range(n)]
-        bad = [j for j in range(n) if j not in support and pair(pos, j) < 0]
+        bad = [j for j in range(n) if j not in support and _pair(m, pos, j) < 0]
         if not bad:
             decomposition = ZariskiDecomposition(
                 positive=tuple(pos), negative=tuple(beta), support=tuple(sorted(support))
             )
-            _check_zariski(m, d, decomposition)
+            _check_zariski(m, decomposition)
             return decomposition
         support.extend(bad)
         gram = [[m[i][j] for j in support] for i in support]
-        rhs = [sum(d[i] * m[i][j] for i in range(n)) for j in support]
+        rhs = [_pair(m, d, j) for j in support]
         [sol] = _solve_negative_definite(
             gram, [rhs], "support is not negative definite; class is not pseudo-effective "
             "within this curve model")
@@ -395,14 +398,11 @@ def zariski_decompose(intersection: Sequence[Sequence], cls: Sequence) -> Zarisk
     raise AssertionError("Zariski iteration failed to terminate")
 
 
-def _check_zariski(m, d, dec: ZariskiDecomposition) -> None:
-    n = len(m)
-    pos, neg = dec.positive, dec.negative
-    for j in range(n):
-        if sum(pos[i] * m[i][j] for i in range(n)) < 0:
-            raise AssertionError("positive part is not nef against the listed curves")
-    pn = sum(pos[i] * m[i][j] * neg[j] for i in range(n) for j in range(n))
-    if pn != 0:
+def _check_zariski(m, dec: ZariskiDecomposition) -> None:
+    pos = dec.positive
+    if any(_pair(m, pos, j) < 0 for j in range(len(m))):
+        raise AssertionError("positive part is not nef against the listed curves")
+    if _form(m, pos, dec.negative) != 0:
         raise AssertionError("positive and negative part are not orthogonal")
 
 
@@ -423,25 +423,6 @@ class OkounkovCase:
         return self.body.area()
 
 
-class _LinFn:
-    """c + m*x with Fraction coefficients."""
-
-    __slots__ = ("c", "m")
-
-    def __init__(self, c: Fraction, m: Fraction):
-        self.c = Fraction(c)
-        self.m = Fraction(m)
-
-    def __add__(self, other):
-        return _LinFn(self.c + other.c, self.m + other.m)
-
-    def __sub__(self, other):
-        return _LinFn(self.c - other.c, self.m - other.m)
-
-    def scale(self, f: Fraction):
-        return _LinFn(self.c * f, self.m * f)
-
-
 def _okounkov_from_curve_model(intersection: Sequence[Sequence], l_coeffs: Sequence,
                                flag_index: int) -> tuple[SlicedBody, Fraction]:
     """Okounkov body of L for the flag (curve, generic point) by walking the
@@ -452,67 +433,49 @@ def _okounkov_from_curve_model(intersection: Sequence[Sequence], l_coeffs: Seque
     """
     m = [[Fraction(x) for x in row] for row in intersection]
     n = len(m)
-    d0 = [Fraction(x) for x in l_coeffs]
-    # D(x) = d0 - x * e_flag as linear functions of x
-    dvec = [_LinFn(d0[i], Fraction(-1) if i == flag_index else Fraction(0)) for i in range(n)]
-
-    def pair_lin(u: list[_LinFn], j: int) -> _LinFn:
-        out = _LinFn(Fraction(0), Fraction(0))
-        for i in range(n):
-            if m[i][j] != 0:
-                out = out + u[i].scale(m[i][j])
-        return out
-
+    # D(x) = dc + x * dm and P(x) = pc + x * pm, as constants and slopes in x
+    dc = [Fraction(x) for x in l_coeffs]
+    dm = [Fraction(-1) if i == flag_index else Fraction(0) for i in range(n)]
     support: list[int] = []
     x0 = Fraction(0)
     breakpoints = [Fraction(0)]
     pieces: list[tuple[Fraction, Fraction]] = []
     for _ in range(n + 2):
         # solve for the negative part on the current support, linearly in x
-        beta: list[_LinFn] = [_LinFn(Fraction(0), Fraction(0)) for _ in range(n)]
         gram = [[m[i][j] for j in support] for i in support]
-        rhs = [pair_lin(dvec, j) for j in support]
         sol_c, sol_m = _solve_negative_definite(
-            gram, [[f.c for f in rhs], [f.m for f in rhs]],
+            gram, [[_pair(m, dc, j) for j in support], [_pair(m, dm, j) for j in support]],
             "chamber support is not negative definite")
+        pc, pm = dc[:], dm[:]
         for idx, j in enumerate(support):
-            beta[j] = _LinFn(sol_c[idx], sol_m[idx])
-        pvec = [dvec[i] - beta[i] for i in range(n)]
+            pc[j] -= sol_c[idx]
+            pm[j] -= sol_m[idx]
         # volume of the positive part: quadratic in x
-        q2 = Fraction(0)
-        q1 = Fraction(0)
-        q0 = Fraction(0)
-        for i in range(n):
-            for j in range(n):
-                if m[i][j] == 0:
-                    continue
-                q2 += pvec[i].m * pvec[j].m * m[i][j]
-                q1 += (pvec[i].c * pvec[j].m + pvec[i].m * pvec[j].c) * m[i][j]
-                q0 += pvec[i].c * pvec[j].c * m[i][j]
+        q2, q1, q0 = _form(m, pm, pm), 2 * _form(m, pc, pm), _form(m, pc, pc)
         vol_root = _smallest_root_after(q2, q1, q0, x0)
         # next wall: a curve outside the support starts meeting P negatively
         wall = None
         for j in range(n):
             if j in support:
                 continue
-            ln = pair_lin(pvec, j)
-            if ln.m < 0:
-                root = -ln.c / ln.m
+            slope = _pair(m, pm, j)
+            if slope < 0:
+                root = -_pair(m, pc, j) / slope
                 if root > x0 and (wall is None or root < wall[0]):
                     wall = (root, j)
-        slice_fn = pair_lin(pvec, flag_index)
+        piece = (_pair(m, pm, flag_index), _pair(m, pc, flag_index))
         if vol_root is None and wall is None:
             raise ValueError("model does not reach the pseudo-effective boundary rationally")
         if vol_root is not None and (wall is None or vol_root <= wall[0]):
             end = vol_root
-            pieces.append((slice_fn.m, slice_fn.c))
+            pieces.append(piece)
             breakpoints.append(end)
             body = SlicedBody(tuple(breakpoints), tuple(pieces))
             nef_threshold = breakpoints[1] if support else breakpoints[-1]
             return body, nef_threshold
         end, j = wall
         if end > x0:
-            pieces.append((slice_fn.m, slice_fn.c))
+            pieces.append(piece)
             breakpoints.append(end)
         support.append(j)
         x0 = end
@@ -553,21 +516,13 @@ def okounkov_body_surface(case: str, a: int = 0, b: int = 0, k: int = 0,
 
     Any other case is rejected.
     """
-    if case == "hirzebruch":
+    if case in ("hirzebruch", "hirzebruch2"):
         if a < 1:
             raise ValueError("need a >= 1")
-        fa = Fraction(a)
-        inter = [[-fa, Fraction(1)], [Fraction(1), Fraction(0)]]
-        l_coeffs = [Fraction(1, a), Fraction(1)]
-        body, eps = _okounkov_from_curve_model(inter, l_coeffs, 0)
-        return _finish_case(body, eps)
-    if case == "hirzebruch2":
-        if a < 1:
-            raise ValueError("need a >= 1")
-        fa = Fraction(a)
-        inter = [[-fa, Fraction(1)], [Fraction(1), Fraction(-1, a + 1)]]
-        l_coeffs = [Fraction(1, a), Fraction(1)]
-        body, eps = _okounkov_from_curve_model(inter, l_coeffs, 0)
+        # the two models differ only in the self-intersection of the second curve
+        e = Fraction(0) if case == "hirzebruch" else Fraction(-1, a + 1)
+        inter = [[Fraction(-a), Fraction(1)], [Fraction(1), e]]
+        body, eps = _okounkov_from_curve_model(inter, [Fraction(1, a), Fraction(1)], 0)
         return _finish_case(body, eps)
     if case == "perhaps-useful":
         if a < 1 or b < 1 or k < 2:

@@ -205,7 +205,10 @@ def stratum(w: WeightVector, vanish: Iterable[int]) -> CoordinateStratum:
     O(1/(g*h)); the cone multiplicity is h.
     """
     w.require_well_formed()
-    vanish = frozenset(int(i) for i in vanish)
+    indices = [int(i) for i in vanish]
+    vanish = frozenset(indices)
+    if len(vanish) != len(indices):
+        raise ValueError("vanishing indices must be distinct")
     if not all(0 <= i < len(w) for i in vanish):
         raise ValueError("vanishing indices out of range")
     kept = [i for i in range(len(w)) if i not in vanish]

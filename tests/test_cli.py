@@ -86,6 +86,7 @@ def test_exit_code_2_on_precondition():
                  ["certify", "--weights", "1,1,1,1,2", "--degree", "5", "--m", "0"],
                  ["certify", "--weights", "1,1,1,1,2", "--degree", "5", "--m", "-3"],
                  ["wps", "index", "--weights", "1,1,2", "--degree", "0"],
+                 ["wps", "stratum", "--weights", "1,2,3", "--vanish", "0,0"],
                  ["wps", "index", "--weights", "1,1,2", "--degree", "-3"],
                  ["blowup", "transform", "--weights", "1,1,1,2", "--r", "1",
                   "--poly", "1/0*x2"],

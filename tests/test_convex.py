@@ -33,6 +33,87 @@ def test_sliced_body_validation():
         cx.SlicedBody((0, 1, 2), ((F(0), F(1)), (F(0), F(2))))  # jump
 
 
+def _random_sliced_body(rng: random.Random):
+    """Breakpoints and (slope, intercept) pieces of a random concave g >= 0.
+
+    Walks right from g(0) with falling slopes, ending a piece at the axis
+    when it would cross it; a mirror x -> t_q - x swaps the two ends, so
+    both g(0) = 0 and g(t_q) = 0 occur."""
+    xs, ys = [F(0)], [F(rng.choice([0, 0, 1, 2, 3]), rng.randint(1, 3))]
+    slope = F(rng.randint(1 if ys[0] == 0 else -3, 4), rng.randint(1, 3))
+    for _ in range(rng.randint(1, 4)):
+        dx = F(rng.randint(1, 4), rng.randint(1, 3))
+        if ys[-1] + slope * dx < 0:
+            dx = -ys[-1] / slope
+        xs.append(xs[-1] + dx)
+        ys.append(ys[-1] + slope * dx)
+        if ys[-1] == 0:
+            break
+        slope -= F(rng.randint(0, 3), rng.randint(1, 2))
+    if rng.random() < 0.5:
+        xs, ys = [xs[-1] - x for x in reversed(xs)], ys[::-1]
+    pieces = []
+    for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
+        m = (y1 - y0) / (x1 - x0)
+        pieces.append((m, y0 - m * x0))
+    return tuple(xs), tuple(pieces)
+
+
+def _simpson(f, lo, hi):
+    """Exact for polynomials of degree <= 3."""
+    return (hi - lo) * (f(lo) + 4 * f((lo + hi) / 2) + f(hi)) / 6
+
+
+def test_sliced_body_moments_match_piecewise_integrals():
+    """Area and centroid from the shoelace outline equal the per-piece
+    integrals of g, x*g and g^2/2."""
+    rng = random.Random(1729)
+    ends = {"g(0) = 0": 0, "g(t_q) = 0": 0}
+    for _ in range(300):
+        bp, pieces = _random_sliced_body(rng)
+        body = cx.SlicedBody(bp, pieces)
+        area = mx = my = F(0)
+        for (m, c), lo, hi in zip(pieces, bp, bp[1:]):
+            area += _simpson(lambda x: m * x + c, lo, hi)
+            mx += _simpson(lambda x: x * (m * x + c), lo, hi)
+            my += _simpson(lambda x: (m * x + c) ** 2 / 2, lo, hi)
+        assert body.area() == area
+        assert body.centroid() == (mx / area, my / area)
+        assert cx.barycenter(body) == ((mx / area, my / area), area)
+        ends["g(0) = 0"] += pieces[0][1] == 0
+        ends["g(t_q) = 0"] += body.upper(bp[-1]) == 0
+    assert min(ends.values()) > 50, ends
+
+
+def test_zero_area_sliced_body_is_rejected_at_construction():
+    for bp, pieces in [((0, 1), ((0, 0),)), ((0, 1, 3), ((0, 0), (0, 0)))]:
+        with pytest.raises(ValueError, match="^body must have positive area$"):
+            cx.SlicedBody(bp, pieces)
+
+
+def test_polygon_moments_do_not_depend_on_the_first_vertex():
+    rng = random.Random(271)
+    for _ in range(100):
+        pts = [(F(rng.randint(-5, 5), rng.randint(1, 3)), F(rng.randint(-5, 5), rng.randint(1, 3)))
+               for _ in range(rng.randint(3, 9))]
+        try:
+            poly = cx.RationalPolygon.from_points(pts)
+        except ValueError:
+            continue
+        v = poly.vertices
+        # reference: area-weighted centroids of the fan of triangles from v[0]
+        fan = [(v[0], p, q) for p, q in zip(v[1:], v[2:])]
+        areas = [((p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])) / 2
+                 for o, p, q in fan]
+        total = sum(areas)
+        ref = tuple(sum(a * (o[i] + p[i] + q[i]) / 3 for a, (o, p, q) in zip(areas, fan)) / total
+                    for i in (0, 1))
+        for start in range(len(v)):
+            turned = cx.RationalPolygon(v[start:] + v[:start])
+            assert turned.area() == total
+            assert turned.centroid() == ref
+
+
 def test_gravity_input_validation():
     with pytest.raises(ValueError):
         cx.GravityInput(c0=2, c1=1, c2=1, V=10)  # c2 < c0

@@ -96,6 +96,8 @@ def test_stratum_examples():
 
     with pytest.raises(ValueError):
         stratum(WeightVector((1, 1, 2)), [0, 1])
+    with pytest.raises(ValueError, match="distinct"):
+        stratum(WeightVector((1, 2, 3)), [0, 0])
 
 
 def test_stratum_mult_agrees_with_lattice_index():
