@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lattice import WeightVector, reduce_weights
-from .snf import QuotientLattice
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,6 @@ class BlowupFrame:
     def exceptional(self) -> BiDegree:
         return BiDegree(-self.hp, self.h)
 
-    def lattice(self) -> QuotientLattice:
-        return self.ambient.quotient_lattice()
-
 
 def build(ambient: WeightVector, r: int) -> BlowupFrame:
     """Construct the blowup frame; certifies primitivity of the new ray.
@@ -89,8 +85,7 @@ def build(ambient: WeightVector, r: int) -> BlowupFrame:
     if math.gcd(h, hp) != 1:
         raise AssertionError("well-formed input must give coprime block gcds")
     # Bezout certificate h'*k - h*k' = 1
-    gcd, x, y = _extended_gcd(hp, h)
-    assert gcd == 1
+    _, x, y = _extended_gcd(hp, h)
     k, kp = x, -y
     assert hp * k - h * kp == 1
     v_rep = tuple(k * a for a in app_l) + tuple(kp * a for a in app_r)
@@ -108,7 +103,7 @@ def build(ambient: WeightVector, r: int) -> BlowupFrame:
         v_rep=v_rep,
         bezout=(k, kp),
     )
-    if not frame.lattice().is_primitive(v_rep):
+    if not ambient.quotient_lattice().is_primitive(v_rep):
         raise AssertionError("constructed ray class is not primitive")
     return frame
 
@@ -215,9 +210,7 @@ def finite_cover_pull(frame: BlowupFrame, exponents: Sequence[int]) -> CoverData
     if any(a % x != 0 for a, x in zip(frame.ambient, e)):
         raise ValueError("exponents must divide the weights")
     bar = tuple(a // x for a, x in zip(frame.ambient, e))
-    bar_wv = WeightVector(bar)
-    bar_wv.require_well_formed()
-    bar_frame = build(bar_wv, frame.r)
+    bar_frame = build(WeightVector(bar), frame.r)
     scaling = (Fraction(frame.h, bar_frame.h), Fraction(frame.hp, bar_frame.hp))
     return CoverData(scaling=scaling, degree=math.prod(e), bar_frame=bar_frame)
 
@@ -304,7 +297,6 @@ def ray_cone_mult(frame: BlowupFrame, i: int) -> int:
         raise ValueError("index out of range")
     if frame.r == frame.s - 1 and i == frame.s:
         raise ValueError("the last ray is proportional to the new ray when r = s-1")
-    lat = frame.lattice()
     e = [0] * (frame.s + 1)
     e[i] = 1
-    return lat.sublattice_index([e, list(frame.v_rep)])
+    return frame.ambient.quotient_lattice().sublattice_index([e, frame.v_rep])

@@ -1,18 +1,18 @@
 """Command line front end.
 
-Subcommands: certify, enumerate, moments (s-value | table), okounkov,
-wps (normalize | stratum | index), blowup (build | intersect | transform).
-The library returns exact values and this module alone lays them out.
-Reports are emitted as JSON (default) or aligned text; all rationals are
-exact fraction strings "p/q", and ``--approx`` adds a clearly labelled
-block with a 12-significant-digit decimal for each of them.  Exit codes: 0
-success, 2 precondition or usage violation (machine-readable error object),
-3 internal invariant failure.  The ``wfano`` command exits 1, with no
-output of its own, when its reader closes the output early (``| head``).
-The library signals a precondition violation with ``ValueError``
-(or a subclass); :func:`run` maps it to exit 2 with kind "precondition",
-and any other exception to exit 3.  ``enumerate --csv``, ``moments table``
-and ``okounkov --csv-samples`` finish their checks before their first byte.
+Subcommands: certify, enumerate, moments (s-value | table), okounkov, wps
+(normalize | stratum | index | base-locus), blowup (build | intersect |
+transform).  The library returns exact values and this module alone lays
+them out.  Reports are emitted as JSON (default) or aligned text; all
+rationals are exact fraction strings "p/q", and ``--approx`` adds a clearly
+labelled block with a 12-significant-digit decimal for each of them.  Exit
+codes: 0 success, 2 precondition or usage violation (machine-readable error
+object), 3 internal invariant failure.  The ``wfano`` command exits 1, with
+no output of its own, when its reader closes the output early (``| head``).
+The library signals a precondition violation with ``ValueError`` (or a
+subclass); :func:`run` maps it to exit 2 with kind "precondition", and any
+other exception to exit 3.  ``enumerate --csv``, ``moments table`` and
+``okounkov --csv-samples`` finish their checks before their first byte.
 """
 
 from __future__ import annotations
@@ -271,6 +271,9 @@ def _run_moments(args, out) -> dict | None:
                        {"n": args.n, "a": args.a, "k": args.k, "j": args.j,
                         "q_in_w1": args.q_in_w1},
                        {"s_value": s, "closed_form": cf, "match": s == cf})
+    if args.n_max < 2 or args.a_max < 1 or args.k_max < 1:
+        raise CLIError("precondition", "empty table: need --n-max >= 2, --a-max >= 1 "
+                                       "and --k-max >= 1")
     rows = mo.moment_table(range(2, args.n_max + 1), range(1, args.a_max + 1),
                            range(1, args.k_max + 1))
     writer = csv.writer(out, lineterminator="\n")

@@ -558,6 +558,6 @@ def _certified_rows(tuples, index, degree, eckardt, general) -> Iterator[Enumera
             continue
         try:
             cert = certify(datum)
-        except (NonFanoError, ContradictoryFlagsError):
+        except ContradictoryFlagsError:
             continue
         yield EnumerationRow(datum=datum, certificate=cert)

@@ -1,10 +1,13 @@
 """Exact integer linear algebra for lattice computations.
 
 Everything here works on plain Python ints (arbitrary precision), so all
-results are exact.  The main consumers are the quotient lattices
-N = Z^m / Z*(a_0,...,a_{m-1}) attached to weighted projective spaces: we need
-coordinates on N, indices of sublattices (cone multiplicities), and
-primitivity certificates.
+results are exact.  The consumer is the lattice N = Z^m / Z*a of a weighted
+projective space, a = (a_0,...,a_{m-1}) primitive.  One fact decides every
+question about it: the index of span(v_1..v_k) in its saturation in N is
+the index of span(v_1..v_k, a) in its saturation in Z^m, which is the
+product of the nonzero Smith invariants of the matrix [v_1; ...; v_k; a].
+The classes of the v_i are independent in N exactly when that matrix has
+rank k+1.
 """
 
 from __future__ import annotations
@@ -77,66 +80,26 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     return diag
 
 
-def clearing_transform(vector: Sequence[int]) -> tuple[int, list[list[int]]]:
-    """Unimodular Q with ``vector @ Q == (g, 0, ..., 0)``, g = gcd >= 0.
-
-    Q acts by column operations; it is returned as an m x m integer matrix.
-    """
-    v = [int(x) for x in vector]
-    m = len(v)
-    q = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def _col_sub(dst: int, src: int, factor: int) -> None:
-        v[dst] -= factor * v[src]
-        for i in range(m):
-            q[i][dst] -= factor * q[i][src]
-
-    while True:
-        nz = [j for j in range(m) if v[j] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda j: abs(v[j]))
-        j0, j1 = nz[0], nz[1]
-        _col_sub(j1, j0, v[j1] // v[j0])
-    nz = [j for j in range(m) if v[j] != 0]
-    if nz and nz[0] != 0:
-        j = nz[0]
-        for i in range(m):
-            q[i][0], q[i][j] = q[i][j], q[i][0]
-        v[0], v[j] = v[j], v[0]
-    if v and v[0] < 0:
-        for i in range(m):
-            q[i][0] = -q[i][0]
-        v[0] = -v[0]
-    return (v[0] if v else 0), q
-
-
 class QuotientLattice:
     """The lattice N = Z^m / Z*a for a primitive integer vector a.
 
-    Provides explicit coordinates N ~ Z^(m-1), which turn cone
-    multiplicities and primitivity questions into Smith normal form
-    computations.
+    Cone multiplicities and primitivity in N are read off the Smith normal
+    form of [vectors; a]; see the module docstring.
     """
 
     def __init__(self, a: Sequence[int]):
-        a = [int(x) for x in a]
+        a = tuple(int(x) for x in a)
         if len(a) < 2:
             raise ValueError("need at least two coordinates")
-        g, q = clearing_transform(a)
-        if g != 1:
+        if math.gcd(*a) != 1:
             raise ValueError("quotient vector must be primitive (gcd 1)")
-        self.modulus = tuple(a)
-        self._q = q
-        self.rank = len(a) - 1
+        self.modulus = a
 
-    def coords(self, x: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of the class of x in N ~ Z^(m-1)."""
-        x = [int(v) for v in x]
-        if len(x) != len(self.modulus):
-            raise ValueError("length mismatch")
-        y = [sum(x[i] * self._q[i][j] for i in range(len(x))) for j in range(len(x))]
-        return tuple(y[1:])
+    def _saturation_index(self, vectors: Sequence[Sequence[int]]) -> int | None:
+        """Index of span(vectors) in its saturation in N, or None when the
+        classes of the vectors are linearly dependent in N."""
+        nonzero = [d for d in smith_normal_form([*vectors, self.modulus]) if d != 0]
+        return math.prod(nonzero) if len(nonzero) == len(vectors) + 1 else None
 
     def sublattice_index(self, vectors: Sequence[Sequence[int]]) -> int:
         """Index of span(vectors) inside its saturation in N.
@@ -144,16 +107,12 @@ class QuotientLattice:
         This is the multiplicity of the simplicial cone spanned by the
         vectors.  Raises if the images are linearly dependent.
         """
-        rows = [self.coords(v) for v in vectors]
-        diag = smith_normal_form(rows)
-        nonzero = [d for d in diag if d != 0]
-        if len(nonzero) != len(rows):
+        index = self._saturation_index(vectors)
+        if index is None:
             raise ValueError("vectors are linearly dependent in the quotient lattice")
-        return math.prod(nonzero)
+        return index
 
     def is_primitive(self, x: Sequence[int]) -> bool:
-        """Whether the class of x is a primitive lattice element of N."""
-        c = self.coords(x)
-        if all(v == 0 for v in c):
-            return False
-        return math.gcd(*c) == 1 if len(c) > 1 else abs(c[0]) == 1
+        """Whether the class of x is a primitive lattice element of N: it is
+        nonzero (x is not in Z*a) and spans a saturated sublattice."""
+        return self._saturation_index([x]) == 1

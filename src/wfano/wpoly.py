@@ -173,7 +173,8 @@ def _mono_text(exps: Sequence[int]) -> str:
 
 
 def parse(text: str, ambient: WeightVector) -> SparseWPoly:
-    """Parse a sum of monomials "c*x0^e0*..." over the given weights."""
+    """Parse a sum of monomials "c*x0^e0*..." over the given weights; a
+    constant, which defines no hypersurface, is rejected."""
     n = len(ambient)
 
     def var_index(kind: str, i: Optional[int]) -> int:
@@ -181,8 +182,10 @@ def parse(text: str, ambient: WeightVector) -> SparseWPoly:
             raise ValueError(f"unknown variable {kind}{i}")
         return i
 
-    terms = _parse_terms(text, n, var_index)
-    return SparseWPoly.from_dict(ambient, terms)
+    f = SparseWPoly.from_dict(ambient, _parse_terms(text, n, var_index))
+    if f.degree < 1:
+        raise ValueError("constant polynomial: it defines no hypersurface")
+    return f
 
 
 def _bidegree(frame: BlowupFrame, exps: Sequence[int]) -> tuple[int, int]:
@@ -434,8 +437,6 @@ def eckardt_analyze(f: SparseWPoly) -> Union[EckardtDatum, EckardtNotApplicable]
     if d % a != 1 % a or d <= 1:
         return EckardtNotApplicable(f"degree {d} is not 1 modulo the last weight {a}")
     k = (d - 1) // a
-    if k < 1:
-        return EckardtNotApplicable("degree too small")
     last = len(w) - 1
     # slice by the power of the last variable: f = sum_t y^(k-t) f_{a*t+1}
     slices: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}

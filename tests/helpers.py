@@ -2,12 +2,14 @@
 
 These deliberately avoid the code paths they are used to check: the simplex
 moment oracle integrates recursively variable by variable, the smooth-model
-intersection oracle works with lattice-polytope volumes, and the random
-weight generator produces gcd-1 (optionally well-formed) tuples.
+intersection oracle works with lattice-polytope volumes, the quotient-lattice
+index oracle takes gcds of Bareiss determinants instead of a Smith form, and
+the random weight generator produces gcd-1 (optionally well-formed) tuples.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -86,6 +88,37 @@ def _solve(matrix, rhs):
                 f = aug[r][col]
                 aug[r] = [v - f * u for v, u in zip(aug[r], aug[col])]
     return [aug[r][n] for r in range(n)]
+
+
+def bareiss_det(matrix) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; every division is exact."""
+    a = [list(row) for row in matrix]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def quotient_index_by_minors(vectors, a) -> int:
+    """Index of span(vectors) in its saturation in Z^m / Z*a, for primitive
+    a: the gcd of the (k+1) x (k+1) minors of [vectors; a].  It is 0 exactly
+    when the classes of the k vectors are linearly dependent there."""
+    rows = [list(v) for v in vectors] + [list(a)]
+    g = 0
+    for cols in itertools.combinations(range(len(a)), len(rows)):
+        g = math.gcd(g, bareiss_det([[row[c] for c in cols] for row in rows]))
+    return g
 
 
 def random_weight_vector(rng: random.Random, length: int, max_weight: int = 50,

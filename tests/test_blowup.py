@@ -10,7 +10,8 @@ from wfano import blowup as bl
 from wfano import cli
 from wfano.lattice import WeightVector
 
-from helpers import random_weight_vector, smooth_blowup_intersection
+from helpers import (quotient_index_by_minors, random_weight_vector,
+                     smooth_blowup_intersection)
 
 
 def test_build_examples():
@@ -64,9 +65,7 @@ def test_primitivity_and_ray_mults_random():
         for r in range(1, w.s):
             fr = bl.build(w, r)
             assert lat.is_primitive(fr.v_rep)
-            # no integer divisor > 1 of the class stays in the lattice
-            coords = lat.coords(fr.v_rep)
-            assert math.gcd(*coords) == 1 if len(coords) > 1 else abs(coords[0]) == 1
+            assert quotient_index_by_minors([fr.v_rep], w.weights) == 1
             bl.ray_membership_witness(fr)
             for i in range(w.s + 1):
                 if r == w.s - 1 and i == w.s:

@@ -93,6 +93,10 @@ def test_exit_code_2_on_precondition():
                  ["enumerate", "--n", "0", "--max-weight", "3", "--index", "1"],
                  ["enumerate", "--n", "-1", "--max-weight", "3", "--index", "1", "--csv"],
                  ["moments", "table", "--n-max", "65", "--a-max", "1", "--k-max", "1"],
+                 ["moments", "table", "--n-max", "1"],
+                 ["moments", "table", "--a-max", "0"],
+                 ["moments", "table", "--k-max", "-2"],
+                 ["blowup", "transform", "--weights", "1,1,1", "--r", "1", "--poly", "1"],
                  ["okounkov", "case", "hirzebruch", "--a", "2", "--csv-samples", "-3"]):
         code, text = _run(argv)
         assert code == 2

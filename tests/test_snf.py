@@ -1,7 +1,10 @@
-import math
 import random
 
-from wfano.snf import QuotientLattice, clearing_transform, smith_normal_form
+import pytest
+
+from wfano.snf import QuotientLattice, smith_normal_form
+
+from helpers import quotient_index_by_minors, random_weight_vector
 
 
 def test_snf_known_matrices():
@@ -47,48 +50,18 @@ def _rank(mat):
     return rank
 
 
-def test_clearing_transform():
-    rng = random.Random(11)
-    for _ in range(200):
-        m = rng.randint(2, 6)
-        v = [rng.randint(-20, 20) for _ in range(m)]
-        if all(x == 0 for x in v):
-            continue
-        g, q = clearing_transform(v)
-        assert g == math.gcd(*v)
-        out = [sum(v[i] * q[i][j] for i in range(m)) for j in range(m)]
-        assert out == [g] + [0] * (m - 1)
-        assert abs(_det_int(q)) == 1
-
-
-def _det_int(mat):
-    from fractions import Fraction
-
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / a[col][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
 def test_quotient_lattice_basic():
+    # N = Z^2 / Z(1,1): the classes of e_0 and e_1 are opposite generators
     lat = QuotientLattice([1, 1])
-    u0 = lat.coords([1, 0])
-    u1 = lat.coords([0, 1])
-    assert u0 == tuple(-x for x in u1)
+    assert quotient_index_by_minors([[1, 0], [0, 1]], [1, 1]) == 0
+    with pytest.raises(ValueError, match="dependent"):
+        lat.sublattice_index([[1, 0], [0, 1]])
+    assert quotient_index_by_minors([[1, 0]], [1, 1]) == 1
     assert lat.is_primitive([1, 0])
+    assert lat.is_primitive([0, -1])
+    assert quotient_index_by_minors([[2, 0]], [1, 1]) == 2
     assert not lat.is_primitive([2, 0])
+    assert not lat.is_primitive([3, 3])  # a multiple of a is the zero class
 
 
 def test_quotient_lattice_index():
@@ -96,3 +69,36 @@ def test_quotient_lattice_index():
     lat = QuotientLattice([1, 1, 2, 2])
     assert lat.sublattice_index([[1, 0, 0, 0], [0, 1, 0, 0]]) == 2
     assert lat.sublattice_index([[0, 0, 1, 0], [0, 0, 0, 1]]) == 1
+
+
+def test_quotient_lattice_against_minors():
+    """sublattice_index and is_primitive agree with the gcd-of-minors oracle
+    for m <= 7 and weights <= 12, dependent sets and multiples of a included."""
+    rng = random.Random(4000)
+    dependent = multiples = divisible = 0
+    for _ in range(1500):
+        m = rng.randint(2, 7)
+        a = random_weight_vector(rng, m, 12).weights
+        lat = QuotientLattice(a)
+        vectors = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(rng.randint(0, m))]
+        if vectors and rng.random() < 0.2:
+            # a combination of the others and of a: dependent in N
+            c = [rng.randint(-2, 2) for _ in range(len(vectors))]
+            vectors[-1] = [sum(ci * v[t] for ci, v in zip(c, vectors[:-1])) + c[-1] * a[t]
+                           for t in range(m)]
+        index = quotient_index_by_minors(vectors, a)
+        if index == 0:
+            dependent += 1
+            with pytest.raises(ValueError, match="dependent"):
+                lat.sublattice_index(vectors)
+        else:
+            assert lat.sublattice_index(vectors) == index, (a, vectors)
+        # a multiple of a, a multiple t*x + c*a of a class, or any x
+        t, c = rng.choice([(0, rng.randint(-3, 3)), (rng.randint(2, 3), rng.randint(-3, 3)),
+                           (1, 0), (1, 0), (1, 0)])
+        x = [t * rng.randint(-6, 6) + c * w for w in a]
+        index = quotient_index_by_minors([x], a)
+        multiples += index == 0
+        divisible += index > 1
+        assert lat.is_primitive(x) == (index == 1), (a, x)
+    assert min(dependent, multiples, divisible) >= 200

@@ -25,6 +25,10 @@ def test_parse_examples():
     assert "degree" in str(err.value)
     with pytest.raises(ValueError):
         wp.parse("x0 - x0", WeightVector((1, 1)))  # zero polynomial
+    with pytest.raises(ValueError, match="constant"):
+        wp.parse("3/2", WeightVector((1, 1)))  # no hypersurface
+    # a derivative may have degree 0; only parsed input must define a hypersurface
+    assert wp.parse("x0", WeightVector((1, 1))).partial(0).degree == 0
 
 
 def test_parse_rational_coefficients():
