@@ -19,23 +19,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .lattice import WeightVector, reduce_weights
 
 
-@dataclass(frozen=True)
-class BiDegree:
+class BiDegree(NamedTuple):
     """An element (alpha, beta) of the class group Z^2 of the blowup."""
 
     alpha: int
     beta: int
 
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.alpha, self.beta)
+    __str__ = tuple.__repr__  # "(alpha, beta)" in messages
 
-    def __iter__(self):
-        return iter((self.alpha, self.beta))
+    def as_tuple(self) -> tuple[int, int]:
+        return tuple(self)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,13 @@ def _weights(text: str) -> WeightVector:
         raise CLIError("weights", str(exc))
 
 
+def _indices(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be comma separated indices")
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="wfano", description=__doc__)
     p.add_argument("--format", choices=["json", "text"], default="json")
@@ -174,7 +181,7 @@ def build_parser() -> _Parser:
     wn.add_argument("--weights", required=True)
     ws = wsub.add_parser("stratum")
     ws.add_argument("--weights", required=True)
-    ws.add_argument("--vanish", required=True, help="comma separated indices")
+    ws.add_argument("--vanish", required=True, type=_indices, help="comma separated indices")
     wi = wsub.add_parser("index")
     wi.add_argument("--weights", required=True)
     wi.add_argument("--degree", type=int, required=True)
@@ -311,10 +318,9 @@ def _run_wps(args, out) -> dict:
                        {"weights": rep.output.text(), "g_i": list(rep.g_i),
                         "g": rep.g, "well_formed_input": w.is_well_formed})
     if args.wps_command == "stratum":
-        vanish = [int(x) for x in args.vanish.split(",")]
-        st = stratum(w, vanish)
+        st = stratum(w, args.vanish)
         return _report("wps stratum",
-                       {"weights": w.text(), "vanish": vanish},
+                       {"weights": w.text(), "vanish": args.vanish},
                        {"quotient_weights": st.quotient_weights.text(),
                         "scale": st.scale, "mult": st.mult,
                         "dimension": st.dimension})
@@ -365,9 +371,7 @@ def _run_blowup(args, out) -> dict:
                    {"weights": w.text(), "r": args.r, "poly": args.poly},
                    {"bidegree": list(ft.bidegree),
                     "terms": [[list(e), str(c)] for e, c in ft.terms],
-                    "variables": [f"x{i}" for i in range(args.r + 1)]
-                                 + [f"y{j}" for j in range(args.r + 1, w.s + 1)]
-                                 + ["z"]})
+                    "variables": list(ft.variables(ft.frame))})
 
 
 def run(argv, out=None) -> int:

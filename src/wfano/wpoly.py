@@ -1,8 +1,12 @@
-"""Sparse weighted-homogeneous polynomials over exact rationals.
+"""Sparse graded polynomials over exact rationals.
 
-Two flavours: polynomials graded by a weight vector (hypersurfaces in a
-weighted projective space) and polynomials graded by the Z^2 class group of
-a standard weighted blowup (strict transforms).  Coefficients are
+Two gradings share one implementation.  A polynomial on P(a_0,...,a_s) has
+the degree sum(a_i*e_i) of its monomials; a polynomial in the Cox ring of a
+standard weighted blowup (strict transforms) has the class (alpha, beta) in
+Z^2.  Each type states only the grade of one monomial and its blocks of
+variables; one constructor, :meth:`_GradedPoly.from_dict`, sums equal
+monomials and checks homogeneity, and evaluation, differentiation and the
+irrelevant locus (some block all zero) are shared.  Coefficients are
 :class:`fractions.Fraction`; exponent vectors are dense integer tuples and
 terms are kept in lexicographic order for deterministic serialization.
 
@@ -14,6 +18,7 @@ the coordinate points.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,14 +32,19 @@ _COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _VAR_RE = re.compile(r"^([xy])(\d+)(?:\^(\d+))?$|^(z)(?:\^(\d+))?$")
 
 
-def _parse_terms(text: str, nvars: int, var_index) -> dict[tuple[int, ...], Fraction]:
-    """Shared text parser: terms joined by +/-, factors joined by '*'."""
+def _parse_terms(text: str, variables: Sequence[str], unknown: str):
+    """Shared text parser: terms joined by +/-, factors joined by '*'.
+
+    Yields (exponents, coefficient) per term, exponents indexed like
+    ``variables``; a variable outside them raises ``unknown`` formatted with
+    its name.
+    """
+    index = {v: i for i, v in enumerate(variables)}
     t = text.replace(" ", "").replace("−", "-")
     if not t:
         raise ValueError("empty polynomial text")
     if t[0] not in "+-":
         t = "+" + t
-    terms: dict[tuple[int, ...], Fraction] = {}
     pos = 0
     while pos < len(t):
         sign = -1 if t[pos] == "-" else 1
@@ -47,7 +57,7 @@ def _parse_terms(text: str, nvars: int, var_index) -> dict[tuple[int, ...], Frac
         if not chunk:
             raise ValueError("dangling sign in polynomial text")
         coeff = Fraction(sign)
-        exps = [0] * nvars
+        exps = [0] * len(variables)
         for factor in chunk.split("*"):
             if _COEFF_RE.match(factor):
                 try:
@@ -58,33 +68,79 @@ def _parse_terms(text: str, nvars: int, var_index) -> dict[tuple[int, ...], Frac
             m = _VAR_RE.match(factor)
             if not m:
                 raise ValueError(f"cannot parse factor {factor!r}")
-            if m.group(4) == "z":
-                idx = var_index("z", None)
-                e = int(m.group(5)) if m.group(5) else 1
-            else:
-                idx = var_index(m.group(1), int(m.group(2)))
-                e = int(m.group(3)) if m.group(3) else 1
-            exps[idx] += e
+            name = m.group(4) or f"{m.group(1)}{int(m.group(2))}"
+            if name not in index:
+                raise ValueError(unknown.format(name))
+            exps[index[name]] += int(m.group(3) or m.group(5) or 1)
+        yield tuple(exps), coeff
+
+
+def _sum_terms(terms) -> dict[tuple[int, ...], Fraction]:
+    """Coefficients of equal monomials summed, zero sums dropped."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in terms:
         key = tuple(exps)
-        coeff = terms.get(key, Fraction(0)) + coeff
-        if coeff == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = coeff
-    if not terms:
-        raise ValueError("polynomial is zero")
-    return terms
+        out[key] = out[key] + coeff if key in out else Fraction(coeff)
+    return {k: c for k, c in out.items() if c != 0}
 
 
-class _Terms:
-    """Evaluation and differentiation shared by both polynomial types.
+def _mono_text(exps: Sequence[int], variables: Sequence[str]) -> str:
+    """A monomial as "x0^2*x3"; "1" for the constant monomial."""
+    return "*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(variables, exps) if e) or "1"
 
-    ``terms`` holds (exponents, coefficient) pairs; ``_graded(terms, i)``
-    builds d/dx_i of the subclass's type from its terms, shifting the grading
-    by the degree of x_i.
+
+@dataclass(frozen=True)
+class _GradedPoly:
+    """A nonzero polynomial all of whose terms have one grade in ``space``.
+
+    A subclass states ``grade_of(space, exps)``, the grade of the monomial
+    x^exps, and ``blocks(space)``, its variable names grouped into the blocks
+    whose common vanishing is the irrelevant locus.
     """
 
+    space: Union[WeightVector, BlowupFrame]
     terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+    grade: Union[int, BiDegree]
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(sorted(self.terms)))
+        if not self.terms:
+            raise ValueError("polynomial is zero")
+        variables = self.variables(self.space)
+        for exps, coeff in self.terms:
+            if len(exps) != len(variables) or coeff == 0:
+                raise ValueError("malformed term")
+            if (grade := self.grade_of(self.space, exps)) != self.grade:
+                raise ValueError(f"term {_mono_text(exps, variables)} has degree {grade}, "
+                                 f"expected {self.grade}")
+
+    @classmethod
+    def from_dict(cls, space, terms):
+        """The polynomial sum c*x^e over ``terms``, a dict {e: c} or (e, c)
+        pairs; equal monomials are summed and zero sums dropped."""
+        summed = _sum_terms(terms.items() if isinstance(terms, dict) else terms)
+        if not summed:
+            raise ValueError("polynomial is zero")
+        graded = sorted((cls.grade_of(space, k), k) for k in summed)
+        (g0, k0), (g1, k1) = graded[0], graded[-1]
+        if g0 != g1:
+            names = cls.variables(space)
+            raise ValueError(
+                f"inhomogeneous polynomial: term {_mono_text(k0, names)} has degree {g0} "
+                f"but term {_mono_text(k1, names)} has degree {g1}"
+            )
+        return cls(space, tuple(summed.items()), g0)
+
+    @classmethod
+    def variables(cls, space) -> tuple[str, ...]:
+        """The variable names of ``space``, in exponent order."""
+        return sum(cls.blocks(space), ())
+
+    def coefficient(self, exps: Sequence[int]) -> Fraction:
+        return dict(self.terms).get(tuple(exps), Fraction(0))
+
+    def divisible_by_variable(self, i: int) -> bool:
+        return all(exps[i] > 0 for exps, _ in self.terms)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         pt = [Fraction(x) for x in point]
@@ -100,166 +156,78 @@ class _Terms:
             total += val
         return total
 
-    def partial(self, i: int) -> Optional["_Terms"]:
+    def partial(self, i: int) -> Optional[_GradedPoly]:
         """d/dx_i, or None when it vanishes identically."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms:
-            if exps[i] == 0:
-                continue
-            new = list(exps)
-            new[i] -= 1
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff * exps[i]
-        out = {k: v for k, v in out.items() if v != 0}
-        return self._graded(tuple(out.items()), i) if out else None
+        terms = [(exps[:i] + (exps[i] - 1,) + exps[i + 1 :], coeff * exps[i])
+                 for exps, coeff in self.terms if exps[i]]
+        return self.from_dict(self.space, terms) if terms else None
+
+    def in_irrelevant_locus(self, point: Sequence[Fraction]) -> bool:
+        """Whether some block of variables vanishes at ``point``."""
+        value = dict(zip(self.variables(self.space), point))
+        return any(all(value[v] == 0 for v in block) for block in self.blocks(self.space))
 
 
-@dataclass(frozen=True)
-class SparseWPoly(_Terms):
+class SparseWPoly(_GradedPoly):
     """A nonzero weighted-homogeneous polynomial on P(a_0,...,a_s)."""
 
-    ambient: WeightVector
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
-    degree: int
+    ambient = property(lambda self: self.space)
+    degree = property(lambda self: self.grade)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(sorted(self.terms)))
-        if not self.terms:
-            raise ValueError("polynomial is zero")
-        for exps, coeff in self.terms:
-            if len(exps) != len(self.ambient):
-                raise ValueError("exponent vector has the wrong length")
-            if coeff == 0:
-                raise ValueError("zero coefficient stored")
-            deg = sum(a * e for a, e in zip(self.ambient, exps))
-            if deg != self.degree:
-                raise ValueError(
-                    f"term with exponents {exps} has degree {deg}, expected {self.degree}"
-                )
+    @staticmethod
+    def grade_of(ambient: WeightVector, exps: Sequence[int]) -> int:
+        return sum(map(operator.mul, ambient, exps))
 
-    @classmethod
-    def from_dict(cls, ambient: WeightVector, terms: dict) -> "SparseWPoly":
-        items = [(tuple(k), Fraction(v)) for k, v in terms.items() if Fraction(v) != 0]
-        if not items:
-            raise ValueError("polynomial is zero")
-        degrees = [(sum(a * e for a, e in zip(ambient, k)), k) for k, _ in items]
-        degs = {d for d, _ in degrees}
-        if len(degs) != 1:
-            d0, k0 = min(degrees)
-            d1, k1 = max(degrees)
-            raise ValueError(
-                f"inhomogeneous polynomial: term {_mono_text(k0)} has degree {d0} "
-                f"but term {_mono_text(k1)} has degree {d1}"
-            )
-        return cls(ambient=ambient, terms=tuple(items), degree=degs.pop())
-
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        key = tuple(exps)
-        for e, c in self.terms:
-            if e == key:
-                return c
-        return Fraction(0)
-
-    def _graded(self, terms, i: int) -> "SparseWPoly":
-        return SparseWPoly(self.ambient, terms, self.degree - self.ambient[i])
-
-    def divisible_by_variable(self, i: int) -> bool:
-        return all(exps[i] > 0 for exps, _ in self.terms)
-
-
-def _mono_text(exps: Sequence[int]) -> str:
-    """A monomial as "x0^2*x3"; "1" for the constant monomial."""
-    return "*".join(f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(exps) if e) or "1"
+    @staticmethod
+    def blocks(ambient: WeightVector) -> tuple[tuple[str, ...], ...]:
+        return (tuple(f"x{i}" for i in range(len(ambient))),)
 
 
 def parse(text: str, ambient: WeightVector) -> SparseWPoly:
     """Parse a sum of monomials "c*x0^e0*..." over the given weights; a
     constant, which defines no hypersurface, is rejected."""
-    n = len(ambient)
-
-    def var_index(kind: str, i: Optional[int]) -> int:
-        if kind != "x" or i is None or not 0 <= i < n:
-            raise ValueError(f"unknown variable {kind}{i}")
-        return i
-
-    f = SparseWPoly.from_dict(ambient, _parse_terms(text, n, var_index))
+    terms = _parse_terms(text, SparseWPoly.variables(ambient), "unknown variable {}")
+    f = SparseWPoly.from_dict(ambient, terms)
     if f.degree < 1:
         raise ValueError("constant polynomial: it defines no hypersurface")
     return f
 
 
-def _bidegree(frame: BlowupFrame, exps: Sequence[int]) -> tuple[int, int]:
-    """The class (alpha, beta) of the monomial x^exps in the Cox ring of
-    ``frame``, variables ordered x_0..x_r, y_{r+1}..y_s, z."""
-    r, s, app = frame.r, frame.s, frame.app
-    alpha = sum(app[i] * exps[i] for i in range(r + 1)) - frame.hp * exps[-1]
-    beta = sum(app[j] * exps[j] for j in range(r + 1, s + 1)) + frame.h * exps[-1]
-    return alpha, beta
-
-
-@dataclass(frozen=True)
-class BiGradedPoly(_Terms):
+class BiGradedPoly(_GradedPoly):
     """A polynomial in the Cox ring of a standard weighted blowup.
 
-    Variables are ordered x_0..x_r, y_{r+1}..y_s, z; every stored term must
-    have the stated bidegree.
+    Variables are ordered x_0..x_r, y_{r+1}..y_s, z; the grade is the class
+    (alpha, beta) in Z^2.
     """
 
-    frame: BlowupFrame
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
-    bidegree: BiDegree
+    frame = property(lambda self: self.space)
+    bidegree = property(lambda self: self.grade)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(sorted(self.terms)))
-        if not self.terms:
-            raise ValueError("polynomial is zero")
-        nv = self.frame.s + 2
-        for exps, coeff in self.terms:
-            if len(exps) != nv or coeff == 0:
-                raise ValueError("malformed term")
-            if _bidegree(self.frame, exps) != self.bidegree.as_tuple():
-                raise ValueError(f"term {exps} has bidegree {_bidegree(self.frame, exps)}, "
-                                 f"expected {self.bidegree.as_tuple()}")
+    @staticmethod
+    def grade_of(frame: BlowupFrame, exps: Sequence[int]) -> BiDegree:
+        r, z = frame.r, exps[-1]
+        x_part = sum(map(operator.mul, frame.app[: r + 1], exps[: r + 1]))
+        y_part = sum(map(operator.mul, frame.app[r + 1 :], exps[r + 1 : -1]))
+        return BiDegree(x_part - frame.hp * z, y_part + frame.h * z)
 
-    @classmethod
-    def from_terms(cls, frame: BlowupFrame, terms) -> "BiGradedPoly":
-        """The bidegree is read off the first term; the constructor checks the rest."""
-        terms = tuple(terms)
-        return cls(frame, terms, BiDegree(*_bidegree(frame, terms[0][0])))
+    @staticmethod
+    def blocks(frame: BlowupFrame) -> tuple[tuple[str, ...], ...]:
+        return (tuple(f"x{i}" for i in range(frame.r + 1)),
+                tuple(f"y{j}" for j in range(frame.r + 1, frame.s + 1)) + ("z",))
 
     def divisible_by_z(self) -> bool:
-        return all(exps[-1] > 0 for exps, _ in self.terms)
-
-    def _graded(self, terms, i: int) -> "BiGradedPoly":
-        return BiGradedPoly.from_terms(self.frame, terms)
+        return self.divisible_by_variable(-1)
 
     def collapse(self) -> SparseWPoly:
         """Substitute z -> 1 and y_j -> x_j; inverts the strict transform."""
-        fr = self.frame
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms:
-            key = tuple(exps[: fr.s + 1])
-            out[key] = out.get(key, Fraction(0)) + coeff
-        out = {k: v for k, v in out.items() if v != 0}
-        return SparseWPoly.from_dict(fr.ambient, out)
+        return SparseWPoly.from_dict(self.frame.ambient, ((e[:-1], c) for e, c in self.terms))
 
 
 def parse_bigraded(text: str, frame: BlowupFrame) -> BiGradedPoly:
     """Parse over variables x0..xr, y{r+1}..y{s}, z of a blowup frame."""
-    r, s = frame.r, frame.s
-
-    def var_index(kind: str, i: Optional[int]) -> int:
-        if kind == "x":
-            if i is None or not 0 <= i <= r:
-                raise ValueError(f"x{i} is not a variable of this blowup")
-            return i
-        if kind == "y":
-            if i is None or not r < i <= s:
-                raise ValueError(f"y{i} is not a variable of this blowup")
-            return i
-        return s + 1
-
-    return BiGradedPoly.from_terms(frame, _parse_terms(text, s + 2, var_index).items())
+    terms = _parse_terms(text, BiGradedPoly.variables(frame),
+                         "{} is not a variable of this blowup")
+    return BiGradedPoly.from_dict(frame, terms)
 
 
 def strict_transform(f: SparseWPoly, r: int) -> BiGradedPoly:
@@ -270,23 +238,18 @@ def strict_transform(f: SparseWPoly, r: int) -> BiGradedPoly:
     (d0, d0'), satisfies h*d0 + h'*d0' = deg f, and is not divisible by z.
     """
     frame = build(f.ambient, r)
-    s = frame.s
-    degs_i = []
-    degs_j = []
-    for exps, _ in f.terms:
-        degs_i.append(sum(frame.app[i] * exps[i] for i in range(r + 1)))
-        degs_j.append(sum(frame.app[j] * exps[j] for j in range(r + 1, s + 1)))
-    d0 = min(degs_i)
-    d0p = max(degs_j)
+    grades = [BiGradedPoly.grade_of(frame, exps + (0,)) for exps, _ in f.terms]
+    d0 = min(alpha for alpha, _ in grades)
+    d0p = max(beta for _, beta in grades)
     if frame.h * d0 + frame.hp * d0p != f.degree:
         raise AssertionError("bidegree identity h*d0 + h'*d0' = d failed")
     terms = []
-    for (exps, coeff), di in zip(f.terms, degs_i):
-        num = di - d0
-        if num % frame.hp != 0:
+    for (exps, coeff), (di, _) in zip(f.terms, grades):
+        z, rem = divmod(di - d0, frame.hp)
+        if rem:
             raise AssertionError("z-exponent is not integral")
-        terms.append((tuple(exps) + (num // frame.hp,), coeff))
-    out = BiGradedPoly(frame=frame, terms=tuple(terms), bidegree=BiDegree(d0, d0p))
+        terms.append((exps + (z,), coeff))
+    out = BiGradedPoly.from_dict(frame, terms)
     if out.divisible_by_z():
         raise AssertionError("strict transform must not be divisible by z")
     return out
@@ -311,15 +274,7 @@ def restrict(f: SparseWPoly, i: int) -> SparseWPoly:
         raise ValueError(
             f"residual weights {rest} are not well-formed; normalize before restricting"
         )
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in f.terms:
-        if exps[i] == 0:
-            key = exps[:i] + exps[i + 1 :]
-            out[key] = out.get(key, Fraction(0)) + coeff
-    return SparseWPoly.from_dict(sub, out)
-
-
-AnyPoly = Union[SparseWPoly, BiGradedPoly]
+    return SparseWPoly.from_dict(sub, ((e[:i] + e[i + 1 :], c) for e, c in f.terms if e[i] == 0))
 
 
 @dataclass(frozen=True)
@@ -329,16 +284,7 @@ class QsmPointReport:
     vanishing: tuple[int, ...]      # indices of vanishing partials
 
 
-def _in_irrelevant_locus(f: AnyPoly, pt: Sequence[Fraction]) -> bool:
-    if isinstance(f, SparseWPoly):
-        return all(x == 0 for x in pt)
-    r = f.frame.r
-    xs = pt[: r + 1]
-    rest = pt[r + 1 :]
-    return all(x == 0 for x in xs) or all(x == 0 for x in rest)
-
-
-def qsm_at_point(f: AnyPoly, point: Sequence) -> QsmPointReport:
+def qsm_at_point(f: _GradedPoly, point: Sequence) -> QsmPointReport:
     """Exact quasi-smoothness test at one point of the hypersurface.
 
     The point is given by exact homogeneous coordinates; it must lie on the
@@ -346,11 +292,11 @@ def qsm_at_point(f: AnyPoly, point: Sequence) -> QsmPointReport:
     the partials is independent of the chosen representative because each
     partial is itself homogeneous.
     """
-    nv = len(f.ambient) if isinstance(f, SparseWPoly) else f.frame.s + 2
+    nv = len(f.variables(f.space))
     pt = [Fraction(x) for x in point]
     if len(pt) != nv:
         raise ValueError(f"expected {nv} coordinates")
-    if _in_irrelevant_locus(f, pt):
+    if f.in_irrelevant_locus(pt):
         raise ValueError("point lies in the irrelevant locus")
     if f.evaluate(pt) != 0:
         raise ValueError("point does not lie on the hypersurface")

@@ -97,6 +97,7 @@ def test_exit_code_2_on_precondition():
                  ["moments", "table", "--a-max", "0"],
                  ["moments", "table", "--k-max", "-2"],
                  ["blowup", "transform", "--weights", "1,1,1", "--r", "1", "--poly", "1"],
+                 ["blowup", "transform", "--weights", "1,1,2", "--r", "1", "--poly", "z"],
                  ["okounkov", "case", "hirzebruch", "--a", "2", "--csv-samples", "-3"]):
         code, text = _run(argv)
         assert code == 2
@@ -104,6 +105,15 @@ def test_exit_code_2_on_precondition():
         rep = json.loads(text)
         jsonschema.validate(rep, ERROR_SCHEMA)
         assert rep["error"]["kind"] == "precondition"
+        if argv[-1] == "z":
+            assert rep["error"]["message"] == "unknown variable z"
+
+    for vanish in ("0,a", ""):
+        code, rep = _run_json(["wps", "stratum", "--weights", "1,1,2", "--vanish", vanish])
+        assert code == 2
+        jsonschema.validate(rep, ERROR_SCHEMA)
+        assert rep["error"] == {"kind": "usage",
+                                "message": "argument --vanish: must be comma separated indices"}
 
 
 def test_eckardt_assertion_on_a_curve_is_ignored():
@@ -313,6 +323,21 @@ def test_closed_output_pipe_exits_1_without_a_traceback():
     assert proc.wait(timeout=120) == 1
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_import_wfano_loads_only_the_engine():
+    """``import wfano`` re-exports only ``certify``; the geometry modules stay
+    unloaded until something imports them."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, wfano; from wfano import engine; assert wfano.certify is engine.certify; "
+            "print(sorted(m for m in ('wfano.convex', 'wfano.wpoly', 'wfano.blowup') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_enumerate_json_bytes():

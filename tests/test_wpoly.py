@@ -266,3 +266,22 @@ def test_eckardt_analyze():
     w4 = WeightVector((1, 1, 2))
     f4 = wp.parse("x2^2*x0 + x0*x1^4", w4)  # divisible by x0
     assert isinstance(wp.eckardt_analyze(f4), wp.EckardtNotApplicable)
+
+
+def test_parse_bigraded_rejects_inhomogeneous_text():
+    frame = build(W3111, 2)
+    with pytest.raises(ValueError, match=r"^inhomogeneous polynomial: "
+                                         r"term y3 has degree \(0, 1\) but term x0 has"):
+        wp.parse_bigraded("y3 + x0", frame)
+    with pytest.raises(ValueError, match="x3 is not a variable of this blowup"):
+        wp.parse_bigraded("x3", frame)
+    with pytest.raises(ValueError, match="polynomial is zero"):
+        wp.parse_bigraded("z*x0 - x0*z", frame)
+
+
+def test_coefficient_of_an_absent_monomial_is_zero():
+    f = wp.parse("x3^2*x1^2 + x3*x0 + x1^4 + x2^4", W3111)
+    assert f.coefficient((0, 2, 2, 0)) == 0
+    ft = wp.strict_transform(f, 2)
+    assert ft.coefficient((0, 2, 0, 2, 0)) == 1
+    assert ft.coefficient((0, 2, 0, 2, 1)) == 0
