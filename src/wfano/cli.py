@@ -12,7 +12,8 @@ no output of its own, when its reader closes the output early (``| head``).
 The library signals a precondition violation with ``ValueError`` (or a
 subclass); :func:`run` maps it to exit 2 with kind "precondition", and any
 other exception to exit 3.  ``enumerate --csv``, ``moments table`` and
-``okounkov --csv-samples`` finish their checks before their first byte.
+``okounkov --csv-samples`` finish their checks before their first byte;
+they write CSV, so ``--approx`` and ``--format text`` are usage errors there.
 """
 
 from __future__ import annotations
@@ -123,6 +124,17 @@ def _indices(text: str) -> list[int]:
         return [int(x) for x in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError("must be comma separated indices")
+
+
+def _csv_writer(args, out):
+    """The CSV writer of a table branch.  Decimals and aligned text do not
+    apply to CSV, so ``--approx`` and ``--format text`` are usage errors
+    there rather than silently ignored."""
+    if args.approx:
+        raise CLIError("usage", "--approx does not apply to CSV output")
+    if args.format != "json":
+        raise CLIError("usage", "--format text does not apply to CSV output")
+    return csv.writer(out, lineterminator="\n")
 
 
 def build_parser() -> _Parser:
@@ -258,7 +270,7 @@ def _run_enumerate(args, out) -> dict | None:
     )
     values = map(_enumerate_values, rows)
     if args.csv:
-        writer = csv.writer(out, lineterminator="\n")
+        writer = _csv_writer(args, out)
         writer.writerow(_ENUMERATE_HEADER)
         writer.writerows((*v[:-1], ";".join(v[-1])) for v in values)
         return None
@@ -283,7 +295,7 @@ def _run_moments(args, out) -> dict | None:
                                        "and --k-max >= 1")
     rows = mo.moment_table(range(2, args.n_max + 1), range(1, args.a_max + 1),
                            range(1, args.k_max + 1))
-    writer = csv.writer(out, lineterminator="\n")
+    writer = _csv_writer(args, out)
     writer.writerow(("n", "a", "k", "j", "q_in_W1", "S", "closed_form", "match"))
     writer.writerows(r.values() for r in rows)
     return None
@@ -294,7 +306,7 @@ def _run_okounkov(args, out) -> dict | None:
                                     flag_in_surface=args.flag_in_surface)
     if args.csv_samples:
         samples = case.body.boundary_samples(args.csv_samples)
-        writer = csv.writer(out, lineterminator="\n")
+        writer = _csv_writer(args, out)
         writer.writerow(["x", "upper"])
         writer.writerows(samples)
         return None

@@ -14,8 +14,12 @@ integral of a single coordinate = t^n/n!, which reduces everything to 1D
 integrals in x_1.  One affine substitution per piece, x_1 = t/a on the
 first and x_1 = (ak+1)/a - k t on the second, makes the simplex size t on
 both, with t in [0, 1]; every integrand is then a polynomial in t, and
-each of its terms integrates to 1/(e+1) for t^e.  Only three distinct
-S-values exist per (n, a, k), so they are computed together once.
+each of its terms integrates to 1/(e+1) for t^e.  Only t^(n-1) and t^n
+occur, so the terms are integers over the common denominator a^2 n (n+1),
+the normalizer is folded into numerator and denominator, and each S-value
+is built as one Fraction.  Only three distinct S-values exist per
+(n, a, k), so they are computed together once, and the table compares
+them with the three closed forms once per (n, a, k).
 ``Poly1D`` remains as the dense-polynomial reference behind
 ``MomentRegion.volume``.
 
@@ -26,6 +30,7 @@ the K-instability criterion are provided alongside for cross-checking.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -130,19 +135,23 @@ def _flag_integrals(n: int, a: int, k: int) -> tuple[Fraction, Fraction, Fractio
     W_1).  Integrands: x t^(n-1)/(n-1)! for j = 1, t^n/n! for j >= 2, plus
     (x - 1/a)/k * t^(n-1)/(n-1)! on the second piece for W_1, in the simplex
     size t of the module docstring: x = t/a, dx = dt/a on the first piece,
-    x = top - k t, dx = -k dt (t from 1 down to 0) on the second.
+    x = top - k t, dx = -k dt (t from 1 down to 0) on the second, where
+    top = (ak+1)/a.  With t^(n-1) and t^n integrating to 1/n and 1/(n+1),
+    every term is an integer over the common denominator a^2 n (n+1).  The
+    normalizer n! a/(ak+1), over the (n-1)! of the integrands, is
+    n a/(ak+1); folded in, it leaves the denominator (ak+1) a (n+1), so each
+    S-value is built as one Fraction.
     """
-    scale = MomentRegion(n, a, k).normalizer / math.factorial(n - 1)
-    top = Fraction(a * k + 1, a)  # = 1/a + k, the two Jacobians together
-    t_nm1 = Fraction(1, n)        # integral of t^(n-1) over [0, 1]
-    t_n = Fraction(1, n + 1)      # integral of t^n
-    # x t^(n-1): (t/a) t^(n-1) dt/a, then (top - k t) t^(n-1) k dt
-    first = t_n / (a * a) + k * (top * t_nm1 - k * t_n)
-    # t^n/n! = (t^n/n)/(n-1)!, and dt/a plus k dt is top dt
-    rest = top * t_n / n
-    # on the second piece (x - 1/a)/k = 1 - t, with k dt
-    on_w1 = rest + k * (t_nm1 - t_n)
-    return scale * first, scale * rest, scale * on_w1
+    den = (a * k + 1) * a * (n + 1)
+    # x t^(n-1): (t/a) t^(n-1) dt/a gives t_n/a^2 = n; (top - k t) t^(n-1) k dt
+    # gives k top t_(n-1) = k (ak+1) a (n+1), less k^2 t_n = k^2 a^2 n
+    first = n + k * (a * k + 1) * a * (n + 1) - k * k * a * a * n
+    # t^n/n! = (t^n/n)/(n-1)!, and dt/a plus k dt is top dt: top t_n/n = (ak+1) a
+    rest = (a * k + 1) * a
+    # on the second piece (x - 1/a)/k = 1 - t, with k dt: k t_(n-1) = k a^2 (n+1),
+    # less k t_n = k a^2 n
+    on_w1 = rest + k * a * a * (n + 1) - k * a * a * n
+    return Fraction(first, den), Fraction(rest, den), Fraction(on_w1, den)
 
 
 def _closed_forms(n: int, a: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -152,8 +161,7 @@ def _closed_forms(n: int, a: int, k: int) -> tuple[Fraction, Fraction, Fraction]
             Fraction(2 * a * k + 1, (a * k + 1) * (n + 1)))
 
 
-def _pick(values: tuple[Fraction, Fraction, Fraction], n: int, j: int,
-          q_in_w1: bool) -> Fraction:
+def _pick(values: tuple, n: int, j: int, q_in_w1: bool):
     """The entry of a (first, rest, on_w1) triple that flag depth j selects."""
     first, rest, on_w1 = values
     if j == 1:
@@ -232,7 +240,9 @@ def unstable_check(n: int, a: int, k: int) -> UnstableReport:
 
 def moment_table(n_range, a_range, k_range) -> Iterator[dict]:
     """Rows (n,a,k,j,q_in_W1,S,closed_form,match) with exact Fraction S and
-    closed_form.
+    closed_form.  The three integrals of each (n, a, k) are compared with its
+    three closed forms once, and every row picks its ``match`` as it picks
+    ``S`` and ``closed_form``.
 
     Every (n, a, k) of the re-iterable ranges is checked here, before the
     first row is computed; the rows are then yielded as they are computed.
@@ -251,14 +261,13 @@ def _table_rows(n_range, a_range, k_range) -> Iterator[dict]:
             for k in k_range:
                 integrals = _flag_integrals(n, a, k)
                 closed = _closed_forms(n, a, k)
+                matches = tuple(map(operator.eq, integrals, closed))
                 for j in range(1, n + 1):
                     for q in (False, True):
-                        s = _pick(integrals, n, j, q)
-                        cf = _pick(closed, n, j, q)
                         yield {
                             "n": n, "a": a, "k": k, "j": j,
                             "q_in_W1": q,
-                            "S": s,
-                            "closed_form": cf,
-                            "match": s == cf,
+                            "S": _pick(integrals, n, j, q),
+                            "closed_form": _pick(closed, n, j, q),
+                            "match": _pick(matches, n, j, q),
                         }

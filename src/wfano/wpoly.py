@@ -94,8 +94,9 @@ class _GradedPoly:
     """A nonzero polynomial all of whose terms have one grade in ``space``.
 
     A subclass states ``grade_of(space, exps)``, the grade of the monomial
-    x^exps, and ``blocks(space)``, its variable names grouped into the blocks
-    whose common vanishing is the irrelevant locus.
+    x^exps, ``arity(space)``, its number of variables, and ``blocks(space)``,
+    its variable names grouped into the blocks whose common vanishing is the
+    irrelevant locus.  Names are built only for text and error messages.
     """
 
     space: Union[WeightVector, BlowupFrame]
@@ -106,13 +107,13 @@ class _GradedPoly:
         object.__setattr__(self, "terms", tuple(sorted(self.terms)))
         if not self.terms:
             raise ValueError("polynomial is zero")
-        variables = self.variables(self.space)
+        arity = self.arity(self.space)
         for exps, coeff in self.terms:
-            if len(exps) != len(variables) or coeff == 0:
+            if len(exps) != arity or coeff == 0:
                 raise ValueError("malformed term")
             if (grade := self.grade_of(self.space, exps)) != self.grade:
-                raise ValueError(f"term {_mono_text(exps, variables)} has degree {grade}, "
-                                 f"expected {self.grade}")
+                raise ValueError(f"term {_mono_text(exps, self.variables(self.space))} "
+                                 f"has degree {grade}, expected {self.grade}")
 
     @classmethod
     def from_dict(cls, space, terms):
@@ -179,6 +180,10 @@ class SparseWPoly(_GradedPoly):
         return sum(map(operator.mul, ambient, exps))
 
     @staticmethod
+    def arity(ambient: WeightVector) -> int:
+        return len(ambient)
+
+    @staticmethod
     def blocks(ambient: WeightVector) -> tuple[tuple[str, ...], ...]:
         return (tuple(f"x{i}" for i in range(len(ambient))),)
 
@@ -209,6 +214,10 @@ class BiGradedPoly(_GradedPoly):
         x_part = sum(map(operator.mul, frame.app[: r + 1], exps[: r + 1]))
         y_part = sum(map(operator.mul, frame.app[r + 1 :], exps[r + 1 : -1]))
         return BiDegree(x_part - frame.hp * z, y_part + frame.h * z)
+
+    @staticmethod
+    def arity(frame: BlowupFrame) -> int:
+        return frame.s + 2
 
     @staticmethod
     def blocks(frame: BlowupFrame) -> tuple[tuple[str, ...], ...]:
@@ -292,7 +301,7 @@ def qsm_at_point(f: _GradedPoly, point: Sequence) -> QsmPointReport:
     the partials is independent of the chosen representative because each
     partial is itself homogeneous.
     """
-    nv = len(f.variables(f.space))
+    nv = f.arity(f.space)
     pt = [Fraction(x) for x in point]
     if len(pt) != nv:
         raise ValueError(f"expected {nv} coordinates")

@@ -108,6 +108,22 @@ def test_exit_code_2_on_precondition():
         if argv[-1] == "z":
             assert rep["error"]["message"] == "unknown variable z"
 
+    # CSV has no decimals and no aligned text: the global flags are refused
+    for argv in (["--approx", "moments", "table"],
+                 ["--format", "text", "moments", "table"],
+                 ["--approx", "enumerate", "--n", "2", "--max-weight", "4", "--index", "1",
+                  "--csv"],
+                 ["--format", "text", "okounkov", "case", "hirzebruch", "--a", "2",
+                  "--csv-samples", "4"]):
+        code, text = _run(argv)
+        assert code == 2
+        assert text.startswith("{"), argv
+        rep = json.loads(text)
+        jsonschema.validate(rep, ERROR_SCHEMA)
+        flag = "--approx" if argv[0] == "--approx" else "--format text"
+        assert rep["error"] == {"kind": "usage",
+                                "message": f"{flag} does not apply to CSV output"}
+
     for vanish in ("0,a", ""):
         code, rep = _run_json(["wps", "stratum", "--weights", "1,1,2", "--vanish", vanish])
         assert code == 2

@@ -119,10 +119,12 @@ def _dense_flag_integrals(n, a, k):
 
 
 def test_flag_integrals_against_dense_integration():
-    """Over the default table's a, k <= 6, and on the high dimensions and
-    (a, k) of ``test_s_value_closed_forms_high_dimension``."""
+    """Over the default table's a, k <= 6, on the high dimensions and (a, k)
+    of ``test_s_value_closed_forms_high_dimension``, and on large a and k,
+    where the integer numerators over the common denominator grow."""
     grid = [(n, a, k) for n in range(2, 11) for a in range(1, 7) for k in range(1, 7)]
     grid += [(n, a, k) for n in (16, 32, 64) for a in (1, 2, 5) for k in (1, 3)]
+    grid += [(7, 97, 50), (64, 40, 40), (2, 1000, 999), (33, 7919, 1)]
     for n, a, k in grid:
         assert mo._flag_integrals(n, a, k) == _dense_flag_integrals(n, a, k)
 
@@ -212,3 +214,37 @@ def test_moment_table_checks_every_triple_before_the_first_row():
         mo.moment_table(range(2, 3), range(0, 2), range(1, 2))
     # no triple, no row, nothing to check
     assert list(mo.moment_table(range(2, 66), range(1, 1), range(1, 2))) == []
+
+
+def _default_table():
+    return list(mo.moment_table(range(2, 9), range(1, 7), range(1, 7)))
+
+
+def test_moment_table_match_is_the_comparison():
+    """Over the default table, every row's ``match`` is its own S == closed_form."""
+    rows = _default_table()
+    assert len(rows) == sum(2 * n for n in range(2, 9)) * 36
+    assert all(r["match"] == (r["S"] == r["closed_form"]) for r in rows)
+
+
+@pytest.mark.parametrize("wrong", [0, 1, 2])
+def test_moment_table_match_follows_a_wrong_closed_form(monkeypatch, wrong):
+    """One wrong closed form fails exactly the rows that select it: j = 1 for
+    the first, j = n with the point on W_1 for the third, the rest for the
+    second."""
+    closed_forms = mo._closed_forms
+
+    def broken(n, a, k):
+        values = list(closed_forms(n, a, k))
+        values[wrong] += 1
+        return tuple(values)
+
+    def selects(r):
+        if r["j"] == 1:
+            return 0
+        return 2 if r["q_in_W1"] and r["j"] == r["n"] else 1
+
+    monkeypatch.setattr(mo, "_closed_forms", broken)
+    rows = _default_table()
+    assert [not r["match"] for r in rows] == [selects(r) == wrong for r in rows]
+    assert all(r["match"] == (r["S"] == r["closed_form"]) for r in rows)

@@ -285,3 +285,28 @@ def test_coefficient_of_an_absent_monomial_is_zero():
     ft = wp.strict_transform(f, 2)
     assert ft.coefficient((0, 2, 0, 2, 0)) == 1
     assert ft.coefficient((0, 2, 0, 2, 1)) == 0
+
+
+def test_direct_construction_checks_what_from_dict_checks():
+    """The constructor rejects zero, malformed and off-grade terms itself,
+    counting variables with ``arity``; ``from_dict`` builds through it."""
+    f = wp.parse("x3^2*x1^2 + x3*x0 + x1^4 + x2^4", W3111)
+    assert wp.SparseWPoly(W3111, f.terms, 4) == f
+    assert hash(wp.SparseWPoly(W3111, f.terms[::-1], 4)) == hash(f)
+    with pytest.raises(ValueError, match="^polynomial is zero$"):
+        wp.SparseWPoly(W3111, (), 4)
+    for terms in ([((0, 4, 0), Fraction(1))], [((0, 4, 0, 0), Fraction(0))]):
+        with pytest.raises(ValueError, match="^malformed term$"):
+            wp.SparseWPoly(W3111, tuple(terms), 4)
+    with pytest.raises(ValueError, match=r"^term x0\^2 has degree 6, expected 4$"):
+        wp.SparseWPoly(W3111, (((2, 0, 0, 0), Fraction(1)),) + f.terms, 4)
+    with pytest.raises(ValueError, match="^malformed term$"):
+        wp.SparseWPoly.from_dict(W3111, {(0, 4, 0): 1})
+
+    frame = build(W3111, 2)
+    ft = wp.strict_transform(f, 2)
+    assert wp.BiGradedPoly(frame, ft.terms, ft.bidegree) == ft
+    with pytest.raises(ValueError, match=r"^term z has degree \(-1, 1\), expected \(1, 1\)$"):
+        wp.BiGradedPoly(frame, (((0, 0, 0, 0, 1), Fraction(1)),), (1, 1))
+    with pytest.raises(ValueError, match="^malformed term$"):
+        wp.BiGradedPoly.from_dict(frame, {(0, 0, 0, 1): 1})
