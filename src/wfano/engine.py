@@ -511,6 +511,22 @@ class EnumerationRow:
         return tuple(t.rule_id for t in self.certificate.trace if t.scope != "note")
 
 
+def _coprime_tuple_count(length: int, max_weight: int) -> int:
+    """The number N(M) of ascending tuples of ``length`` = L entries in
+    1..``max_weight`` = M whose gcd is 1.
+
+    Sorting every ascending tuple by its gcd g and dividing it by g gives
+    sum_{g=1..M} N(floor(M/g)) = C(M+L-1, L), the number of all ascending
+    tuples.  So N(m) = C(m+L-1, L) - sum_{g=2..m} N(floor(m/g)), a table
+    over m = 1..M in at most M^2 integer steps.
+    """
+    count = [0] * (max_weight + 1)
+    for m in range(1, max_weight + 1):
+        count[m] = math.comb(m + length - 1, length) - sum(
+            count[m // g] for g in range(2, m + 1))
+    return count[max_weight]
+
+
 def enumerate_data(n: int, max_weight: int, index: Optional[int] = None,
                    degree: Optional[int] = None, eckardt: bool = False,
                    general: bool = False) -> Iterator[EnumerationRow]:
@@ -521,8 +537,12 @@ def enumerate_data(n: int, max_weight: int, index: Optional[int] = None,
     ``general`` set the corresponding assertion flags on every row, and
     :func:`certify` ignores the Eckardt assertion where the last vertex is
     not of Eckardt shape, as for a single datum.  The arguments and the row
-    limit are checked here, before the first row is certified; the rows are
-    then yielded as they are certified.
+    limit are checked here, before the first row is certified.  The limit
+    bounds the gcd-1 candidates, counted exactly by
+    :func:`_coprime_tuple_count` (all C(M+n+1, n+2) ascending tuples, less
+    those of gcd g >= 2, which are g times a gcd-1 tuple up to M/g) without
+    listing them.  The candidates are then generated lazily, and the rows
+    are yielded as they are certified.
     """
     if (index is None) == (degree is None):
         raise ValueError("give exactly one of index or degree")
@@ -532,19 +552,19 @@ def enumerate_data(n: int, max_weight: int, index: Optional[int] = None,
         raise ValueError("max_weight, index and degree must be >= 1")
     if n > ENUM_LIMITS["max_n"] or max_weight > ENUM_LIMITS["max_weight"]:
         raise ValueError(f"enumeration limits exceeded: {ENUM_LIMITS}")
-    tuples = [
-        t for t in itertools.combinations_with_replacement(
-            range(1, max_weight + 1), n + 2)
-        if math.gcd(*t) == 1
-    ]
-    if len(tuples) > ENUM_LIMITS["max_rows"]:
-        raise ValueError(f"enumeration would produce {len(tuples)} rows; "
+    count = _coprime_tuple_count(n + 2, max_weight)
+    if count > ENUM_LIMITS["max_rows"]:
+        raise ValueError(f"enumeration would produce {count} rows; "
                          f"limit is {ENUM_LIMITS['max_rows']}")
+    tuples = (t for t in itertools.combinations_with_replacement(
+                  range(1, max_weight + 1), n + 2)
+              if math.gcd(*t) == 1)
     return _certified_rows(tuples, index, degree, eckardt, general)
 
 
 def _certified_rows(tuples, index, degree, eckardt, general) -> Iterator[EnumerationRow]:
-    """The rows of :func:`enumerate_data` for ascending gcd-1 ``tuples``."""
+    """The rows of :func:`enumerate_data` for an iterable of ascending gcd-1
+    ``tuples``."""
     flags = Flags(eckardt_at_p=True if eckardt else None, general_member=general)
     for t in tuples:
         w = WeightVector(t)

@@ -364,13 +364,18 @@ def test_enumerate_json_bytes():
 
 
 def test_enumerate_csv_limit_error_has_no_header():
-    code, text = _run(["enumerate", "--n", "50", "--max-weight", "3", "--index", "1",
-                       "--csv"])
-    assert code == 2
-    rep = json.loads(text)
-    jsonschema.validate(rep, ERROR_SCHEMA)
-    assert rep["error"]["kind"] == "precondition"
-    assert text.startswith("{")
+    # max_n (n = 50), then max_rows (417,212 gcd-1 candidates at n = 3,
+    # weights up to 33)
+    for n, top in (("50", "3"), ("3", "33")):
+        code, text = _run(["enumerate", "--n", n, "--max-weight", top, "--index", "1",
+                           "--csv"])
+        assert code == 2
+        rep = json.loads(text)
+        jsonschema.validate(rep, ERROR_SCHEMA)
+        assert rep["error"]["kind"] == "precondition"
+        assert text.startswith("{")
+    assert rep["error"]["message"] == \
+        "enumeration would produce 417212 rows; limit is 200000"
 
 
 def test_enumerate_csv():

@@ -214,6 +214,61 @@ def test_enumerate_checks_arguments_before_the_first_row():
             ce.enumerate_data(n=2, **kwargs)
 
 
+def _mobius(k):
+    """The Moebius function of k >= 1, by trial division."""
+    result = 1
+    for p in range(2, k + 1):
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            result = -result
+    return result
+
+
+def _spy_draws(monkeypatch):
+    """Wrap itertools.combinations_with_replacement so that every tuple
+    drawn from it is counted in the returned one-element list."""
+    drawn = [0]
+    original = itertools.combinations_with_replacement
+
+    def spy(*args):
+        for t in original(*args):
+            drawn[0] += 1
+            yield t
+
+    monkeypatch.setattr(itertools, "combinations_with_replacement", spy)
+    return drawn
+
+
+def test_coprime_tuple_count_against_brute_force():
+    for length in range(2, 8):
+        for top in range(1, 16):
+            brute = sum(1 for t in itertools.combinations_with_replacement(
+                range(1, top + 1), length) if math.gcd(*t) == 1)
+            assert ce._coprime_tuple_count(length, top) == brute, (length, top)
+
+
+@pytest.mark.parametrize("n, top, count", [(3, 33, 417_212),
+                                           (24, 40, 1_002_593_980_804_885_671)])
+def test_enumerate_row_limit_is_an_exact_count(monkeypatch, n, top, count):
+    # the Moebius sum over the gcd gives the same count
+    assert sum(_mobius(g) * math.comb(top // g + n + 1, n + 2)
+               for g in range(1, top + 1)) == count
+    drawn = _spy_draws(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        ce.enumerate_data(n=n, max_weight=top, index=1)
+    assert str(err.value) == f"enumeration would produce {count} rows; limit is 200000"
+    assert drawn[0] == 0
+
+
+def test_enumerate_draws_candidates_lazily(monkeypatch):
+    drawn = _spy_draws(monkeypatch)
+    row = next(ce.enumerate_data(n=2, max_weight=40, index=1))
+    assert row.datum.ambient.weights == (1, 1, 1, 1)
+    assert drawn[0] == 1
+
+
 def test_representable_against_brute_force():
     top = 80
     for length in range(5):
