@@ -14,6 +14,8 @@ subclass); :func:`run` maps it to exit 2 with kind "precondition", and any
 other exception to exit 3.  ``enumerate --csv``, ``moments table`` and
 ``okounkov --csv-samples`` finish their checks before their first byte;
 they write CSV, so ``--approx`` and ``--format text`` are usage errors there.
+A run builds only the parser of the subcommand it names, and ``--help``
+through :func:`run` writes the help to its ``out`` and returns 0.
 """
 
 from __future__ import annotations
@@ -42,7 +44,42 @@ class CLIError(Exception):
         self.kind = kind
 
 
+class _Exit(Exception):
+    """argparse ends the run itself (``--help``): the exit code and the text
+    that :func:`run` writes to its ``out``."""
+
+    def __init__(self, status: int, text: str):
+        super().__init__(text)
+        self.status = status
+        self.text = text
+
+
 class _Parser(argparse.ArgumentParser):
+    """A parser whose arguments are added by ``build(parser)`` when a parse
+    first reaches it, so a run builds only the subcommand it names.  Usage
+    errors raise :class:`CLIError`; ``--help`` raises :class:`_Exit`."""
+
+    def __init__(self, *args, build=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._build = build
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse hands a subcommand's arguments to its parser through this
+        # method, so the build runs before that parser reads any of them
+        if self._build is not None:
+            build, self._build = self._build, None
+            build(self)
+        return super().parse_known_args(args, namespace)
+
+    def print_help(self, file=None):
+        if file is not None:
+            super().print_help(file)
+        else:
+            self.exit(0, self.format_help())
+
+    def exit(self, status=0, message=None):
+        raise _Exit(status, message or "")
+
     def error(self, message):
         raise CLIError("usage", message)
 
@@ -138,83 +175,22 @@ def _csv_writer(args, out):
 
 
 def build_parser() -> _Parser:
+    """The root parser.  Each subcommand's arguments are added by its builder
+    (next to its handler) when a parse first reaches that subcommand."""
     p = _Parser(prog="wfano", description=__doc__)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--approx", action="store_true",
                    help="add approximate decimal values (12 significant digits)")
     sub = p.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("certify", help="certify a stability-threshold lower bound")
-    c.add_argument("--weights", required=True)
-    c.add_argument("--degree", type=int, required=True)
-    c.add_argument("--eckardt", action="store_true",
-                   help="assert a generalized Eckardt point at the last vertex")
-    c.add_argument("--m", type=int, default=None, help="vertex escape level")
-    c.add_argument("--general", action="store_true", help="assert a general member")
-    c.add_argument("--b1", choices=["yes", "no", "unknown"], default="unknown",
-                   help="assert containment of the weight-one base locus")
-
-    e = sub.add_parser("enumerate", help="sweep weight tuples and certify each")
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--max-weight", type=int, required=True)
-    e.add_argument("--index", type=int, default=None)
-    e.add_argument("--degree", type=int, default=None)
-    e.add_argument("--eckardt", action="store_true")
-    e.add_argument("--general", action="store_true")
-    e.add_argument("--csv", action="store_true", help="emit a CSV table instead of JSON")
-
-    m = sub.add_parser("moments", help="flag moment integrals")
-    msub = m.add_subparsers(dest="moments_command", required=True)
-    ms = msub.add_parser("s-value")
-    ms.add_argument("--n", type=int, required=True)
-    ms.add_argument("--a", type=int, required=True)
-    ms.add_argument("--k", type=int, required=True)
-    ms.add_argument("--j", type=int, required=True)
-    ms.add_argument("--q-in-w1", action="store_true")
-    mt = msub.add_parser("table")
-    mt.add_argument("--n-max", type=int, default=8)
-    mt.add_argument("--a-max", type=int, default=6)
-    mt.add_argument("--k-max", type=int, default=6)
-
-    o = sub.add_parser("okounkov", help="Okounkov bodies of the supported surfaces")
-    osub = o.add_subparsers(dest="okounkov_command", required=True)
-    oc = osub.add_parser("case")
-    oc.add_argument("name", choices=["hirzebruch", "hirzebruch2", "perhaps-useful"])
-    oc.add_argument("--a", type=int, default=0)
-    oc.add_argument("--b", type=int, default=0)
-    oc.add_argument("--k", type=int, default=0)
-    oc.add_argument("--flag-in-surface", action="store_true")
-    oc.add_argument("--csv-samples", type=int, default=0,
-                    help="emit a CSV of boundary samples instead of JSON")
-
-    w = sub.add_parser("wps", help="weighted projective space arithmetic")
-    wsub = w.add_subparsers(dest="wps_command", required=True)
-    wn = wsub.add_parser("normalize")
-    wn.add_argument("--weights", required=True)
-    ws = wsub.add_parser("stratum")
-    ws.add_argument("--weights", required=True)
-    ws.add_argument("--vanish", required=True, type=_indices, help="comma separated indices")
-    wi = wsub.add_parser("index")
-    wi.add_argument("--weights", required=True)
-    wi.add_argument("--degree", type=int, required=True)
-    wb = wsub.add_parser("base-locus")
-    wb.add_argument("--weights", required=True)
-    wb.add_argument("--threshold", type=int, required=True)
-    wb.add_argument("--point", type=int, default=None)
-
-    b = sub.add_parser("blowup", help="standard weighted blowups")
-    bsub = b.add_subparsers(dest="blowup_command", required=True)
-    bb = bsub.add_parser("build")
-    bb.add_argument("--weights", required=True)
-    bb.add_argument("--r", type=int, required=True)
-    bi = bsub.add_parser("intersect")
-    bi.add_argument("--weights", required=True)
-    bi.add_argument("--r", type=int, required=True)
-    bi.add_argument("--k", type=int, required=True)
-    bt = bsub.add_parser("transform")
-    bt.add_argument("--weights", required=True)
-    bt.add_argument("--r", type=int, required=True)
-    bt.add_argument("--poly", required=True)
+    sub.add_parser("certify", help="certify a stability-threshold lower bound",
+                   build=_certify_parser)
+    sub.add_parser("enumerate", help="sweep weight tuples and certify each",
+                   build=_enumerate_parser)
+    sub.add_parser("moments", help="flag moment integrals", build=_moments_parser)
+    sub.add_parser("okounkov", help="Okounkov bodies of the supported surfaces",
+                   build=_okounkov_parser)
+    sub.add_parser("wps", help="weighted projective space arithmetic", build=_wps_parser)
+    sub.add_parser("blowup", help="standard weighted blowups", build=_blowup_parser)
     return p
 
 
@@ -229,6 +205,18 @@ def _certificate(cert: ce.DeltaCertificate) -> tuple[dict, list[dict]]:
     trace = [{**vars(t), "inputs": {k: str(v) for k, v in sorted(t.inputs.items())}}
              for t in cert.trace]
     return outputs, trace
+
+
+def _certify_parser(c: _Parser) -> None:
+    c.add_argument("--weights", required=True)
+    c.add_argument("--degree", type=int, required=True)
+    c.add_argument("--eckardt", action="store_true",
+                   help="assert a generalized Eckardt point at the last vertex")
+    c.add_argument("--m", type=int, default=None, help="vertex escape level")
+    c.add_argument("--general", action="store_true", help="assert a general member")
+    c.add_argument("--b1", choices=["yes", "no", "unknown"], default="unknown",
+                   help="assert containment of the weight-one base locus")
+    c.set_defaults(handler=_run_certify)
 
 
 def _run_certify(args, out) -> dict:
@@ -261,6 +249,17 @@ def _enumerate_values(row: ce.EnumerationRow) -> tuple:
             c.anticanonical_bound, c.upper, c.verdict, row.fired_rules())
 
 
+def _enumerate_parser(e: _Parser) -> None:
+    e.add_argument("--n", type=int, required=True)
+    e.add_argument("--max-weight", type=int, required=True)
+    e.add_argument("--index", type=int, default=None)
+    e.add_argument("--degree", type=int, default=None)
+    e.add_argument("--eckardt", action="store_true")
+    e.add_argument("--general", action="store_true")
+    e.add_argument("--csv", action="store_true", help="emit a CSV table instead of JSON")
+    e.set_defaults(handler=_run_enumerate)
+
+
 def _run_enumerate(args, out) -> dict | None:
     """CSV rows are written as they are certified; JSON needs them all first
     for ``row_count``."""
@@ -282,6 +281,21 @@ def _run_enumerate(args, out) -> dict | None:
                    {"rows": payload, "row_count": len(payload)})
 
 
+def _moments_parser(m: _Parser) -> None:
+    msub = m.add_subparsers(dest="moments_command", required=True)
+    ms = msub.add_parser("s-value")
+    ms.add_argument("--n", type=int, required=True)
+    ms.add_argument("--a", type=int, required=True)
+    ms.add_argument("--k", type=int, required=True)
+    ms.add_argument("--j", type=int, required=True)
+    ms.add_argument("--q-in-w1", action="store_true")
+    mt = msub.add_parser("table")
+    mt.add_argument("--n-max", type=int, default=8)
+    mt.add_argument("--a-max", type=int, default=6)
+    mt.add_argument("--k-max", type=int, default=6)
+    m.set_defaults(handler=_run_moments)
+
+
 def _run_moments(args, out) -> dict | None:
     if args.moments_command == "s-value":
         s = mo.s_value(args.n, args.a, args.k, args.j, args.q_in_w1)
@@ -299,6 +313,19 @@ def _run_moments(args, out) -> dict | None:
     writer.writerow(("n", "a", "k", "j", "q_in_W1", "S", "closed_form", "match"))
     writer.writerows(r.values() for r in rows)
     return None
+
+
+def _okounkov_parser(o: _Parser) -> None:
+    osub = o.add_subparsers(dest="okounkov_command", required=True)
+    oc = osub.add_parser("case")
+    oc.add_argument("name", choices=["hirzebruch", "hirzebruch2", "perhaps-useful"])
+    oc.add_argument("--a", type=int, default=0)
+    oc.add_argument("--b", type=int, default=0)
+    oc.add_argument("--k", type=int, default=0)
+    oc.add_argument("--flag-in-surface", action="store_true")
+    oc.add_argument("--csv-samples", type=int, default=0,
+                    help="emit a CSV of boundary samples instead of JSON")
+    o.set_defaults(handler=_run_okounkov)
 
 
 def _run_okounkov(args, out) -> dict | None:
@@ -319,6 +346,23 @@ def _run_okounkov(args, out) -> dict | None:
                     "L2": case.L2, "eps": case.eps, "t_max": case.t_max,
                     "s_value": case.s_value,
                     "second_coordinate": case.second_coordinate})
+
+
+def _wps_parser(w: _Parser) -> None:
+    wsub = w.add_subparsers(dest="wps_command", required=True)
+    wn = wsub.add_parser("normalize")
+    wn.add_argument("--weights", required=True)
+    ws = wsub.add_parser("stratum")
+    ws.add_argument("--weights", required=True)
+    ws.add_argument("--vanish", required=True, type=_indices, help="comma separated indices")
+    wi = wsub.add_parser("index")
+    wi.add_argument("--weights", required=True)
+    wi.add_argument("--degree", type=int, required=True)
+    wb = wsub.add_parser("base-locus")
+    wb.add_argument("--weights", required=True)
+    wb.add_argument("--threshold", type=int, required=True)
+    wb.add_argument("--point", type=int, default=None)
+    w.set_defaults(handler=_run_wps)
 
 
 def _run_wps(args, out) -> dict:
@@ -352,6 +396,22 @@ def _run_wps(args, out) -> dict:
     return _report("wps index",
                    {"weights": w.text(), "degree": args.degree},
                    {"index": idx, "fano": idx > 0})
+
+
+def _blowup_parser(b: _Parser) -> None:
+    bsub = b.add_subparsers(dest="blowup_command", required=True)
+    bb = bsub.add_parser("build")
+    bb.add_argument("--weights", required=True)
+    bb.add_argument("--r", type=int, required=True)
+    bi = bsub.add_parser("intersect")
+    bi.add_argument("--weights", required=True)
+    bi.add_argument("--r", type=int, required=True)
+    bi.add_argument("--k", type=int, required=True)
+    bt = bsub.add_parser("transform")
+    bt.add_argument("--weights", required=True)
+    bt.add_argument("--r", type=int, required=True)
+    bt.add_argument("--poly", required=True)
+    b.set_defaults(handler=_run_blowup)
 
 
 def _run_blowup(args, out) -> dict:
@@ -391,21 +451,16 @@ def run(argv, out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        dispatch = {
-            "certify": _run_certify,
-            "enumerate": _run_enumerate,
-            "moments": _run_moments,
-            "okounkov": _run_okounkov,
-            "wps": _run_wps,
-            "blowup": _run_blowup,
-        }
-        rep = dispatch[args.command](args, out)
+        rep = args.handler(args, out)
         if rep is not None:
             if args.approx and (approx := _approx(rep["outputs"])) is not None:
                 rep["approx"] = approx
             rep["outputs"] = _fmt(rep["outputs"])
             _emit(rep, args.format, out)
         return 0
+    except _Exit as exc:
+        out.write(exc.text)
+        return exc.status
     except (CLIError, ValueError) as exc:
         json.dump({"schema_version": SCHEMA_VERSION,
                    "error": {"kind": getattr(exc, "kind", "precondition"),

@@ -1,3 +1,5 @@
+import argparse
+import collections
 import functools
 import hashlib
 import io
@@ -603,3 +605,149 @@ def test_base_locus_subcommand():
                            "--threshold", "2", "--point", "0"])
     assert code == 0
     assert rep["outputs"]["vanishing"] == [1, 2, 3, 4]
+
+
+# Every parser path of the command line, and per argument (name, type,
+# choices, required, default): options by their option strings, positionals
+# and subcommand slots by their dest.  The help action is left out.
+_W = ("--weights", None, None, True, None)
+_SURFACE = {
+    (): [("--format", None, ["json", "text"], False, "json"),
+         ("--approx", None, None, False, False),
+         ("command", None, ["certify", "enumerate", "moments", "okounkov", "wps", "blowup"],
+          True, None)],
+    ("certify",): [_W, ("--degree", int, None, True, None),
+                   ("--eckardt", None, None, False, False),
+                   ("--m", int, None, False, None),
+                   ("--general", None, None, False, False),
+                   ("--b1", None, ["yes", "no", "unknown"], False, "unknown")],
+    ("enumerate",): [("--n", int, None, True, None), ("--max-weight", int, None, True, None),
+                     ("--index", int, None, False, None), ("--degree", int, None, False, None),
+                     ("--eckardt", None, None, False, False),
+                     ("--general", None, None, False, False),
+                     ("--csv", None, None, False, False)],
+    ("moments",): [("moments_command", None, ["s-value", "table"], True, None)],
+    ("moments", "s-value"): [("--n", int, None, True, None), ("--a", int, None, True, None),
+                             ("--k", int, None, True, None), ("--j", int, None, True, None),
+                             ("--q-in-w1", None, None, False, False)],
+    ("moments", "table"): [("--n-max", int, None, False, 8), ("--a-max", int, None, False, 6),
+                           ("--k-max", int, None, False, 6)],
+    ("okounkov",): [("okounkov_command", None, ["case"], True, None)],
+    ("okounkov", "case"): [("name", None, ["hirzebruch", "hirzebruch2", "perhaps-useful"],
+                            True, None),
+                           ("--a", int, None, False, 0), ("--b", int, None, False, 0),
+                           ("--k", int, None, False, 0),
+                           ("--flag-in-surface", None, None, False, False),
+                           ("--csv-samples", int, None, False, 0)],
+    ("wps",): [("wps_command", None, ["normalize", "stratum", "index", "base-locus"],
+                True, None)],
+    ("wps", "normalize"): [_W],
+    ("wps", "stratum"): [_W, ("--vanish", cli._indices, None, True, None)],
+    ("wps", "index"): [_W, ("--degree", int, None, True, None)],
+    ("wps", "base-locus"): [_W, ("--threshold", int, None, True, None),
+                            ("--point", int, None, False, None)],
+    ("blowup",): [("blowup_command", None, ["build", "intersect", "transform"], True, None)],
+    ("blowup", "build"): [_W, ("--r", int, None, True, None)],
+    ("blowup", "intersect"): [_W, ("--r", int, None, True, None), ("--k", int, None, True, None)],
+    ("blowup", "transform"): [_W, ("--r", int, None, True, None), ("--poly", None, None, True, None)],
+}
+
+
+def _subcommands(parser):
+    """The parser's subcommand action, or None for a leaf."""
+    return next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+
+
+def _arguments(parser) -> list[tuple]:
+    return [(",".join(a.option_strings) or a.dest, a.type,
+             None if a.choices is None else list(a.choices), a.required, a.default)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+def _parser_at(path: tuple):
+    """The parser at ``path`` of a fresh root, built by a ``--help`` parse."""
+    parser = cli.build_parser()
+    with pytest.raises(cli._Exit):
+        parser.parse_args([*path, "--help"])
+    for name in path:
+        parser = _subcommands(parser).choices[name]
+    return parser
+
+
+def _walk(path=()):
+    parser = _parser_at(path)
+    yield path, parser
+    sub = _subcommands(parser)
+    for name in sub.choices if sub else ():
+        yield from _walk((*path, name))
+
+
+def test_parser_surface():
+    """All 17 parser paths, their arguments, and a ``--help`` on each that
+    returns 0 and names each of the path's options and subcommands."""
+    walked = dict(_walk())
+    assert len(walked) == 17
+    assert {path: _arguments(parser) for path, parser in walked.items()} == _SURFACE
+    for path, arguments in _SURFACE.items():
+        code, text = _run([*path, "--help"])
+        assert code == 0
+        assert text.startswith(f"usage: {' '.join(('wfano', *path))} ")
+        for name, _, choices, _, _ in arguments:
+            for word in [name] if name.startswith("--") else choices:
+                assert word in text, (path, word)
+
+
+def test_help_through_run_writes_to_out(capsys):
+    buf = io.StringIO()
+    assert run(["certify", "--help"], out=buf) == 0
+    assert "--weights WEIGHTS" in buf.getvalue()
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_from_the_console_exits_0(monkeypatch):
+    """``wfano … --help`` prints the same bytes as ``run`` writes, and exits 0."""
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in (["--help"], ["wps", "base-locus", "-h"]):
+        proc = subprocess.run([sys.executable, "-m", "wfano.cli", *argv], capture_output=True,
+                              env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == _run(argv)[1].encode()
+
+
+def test_run_builds_only_the_subcommand_it_names(monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build_parser()) or built[-1])
+    assert _run(["certify", "--weights", "1,1,1,1,2", "--degree", "5"])[0] == 0
+    (root,) = built
+    assert _arguments(root) == _SURFACE[()]
+    for name, parser in _subcommands(root).choices.items():
+        if name == "certify":
+            assert parser._build is None
+            assert _arguments(parser) == _SURFACE[("certify",)]
+        else:
+            assert parser._build is not None, name
+            assert [a.dest for a in parser._actions] == ["help"], name
+
+
+def test_each_builder_runs_once_per_parser(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name):
+        builder = getattr(cli, name)
+
+        def build(parser):
+            calls[name] += 1
+            builder(parser)
+        return build
+
+    for name in ("_certify_parser", "_wps_parser", "_moments_parser"):
+        monkeypatch.setattr(cli, name, counted(name))
+    parser = cli.build_parser()
+    for argv in (["certify", "--weights", "1,1,1,1,2", "--degree", "5"],
+                 ["wps", "index", "--weights", "1,1,2", "--degree", "4"]):
+        assert parser.parse_args(argv) == parser.parse_args(argv)
+    assert calls == {"_certify_parser": 1, "_wps_parser": 1}
