@@ -15,7 +15,10 @@ other exception to exit 3.  ``enumerate --csv``, ``moments table`` and
 ``okounkov --csv-samples`` finish their checks before their first byte;
 they write CSV, so ``--approx`` and ``--format text`` are usage errors there.
 A run builds only the parser of the subcommand it names, and ``--help``
-through :func:`run` writes the help to its ``out`` and returns 0.
+through :func:`run` writes the help to its ``out`` and returns 0.  A run
+imports only the modules its subcommand uses: ``blowup`` loads for
+``blowup``, ``wpoly`` for ``blowup transform`` and ``convex`` for
+``okounkov``.
 """
 
 from __future__ import annotations
@@ -27,11 +30,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import blowup as bl
-from . import convex as cx
 from . import engine as ce
 from . import moments as mo
-from . import wpoly as wp
 from .lattice import WeightVector, base_locus, fano_index, normalize, stratum
 from .schema import SCHEMA_VERSION
 
@@ -329,6 +329,8 @@ def _okounkov_parser(o: _Parser) -> None:
 
 
 def _run_okounkov(args, out) -> dict | None:
+    from . import convex as cx
+
     case = cx.okounkov_body_surface(args.name, a=args.a, b=args.b, k=args.k,
                                     flag_in_surface=args.flag_in_surface)
     if args.csv_samples:
@@ -415,6 +417,8 @@ def _blowup_parser(b: _Parser) -> None:
 
 
 def _run_blowup(args, out) -> dict:
+    from . import blowup as bl
+
     w = _weights(args.weights)
     frame = bl.build(w, args.r)
     if args.blowup_command == "build":
@@ -438,6 +442,8 @@ def _run_blowup(args, out) -> dict:
         return _report("blowup intersect",
                        {"weights": w.text(), "r": args.r, "k": args.k},
                        {"value": bl.intersection_bi(frame, args.k)})
+    from . import wpoly as wp
+
     ft = wp.strict_transform(wp.parse(args.poly, w), args.r)
     return _report("blowup transform",
                    {"weights": w.text(), "r": args.r, "poly": args.poly},

@@ -293,7 +293,7 @@ def test_error_boundary_maps_exception_types(monkeypatch, exc, code, kind):
     def fail(*args):
         raise exc
 
-    monkeypatch.setattr(cli.bl, "build", fail)
+    monkeypatch.setattr(bl, "build", fail)
     got, text = _run(["blowup", "build", "--weights", "2,3,4,4,5", "--r", "2"])
     assert got == code
     rep = json.loads(text)
@@ -356,6 +356,43 @@ def test_import_wfano_loads_only_the_engine():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_a_run_imports_only_what_its_subcommand_uses():
+    """In a fresh process, ``certify``, ``enumerate``, ``moments`` and ``wps``
+    leave ``convex``, ``wpoly`` and ``blowup`` unloaded; then ``blowup build``
+    loads ``blowup``, ``okounkov`` loads ``convex`` and ``blowup transform``
+    loads ``wpoly``."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = [
+        ["certify", "--weights", "1,1,1,1,2", "--degree", "5"],
+        ["enumerate", "--n", "2", "--max-weight", "4", "--index", "1", "--csv"],
+        ["moments", "table", "--n-max", "3", "--a-max", "2", "--k-max", "2"],
+        ["moments", "s-value", "--n", "4", "--a", "2", "--k", "2", "--j", "4", "--q-in-w1"],
+        ["wps", "normalize", "--weights", "2,2,3"],
+        ["wps", "index", "--weights", "1,1,1,1,2", "--degree", "5"],
+        ["wps", "stratum", "--weights", "1,1,2,2", "--vanish", "0,1"],
+        ["wps", "base-locus", "--weights", "1,1,2,3", "--threshold", "1"],
+        ["blowup", "build", "--weights", "2,3,4,4,5", "--r", "2"],
+        ["okounkov", "case", "hirzebruch", "--a", "2"],
+        ["blowup", "transform", "--weights", "3,1,1,1", "--r", "2",
+         "--poly", "x3^2*x1^2+x3*x0+x1^4+x2^4"],
+    ]
+    code = ("import io, json, sys\n"
+            "from wfano import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    status = cli.run(argv, out=io.StringIO())\n"
+            "    print(json.dumps([status, sorted(m for m in ('wfano.convex', 'wfano.wpoly',\n"
+            "                                                'wfano.blowup') if m in sys.modules)]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert got == [[0, []]] * 8 + [[0, ["wfano.blowup"]],
+                                   [0, ["wfano.blowup", "wfano.convex"]],
+                                   [0, ["wfano.blowup", "wfano.convex", "wfano.wpoly"]]]
 
 
 def test_enumerate_json_bytes():
