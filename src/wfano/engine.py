@@ -4,10 +4,10 @@ Input is a Fano datum: an ambient weight vector, a degree, and structural
 flags (a generalized Eckardt vertex, its escape level, the weight-one base
 locus containment, generality of the member), all caller-asserted and
 recorded.  Quasi-smoothness of the member is a standing assumption of
-every rule.  Most rules list it in their trace as the hypothesis
-"quasi-smooth asserted"; one-weight-gap, two-weight-degree,
-eckardt-unstable and the b1-derivation note leave it implicit.
-The rules are data: :data:`RULES` is one table of :class:`Rule` rows.
+every rule.
+The rules are data: :data:`RULES` is one table of :class:`Rule` rows,
+each listing the :class:`Fact` preconditions it requires; the trace
+records the text of each fact as a hypothesis.
 :func:`certify` resolves the weight-one base locus containment and the
 Eckardt vertex once, folds over the table, combines the bounds that fired
 (maximum of lower bounds, local bounds combined over a vertex/away split),
@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .lattice import WeightVector, fano_index
+from .lattice import WeightVector, as_integer, fano_index
 from .moments import delta_eckardt, unstable_check
 
 
@@ -50,7 +50,7 @@ class Flags:
     def __post_init__(self):
         if self.b1_in_x not in ("yes", "no", "unknown"):
             raise ValueError("b1_in_x must be yes, no or unknown")
-        if self.m is not None and self.m < 1:
+        if self.m is not None and as_integer(self.m, "escape level m") < 1:
             raise ValueError("escape level m must be >= 1")
 
 
@@ -75,14 +75,13 @@ class FanoDatum:
     c1: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("degree must be a positive integer")
+        index = fano_index(self.ambient, self.d)        # checks the degree first
         if len(self.ambient) < 3:
             raise ValueError("a hypersurface datum needs at least three weights")
         w = tuple(sorted(self.ambient.weights))
         setattr_ = object.__setattr__
         setattr_(self, "n", len(w) - 2)
-        setattr_(self, "index", fano_index(self.ambient, self.d))
+        setattr_(self, "index", index)
         setattr_(self, "sorted_weights", w)
         setattr_(self, "c1", w.count(1))
 
@@ -185,116 +184,6 @@ def derive_b1(datum: FanoDatum) -> B1Result:
     return B1Result("unknown", ())
 
 
-@dataclass(frozen=True)
-class Rule:
-    """One row of :data:`RULES`.
-
-    ``fire(datum, b1, eckardt)`` returns ``(hypotheses, inputs, value)`` or
-    None when the rule does not apply; ``b1`` is the resolved containment
-    and ``eckardt`` the result of :func:`_eckardt_vertex`.  Only ``note``
-    rows have value None; a ``strict`` global bound is exclusive; a row
-    with a citation is an external input from the literature.
-    """
-
-    id: str
-    scope: str                    # "global" | "vertex" | "away" | "upper" | "note"
-    statement: str
-    fire: Callable[[FanoDatum, str, Optional[int]], Optional[tuple]]
-    citation: Optional[str] = None
-    strict: bool = False
-
-
-def _divisible_weight(datum, b1, eckardt):
-    d = datum.d
-    for a in reversed(datum.sorted_weights):      # the largest a_r > 1 dividing d
-        if a == 1:
-            return None
-        if d % a == 0:
-            n = datum.n
-            return ((f"a_r = {a} divides d = {d}", "quasi-smooth asserted"),
-                    {"n": n, "d": d, "a_r": a}, Fraction((n + 1) * a, d))
-    return None
-
-
-def _one_weight_gap(datum, b1, eckardt):
-    n, d, a = datum.n, datum.d, datum.sorted_weights[-1]
-    if not (datum.c1 == n + 1 and n >= 3 and d >= a + 2):
-        return None
-    return ((f"weights are (1^{n + 1}, {a})", f"d = {d} >= a+2 = {a + 2}", "n >= 3"),
-            {"n": n, "d": d, "a": a}, Fraction(n + 1, d - a))
-
-
-def _tail(datum, b1):
-    """(n, d, a_top, k, hypotheses) when the weight-one base locus lies on X
-    (which forces d = 1 mod a_top), n >= 3 and d = k a_top + 1 > a_top + 1;
-    else None."""
-    n, d, a_top = datum.n, datum.d, datum.sorted_weights[-1]
-    if not (b1 == "yes" and n >= 3 and d > a_top + 1 and d % a_top == 1):
-        return None
-    k = (d - 1) // a_top
-    return n, d, a_top, k, ("weight-one base locus lies on X",
-                            f"d = {d} = {k}*{a_top}+1 > a_top+1", "n >= 3",
-                            "quasi-smooth asserted")
-
-
-def _tail_away(datum, b1, eckardt):
-    tail = _tail(datum, b1)
-    if tail is None:
-        return None
-    n, d, a_top, _, hypotheses = tail
-    return hypotheses, {"n": n, "d": d, "a_top": a_top}, Fraction((n + 1) * a_top, d)
-
-
-def _tail_vertex(datum, b1, eckardt):
-    tail = _tail(datum, b1)
-    if tail is None:
-        return None
-    n, d, a_top, k, hypotheses = tail
-    a_second = datum.sorted_weights[-2]
-    # k >= 2 and n >= 3 make (n+1)/(d-a_top) the least of the three terms of
-    # the inner min in the statement (test_tail_vertex_first_term_is_the_minimum)
-    value = max(Fraction((n + 1) * a_second, d), Fraction(n + 1, d - a_top))
-    return (hypotheses, {"n": n, "d": d, "a_top": a_top, "a_second": a_second, "k": k},
-            value)
-
-
-def _two_weight_degree(datum, b1, eckardt):
-    n, d = datum.n, datum.d
-    a, b = datum.sorted_weights[-2:]
-    if not (datum.c1 == n and n >= 2 and d >= b + 2):
-        return None
-    return ((f"weights are (1^{n}, {a}, {b})", f"d = {d} >= b+2 = {b + 2}", "n >= 2"),
-            {"n": n, "d": d, "a": a, "b": b}, Fraction((n + 1) * a, d))
-
-
-def _one_weight_index_one(datum, b1, eckardt):
-    n, a = datum.n, datum.sorted_weights[-1]
-    if not (datum.c1 == n + 1 and n >= 3 and datum.index == 1):
-        return None
-    return ((f"weights are (1^{n + 1}, {a})", "index 1", "n >= 3", "quasi-smooth asserted"),
-            {"n": n, "d": datum.d, "a": a}, Fraction(n + 1, n))
-
-
-def _two_weight_index_one(datum, b1, eckardt):
-    n = datum.n
-    a, b = datum.sorted_weights[-2:]
-    if not (datum.c1 == n and n >= 3 and datum.index == 1):
-        return None
-    return ((f"weights are (1^{n}, {a}, {b})", "index 1", "n >= 3", "quasi-smooth asserted"),
-            {"n": n, "d": datum.d, "a": a, "b": b}, Fraction((n + 1) * a, n * a + 1))
-
-
-def _general_divisibility(datum, b1, eckardt):
-    n, d, c1 = datum.n, datum.d, datum.c1
-    big = datum.sorted_weights[c1:]
-    if not (datum.flags.general_member and n >= 3 and datum.index == 1 and big
-            and 2 * c1 >= n + 2 and all(d % a == 1 for a in big)):
-        return None
-    return ((f"c1 = {c1} >= (n+2)/2", "index 1", "d = 1 mod a_i for all weights a_i > 1",
-             "general member asserted", "quasi-smooth asserted"),
-            {"n": n, "d": d, "c1": c1}, Fraction(1))
-
-
 def _eckardt_vertex(datum: FanoDatum) -> Optional[int]:
     """k in d = ak + 1 when the last vertex of P(1^(n+1), a), n >= 2, is a
     generalized Eckardt point of X, else None.
@@ -316,101 +205,199 @@ def _eckardt_vertex(datum: FanoDatum) -> Optional[int]:
     return None
 
 
-def _eckardt_hypotheses(datum, k):
-    n, d, a = datum.n, datum.d, datum.sorted_weights[-1]
-    return (f"weights are (1^{n + 1}, {a})", f"d = {d} = {k}*{a}+1",
-            "generalized Eckardt vertex asserted", "quasi-smooth asserted")
+@dataclass(frozen=True)
+class Fact:
+    """A precondition of a rule; ``name`` is its word in a small vocabulary.
+
+    ``check(datum, b1, eckardt)`` returns the fact's arguments, a dict, when
+    the fact holds and None when it fails; ``b1`` is the resolved
+    containment and ``eckardt`` the result of :func:`_eckardt_vertex`.
+    ``text`` formats the arguments into the hypothesis the trace records; a
+    fact the trace does not record has no text.
+    """
+
+    name: str
+    check: Callable[[FanoDatum, str, Optional[int]], Optional[dict]]
+    text: Optional[str] = None
 
 
-def _eckardt_lower(datum, b1, k):
-    if k is None:
+_HOLDS: dict = {}                  # the arguments of a fact that has none; never mutated
+
+
+def _largest_dividing_weight(x, b1, k):
+    for a in reversed(x.sorted_weights[x.c1:]):
+        if x.d % a == 0:
+            return {"a_r": a, "d": x.d}
+    return None
+
+
+def _top_degree(k_min):
+    """The check that d = k a_top + 1 with k >= k_min."""
+    def check(x, b1, k):
+        a = x.sorted_weights[-1]
+        if x.d % a == 1 and x.d > k_min * a:
+            return {"d": x.d, "k": (x.d - 1) // a, "a_top": a}
         return None
-    n, a = datum.n, datum.sorted_weights[-1]
-    bound, exact = delta_eckardt(n, a, k)
-    return _eckardt_hypotheses(datum, k), {"n": n, "a": a, "k": k, "exact": exact}, bound
+    return check
 
 
-def _vertex_complement(datum, b1, k):
-    if k is None:
-        return None
-    n, d, a = datum.n, datum.d, datum.sorted_weights[-1]
-    return ((f"weights are (1^{n + 1}, {a})", f"d = {d} = {k}*{a}+1", "quasi-smooth asserted"),
-            {"n": n, "a": a, "d": d}, Fraction((n + 1) * a, d))
+def _degree_gap(x, b1, k):
+    bound = x.sorted_weights[-1] + 2
+    return {"d": x.d, "bound": bound} if x.d >= bound else None
 
 
-def _eckardt_upper(datum, b1, k):
-    if k is None:
-        return None
-    n, a = datum.n, datum.sorted_weights[-1]
-    return (_eckardt_hypotheses(datum, k), {"n": n, "a": a, "k": k},
-            Fraction(n * (n + 1), a * k + n))
+def _unstable(x, b1, k):
+    report = unstable_check(x.n, x.sorted_weights[-1], k)
+    if report.verdict == "K-unstable":
+        return {"n": x.n, "rhs": report.criterion_rhs, "witness": report.witness}
+    return None
 
 
-def _eckardt_unstable(datum, b1, k):
-    if k is None:
-        return None
-    n = datum.n
-    report = unstable_check(n, datum.sorted_weights[-1], k)
-    if report.verdict != "K-unstable":
-        return None
-    return ((f"n = {n} > a^2 k(k-1)/(a-1) = {report.criterion_rhs}",),
-            {"witness": report.witness}, None)
+QUASI_SMOOTH = Fact("asserted_flag", lambda x, b1, k: _HOLDS, "quasi-smooth asserted")
+GENERAL_MEMBER = Fact("asserted_flag",
+                      lambda x, b1, k: _HOLDS if x.flags.general_member else None,
+                      "general member asserted")
+ECKARDT_VERTEX = Fact("asserted_flag", lambda x, b1, k: None if k is None else _HOLDS,
+                      "generalized Eckardt vertex asserted")
+B1_ON_X = Fact("b1", lambda x, b1, k: _HOLDS if b1 == "yes" else None,
+               "weight-one base locus lies on X")
+N_GE_2 = Fact("ge", lambda x, b1, k: _HOLDS if x.n >= 2 else None, "n >= 2")
+N_GE_3 = Fact("ge", lambda x, b1, k: _HOLDS if x.n >= 3 else None, "n >= 3")
+SOME_WEIGHT_ABOVE_1 = Fact("ge", lambda x, b1, k: _HOLDS if x.c1 < x.n + 2 else None)
+C1_HALF = Fact("ge", lambda x, b1, k: {"c1": x.c1} if 2 * x.c1 >= x.n + 2 else None,
+               "c1 = {c1} >= (n+2)/2")
+D_GE_A_PLUS_2 = Fact("ge", _degree_gap, "d = {d} >= a+2 = {bound}")
+D_GE_B_PLUS_2 = Fact("ge", _degree_gap, "d = {d} >= b+2 = {bound}")
+INDEX_ONE = Fact("index_eq", lambda x, b1, k: _HOLDS if x.index == 1 else None, "index 1")
+ONE_WEIGHT = Fact(
+    "weights_shape", lambda x, b1, k: ({"c1": x.c1, "a": x.sorted_weights[-1]}
+                                       if x.c1 == x.n + 1 else None),
+    "weights are (1^{c1}, {a})")
+TWO_WEIGHTS = Fact(
+    "weights_shape", lambda x, b1, k: ({"c1": x.c1, "a": x.sorted_weights[-2],
+                                        "b": x.sorted_weights[-1]} if x.c1 == x.n else None),
+    "weights are (1^{c1}, {a}, {b})")
+DIVIDES = Fact("divides", _largest_dividing_weight, "a_r = {a_r} divides d = {d}")
+TAIL_DEGREE = Fact("congruent", _top_degree(2), "d = {d} = {k}*{a_top}+1 > a_top+1")
+VERTEX_DEGREE = Fact("congruent", _top_degree(1), "d = {d} = {k}*{a_top}+1")
+ONE_MOD_EVERY_WEIGHT = Fact(
+    "congruent",
+    lambda x, b1, k: _HOLDS if all(x.d % a == 1 for a in x.sorted_weights[x.c1:]) else None,
+    "d = 1 mod a_i for all weights a_i > 1")
+UNSTABLE = Fact("unstable", _unstable, "n = {n} > a^2 k(k-1)/(a-1) = {rhs}")
 
+
+@dataclass(frozen=True)
+class Rule:
+    """One row of :data:`RULES`.
+
+    The facts of ``requires`` are checked in order, and the first that
+    fails stops the rule, so a fact may rely on those before it (UNSTABLE
+    needs the Eckardt vertex).  The rule fires when every fact holds; its
+    hypotheses are then the texts of those facts, and
+    ``value(datum, **args)``, given the facts' arguments as keywords,
+    returns ``(inputs, value)``.  Only ``note`` rows have value None; a
+    ``strict`` global bound is exclusive; a row with a citation is an
+    external input from the literature.
+    """
+
+    id: str
+    scope: str                    # "global" | "vertex" | "away" | "upper" | "note"
+    statement: str
+    requires: tuple[Fact, ...]
+    value: Callable[..., tuple]
+    citation: Optional[str] = None
+    strict: bool = False
+
+
+def _tail_vertex(x, a_top, k, **_):
+    n, d, a_second = x.n, x.d, x.sorted_weights[-2]
+    # k >= 2 and n >= 3 make (n+1)/(d-a_top) the least of the three terms of
+    # the inner min in the statement (test_tail_vertex_first_term_is_the_minimum)
+    value = max(Fraction((n + 1) * a_second, d), Fraction(n + 1, d - a_top))
+    return {"n": n, "d": d, "a_top": a_top, "a_second": a_second, "k": k}, value
+
+
+def _eckardt_lower(x, a, k, **_):
+    bound, exact = delta_eckardt(x.n, a, k)
+    return {"n": x.n, "a": a, "k": k, "exact": exact}, bound
+
+
+_TAIL = (B1_ON_X, TAIL_DEGREE, N_GE_3, QUASI_SMOOTH)
+_ECKARDT = (ONE_WEIGHT, VERTEX_DEGREE, ECKARDT_VERTEX, QUASI_SMOOTH)
 
 RULES: tuple[Rule, ...] = (
     Rule("external-divisible-weight", "global",
          "for a quasi-smooth hypersurface of degree d in a well-formed weighted "
          "projective space with a weight a_r > 1 dividing d, "
          "delta(X; O(1)) >= (n+1) a_r / d",
-         _divisible_weight, citation="[ST24, Theorem 1.1]"),
+         (DIVIDES, QUASI_SMOOTH),
+         lambda x, a_r, **_: ({"n": x.n, "d": x.d, "a_r": a_r},
+                              Fraction((x.n + 1) * a_r, x.d)),
+         citation="[ST24, Theorem 1.1]"),
     Rule("one-weight-gap", "global",
          "for a quasi-smooth hypersurface of degree d >= a+2 and dimension n >= 3 "
          "in P(1^(n+1), a) with a >= 2, delta(X; O(1)) >= (n+1)/(d-a)",
-         _one_weight_gap),
+         (ONE_WEIGHT, D_GE_A_PLUS_2, N_GE_3),
+         lambda x, a, **_: ({"n": x.n, "d": x.d, "a": a}, Fraction(x.n + 1, x.d - a))),
     Rule("tail-base-locus-away", "away",
          "with the weight-one base locus on X, at every point away from the last "
          "coordinate vertex delta_p(X; O(1)) >= (n+1) a_{n+1} / d",
-         _tail_away),
+         _TAIL,
+         lambda x, a_top, **_: ({"n": x.n, "d": x.d, "a_top": a_top},
+                                Fraction((x.n + 1) * a_top, x.d))),
     Rule("tail-base-locus-vertex", "vertex",
          "with the weight-one base locus on X, at the last coordinate vertex "
          "delta_p(X; O(1)) >= max((n+1) a_n/d, min((n+1)/(d-a_{n+1}), "
          "n(n+1)/(a_{n+1}k+n), (a_{n+1}k+1)(n+1)/(2 a_{n+1}k+1)))",
-         _tail_vertex),
+         _TAIL, _tail_vertex),
     Rule("two-weight-degree", "global",
          "for a quasi-smooth hypersurface of degree d >= b+2 and dimension n >= 2 "
          "in P(1^n, a, b) with 2 <= a <= b, delta(X; O(1)) >= (n+1) a / d",
-         _two_weight_degree),
+         (TWO_WEIGHTS, D_GE_B_PLUS_2, N_GE_2),
+         lambda x, a, b, **_: ({"n": x.n, "d": x.d, "a": a, "b": b},
+                               Fraction((x.n + 1) * a, x.d))),
     Rule("one-weight-index-one", "global",
          "every quasi-smooth Fano hypersurface of index 1 and dimension n >= 3 in "
          "P(1^(n+1), a) with a >= 2 has delta(X; O(1)) >= (n+1)/n > 1 and is K-stable",
-         _one_weight_index_one),
+         (ONE_WEIGHT, INDEX_ONE, N_GE_3, QUASI_SMOOTH),
+         lambda x, a, **_: ({"n": x.n, "d": x.d, "a": a}, Fraction(x.n + 1, x.n))),
     Rule("two-weight-index-one", "global",
          "every quasi-smooth Fano hypersurface of index 1 and dimension n >= 3 in "
          "P(1^n, a, b) with 2 <= a <= b has delta(X; O(1)) >= (n+1)/(n + 1/a) > 1 "
          "and is K-stable",
-         _two_weight_index_one),
+         (TWO_WEIGHTS, INDEX_ONE, N_GE_3, QUASI_SMOOTH),
+         lambda x, a, b, **_: ({"n": x.n, "d": x.d, "a": a, "b": b},
+                               Fraction((x.n + 1) * a, x.n * a + 1))),
     Rule("general-divisibility-stable", "global",
          "a general quasi-smooth Fano hypersurface of index 1 with at least "
          "(n+2)/2 weight-one coordinates and d = 1 mod a_i for every weight "
          "a_i > 1 is K-stable",
-         _general_divisibility, strict=True),
+         (C1_HALF, INDEX_ONE, replace(N_GE_3, text=None), SOME_WEIGHT_ABOVE_1,
+          ONE_MOD_EVERY_WEIGHT, GENERAL_MEMBER, QUASI_SMOOTH),
+         lambda x, c1, **_: ({"n": x.n, "d": x.d, "c1": c1}, Fraction(1)),
+         strict=True),
     Rule("eckardt-vertex-lower", "vertex",
          "at a generalized Eckardt vertex of a quasi-smooth X_(ak+1) in "
          "P(1^(n+1), a), delta_P(X; O(1)) >= min(n(n+1)/(ak+n), "
          "(ak+1)(n+1)/(2ak+1)), with equality to n(n+1)/(ak+n) when ak+1 >= n",
-         _eckardt_lower),
+         _ECKARDT, _eckardt_lower),
     Rule("vertex-complement", "away",
          "for a quasi-smooth X_d in P(1^(n+1), a) containing the last coordinate "
          "vertex, every other point satisfies delta_p(X; O(1)) >= (n+1) a / d",
-         _vertex_complement),
+         (replace(ECKARDT_VERTEX, text=None), ONE_WEIGHT, VERTEX_DEGREE, QUASI_SMOOTH),
+         lambda x, a, **_: ({"n": x.n, "a": a, "d": x.d}, Fraction((x.n + 1) * a, x.d))),
     Rule("eckardt-vertex-upper", "upper",
          "the exceptional divisor of the vertex blowup gives "
          "delta(X; O(1)) <= delta_P(X; O(1)) <= A(E)/S(E) = n(n+1)/(ak+n)",
-         _eckardt_upper),
+         _ECKARDT,
+         lambda x, a, k, **_: ({"n": x.n, "a": a, "k": k},
+                               Fraction(x.n * (x.n + 1), a * k + x.n))),
     Rule("eckardt-unstable", "note",
          "since n > a^2 k (k-1)/(a-1), the anticanonical bound "
          "n(n+1)/((n+a-ak)(ak+n)) is < 1 and X is K-unstable",
-         _eckardt_unstable),
+         (replace(ECKARDT_VERTEX, text=None), UNSTABLE),
+         lambda x, witness, **_: ({"witness": witness}, None)),
 )
 
 
@@ -452,10 +439,16 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
 
     lower, strict, vertex, away, upper = Fraction(0), False, None, None, None
     for rule in RULES:
-        fired = rule.fire(datum, b1, eckardt)
-        if fired is None:
+        args = _HOLDS
+        for fact in rule.requires:
+            got = fact.check(datum, b1, eckardt)
+            if got is None:
+                break
+            args = {**args, **got}
+        if got is None:
             continue
-        hypotheses, inputs, value = fired
+        inputs, value = rule.value(datum, **args)
+        hypotheses = tuple(f.text.format_map(args) for f in rule.requires if f.text)
         scope = rule.scope
         trace.append(TraceEntry(rule.id, rule.statement, rule.citation,
                                 rule.citation is not None, scope, hypotheses, inputs,

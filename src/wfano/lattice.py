@@ -12,6 +12,7 @@ rounded.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,7 +59,10 @@ class WeightVector:
     is_well_formed: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        w = tuple(map(int, self.weights))
+        try:
+            w = tuple(map(operator.index, self.weights))
+        except TypeError:
+            raise ValueError(f"weights must be integers, not {self.weights!r}") from None
         object.__setattr__(self, "weights", w)
         if len(w) < 2:
             raise ValueError("a weight vector needs at least two entries")
@@ -264,9 +268,17 @@ def base_locus(w: WeightVector, a: int, p: Optional[int] = None) -> BaseLocus:
     return BaseLocus(ambient=w, threshold=a, basepoint=p, vanishing=vanishing, stratum=st)
 
 
+def as_integer(value, what: str) -> int:
+    """``value`` as an int; a non-integer (2.5, Fraction(5, 2), "3") raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {value!r}") from None
+
+
 def fano_index(w: WeightVector, d: int) -> int:
     """sum(a_i) - d; positive exactly for Fano hypersurfaces of degree d."""
-    if d < 1:
+    if as_integer(d, "degree") < 1:
         raise ValueError("degree must be a positive integer")
     return sum(w.weights) - d
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -377,16 +378,68 @@ def test_tail_vertex_first_term_is_the_minimum():
 
 
 def test_every_rule_fires_in_the_corpus(corpus):
+    """Each rule fires exactly as often as pinned, so a drifting
+    precondition is named by rule, not only by the corpus hash."""
     ids = [rule.id for rule in ce.RULES]
     assert len(ids) == len(set(ids)) == 12
     assert all(rule.scope in ("global", "vertex", "away", "upper", "note")
                for rule in ce.RULES)
-    fired = set()
+    fired = collections.Counter()
+    raised = 0
     for _, result in corpus:
         if isinstance(result, Exception):
+            raised += 1
             continue
         for entry in result.trace:
-            fired.add(entry.rule_id)
+            fired[entry.rule_id] += 1
             assert (entry.output is None) == (entry.scope == "note"), entry
             assert entry.external == (entry.citation is not None)
-    assert fired == set(ids) | {"b1-derivation"}
+    assert (len(corpus) - raised, raised) == (3898, 2210)
+    assert fired == {
+        "external-divisible-weight": 2010, "one-weight-gap": 74,
+        "tail-base-locus-away": 87, "tail-base-locus-vertex": 87,
+        "two-weight-degree": 355, "one-weight-index-one": 29,
+        "two-weight-index-one": 69, "general-divisibility-stable": 7,
+        "eckardt-vertex-lower": 18, "vertex-complement": 18, "eckardt-vertex-upper": 18,
+        "eckardt-unstable": 12, "b1-derivation": 3870}
+    assert set(fired) == set(ids) | {"b1-derivation"}
+
+
+def test_facts_checked_but_not_recorded():
+    """The ledger of what the trace leaves out: the facts each rule checks
+    without a hypothesis text, and the rules that record quasi-smoothness."""
+    unrecorded = {rule.id: [fact.check for fact in rule.requires if fact.text is None]
+                  for rule in ce.RULES}
+    assert {rule: checks for rule, checks in unrecorded.items() if checks} == {
+        "general-divisibility-stable": [ce.N_GE_3.check, ce.SOME_WEIGHT_ABOVE_1.check],
+        "vertex-complement": [ce.ECKARDT_VERTEX.check],
+        "eckardt-unstable": [ce.ECKARDT_VERTEX.check]}
+    assert [rule.id for rule in ce.RULES if ce.QUASI_SMOOTH in rule.requires] == [
+        "external-divisible-weight", "tail-base-locus-away", "tail-base-locus-vertex",
+        "one-weight-index-one", "two-weight-index-one", "general-divisibility-stable",
+        "eckardt-vertex-lower", "vertex-complement", "eckardt-vertex-upper"]
+
+
+def test_eckardt_moments_are_called_once_per_eckardt_certificate(monkeypatch):
+    """``certify`` reaches ``delta_eckardt`` and ``unstable_check`` through
+    the module globals, once per certificate with an Eckardt vertex, so a
+    tracer that wraps those names sees every call."""
+    calls = collections.Counter()
+    for name in ("delta_eckardt", "unstable_check"):
+        def counted(*args, _name=name, _original=getattr(ce, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(ce, name, counted)
+    eckardt = sum(1 for _, result in _certify_corpus()
+                  if not isinstance(result, Exception)
+                  and any(e.rule_id == "eckardt-vertex-lower" for e in result.trace))
+    assert eckardt == 18
+    assert calls == {"delta_eckardt": 18, "unstable_check": 18}
+
+
+@pytest.mark.parametrize("value", [2.5, F(5, 2), "3"])
+def test_non_integral_degree_and_escape_level_are_rejected(value):
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        _datum([1, 1, 1, 1, 2], value)
+    with pytest.raises(ValueError, match="escape level m must be an integer"):
+        ce.Flags(m=value)

@@ -34,6 +34,15 @@ def test_constructor_rejects_common_factor():
         WeightVector((3,))
 
 
+@pytest.mark.parametrize("entry", [2.5, Fraction(5, 2), "3"])
+def test_constructor_rejects_non_integral_weights(entry):
+    # truncating 2.5 or 5/2 to 2 would silently read P(1,1,2.5) as P(1,1,2)
+    with pytest.raises(ValueError, match="weights must be integers"):
+        WeightVector((1, 1, entry))
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        fano_index(WeightVector((1, 1, 2)), entry)
+
+
 def test_normalize_examples():
     rep = normalize(WeightVector((3, 1, 1, 1)))
     assert rep.output.weights == (3, 1, 1, 1)
