@@ -55,21 +55,7 @@ class _Exit(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose arguments are added by ``build(parser)`` when a parse
-    first reaches it, so a run builds only the subcommand it names.  Usage
-    errors raise :class:`CLIError`; ``--help`` raises :class:`_Exit`."""
-
-    def __init__(self, *args, build=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._build = build
-
-    def parse_known_args(self, args=None, namespace=None):
-        # argparse hands a subcommand's arguments to its parser through this
-        # method, so the build runs before that parser reads any of them
-        if self._build is not None:
-            build, self._build = self._build, None
-            build(self)
-        return super().parse_known_args(args, namespace)
+    """Usage errors raise :class:`CLIError`; ``--help`` raises :class:`_Exit`."""
 
     def print_help(self, file=None):
         if file is not None:
@@ -82,6 +68,27 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise CLIError("usage", message)
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Subcommands whose parsers are made only when a parse names them.
+
+    Until then the map holds each name's builder; argparse's choice checks,
+    error messages and help read only its keys.  The builder adds the
+    subcommand's arguments, nested subcommands included."""
+
+    def add_parser(self, name, *, help, build):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = build
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        build = self._name_parser_map[name]
+        if not isinstance(build, argparse.ArgumentParser):
+            sub = self._name_parser_map[name] = self._parser_class(
+                prog=f"{self._prog_prefix} {name}")
+            build(sub)
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _fmt(value) -> object:
@@ -175,13 +182,13 @@ def _csv_writer(args, out):
 
 
 def build_parser() -> _Parser:
-    """The root parser.  Each subcommand's arguments are added by its builder
-    (next to its handler) when a parse first reaches that subcommand."""
+    """The root parser.  A subcommand's parser is made, and its arguments
+    added by its builder (next to its handler), when a parse names it."""
     p = _Parser(prog="wfano", description=__doc__)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--approx", action="store_true",
                    help="add approximate decimal values (12 significant digits)")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, action=_Subcommands)
     sub.add_parser("certify", help="certify a stability-threshold lower bound",
                    build=_certify_parser)
     sub.add_parser("enumerate", help="sweep weight tuples and certify each",

@@ -50,6 +50,10 @@ class Flags:
     def __post_init__(self):
         if self.b1_in_x not in ("yes", "no", "unknown"):
             raise ValueError("b1_in_x must be yes, no or unknown")
+        if not (self.eckardt_at_p is None or isinstance(self.eckardt_at_p, bool)):
+            raise ValueError(f"eckardt_at_p must be None or a bool, not {self.eckardt_at_p!r}")
+        if not isinstance(self.general_member, bool):
+            raise ValueError(f"general_member must be a bool, not {self.general_member!r}")
         if self.m is not None and as_integer(self.m, "escape level m") < 1:
             raise ValueError("escape level m must be >= 1")
 
@@ -192,13 +196,13 @@ def _eckardt_vertex(datum: FanoDatum) -> Optional[int]:
     k; asserting it together with m != k is a contradiction.  For any other
     shape, curves included, the assertion is ignored.
     """
-    flags, d, a = datum.flags, datum.d, datum.sorted_weights[-1]
-    if not (datum.n >= 2 and datum.c1 == datum.n + 1 and d % a == 1 and d >= a + 1):
-        return None
-    k = (d - 1) // a
-    if flags.m == k or (flags.m is None and flags.eckardt_at_p is True):
+    for fact in (N_GE_2, ONE_WEIGHT, VERTEX_DEGREE):   # they read neither b1 nor k
+        if (got := fact.check(datum, None, None)) is None:
+            return None
+    flags, k = datum.flags, got["k"]
+    if flags.m == k or (flags.m is None and flags.eckardt_at_p):
         return k
-    if flags.m is not None and flags.eckardt_at_p is True:
+    if flags.m is not None and flags.eckardt_at_p:
         raise ContradictoryFlagsError(
             f"eckardt_at_P asserted but escape level m={flags.m} != k={k}"
         )

@@ -307,6 +307,19 @@ def test_usage_error_is_machine_readable():
     assert rep["error"]["kind"] == "usage"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from "
+                     "'certify', 'enumerate', 'moments', 'okounkov', 'wps', 'blowup')"),
+    ([], "the following arguments are required: command"),
+])
+def test_root_usage_errors(argv, message):
+    """The root's subcommand map names every subcommand before any is built."""
+    code, rep = _run_json(argv)
+    assert code == 2
+    jsonschema.validate(rep, ERROR_SCHEMA)
+    assert rep["error"] == {"kind": "usage", "message": message}
+
+
 def test_byte_identical_determinism():
     argv = ["enumerate", "--n", "3", "--max-weight", "3", "--index", "1"]
     _, out1 = _run(argv)
@@ -761,13 +774,30 @@ def test_run_builds_only_the_subcommand_it_names(monkeypatch):
     assert _run(["certify", "--weights", "1,1,1,1,2", "--degree", "5"])[0] == 0
     (root,) = built
     assert _arguments(root) == _SURFACE[()]
-    for name, parser in _subcommands(root).choices.items():
-        if name == "certify":
-            assert parser._build is None
-            assert _arguments(parser) == _SURFACE[("certify",)]
-        else:
-            assert parser._build is not None, name
-            assert [a.dest for a in parser._actions] == ["help"], name
+    choices = _subcommands(root).choices
+    assert _arguments(choices["certify"]) == _SURFACE[("certify",)]
+    assert [name for name, entry in choices.items()
+            if isinstance(entry, argparse.ArgumentParser)] == ["certify"]
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["certify", "--weights", "1,1,1,1,2", "--degree", "5"], 2),
+    (["wps", "stratum", "--weights", "1,1,2,2", "--vanish", "0,1"], 6),
+    (["blowup", "intersect", "--weights", "2,3,4,4,5", "--r", "2", "--k", "1"], 5),
+    (["moments", "table", "--n-max", "3", "--a-max", "2", "--k-max", "2"], 4),
+])
+def test_a_run_constructs_the_root_and_the_named_subtree(monkeypatch, argv, parsers):
+    """The root, the named subcommand and that subcommand's own subcommands."""
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert _run(argv)[0] == 0
+    assert len(made) == parsers, made
 
 
 def test_each_builder_runs_once_per_parser(monkeypatch):

@@ -437,9 +437,15 @@ def test_eckardt_moments_are_called_once_per_eckardt_certificate(monkeypatch):
     assert calls == {"delta_eckardt": 18, "unstable_check": 18}
 
 
-@pytest.mark.parametrize("value", [2.5, F(5, 2), "3"])
+@pytest.mark.parametrize("value", [2.5, F(5, 2), "3", "no", "yes", 1])
 def test_non_integral_degree_and_escape_level_are_rejected(value):
-    with pytest.raises(ValueError, match="degree must be an integer"):
-        _datum([1, 1, 1, 1, 2], value)
-    with pytest.raises(ValueError, match="escape level m must be an integer"):
-        ce.Flags(m=value)
+    """Each is also refused as a boolean flag; 1 is a valid degree and m."""
+    if value != 1:
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            _datum([1, 1, 1, 1, 2], value)
+        with pytest.raises(ValueError, match="escape level m must be an integer"):
+            ce.Flags(m=value)
+    with pytest.raises(ValueError, match="eckardt_at_p must be None or a bool"):
+        ce.Flags(eckardt_at_p=value)
+    with pytest.raises(ValueError, match="general_member must be a bool"):
+        ce.Flags(general_member=value)
