@@ -32,9 +32,6 @@ class BiDegree(NamedTuple):
 
     __str__ = tuple.__repr__  # "(alpha, beta)" in messages
 
-    def as_tuple(self) -> tuple[int, int]:
-        return tuple(self)
-
 
 @dataclass(frozen=True)
 class BlowupFrame:
@@ -107,7 +104,7 @@ def build(ambient: WeightVector, r: int) -> BlowupFrame:
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
+    """(g, x, y) with a*x + b*y = g = gcd(a, b), for positive a and b."""
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -116,8 +113,6 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
 
 

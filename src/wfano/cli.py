@@ -229,7 +229,7 @@ def _certify_parser(c: _Parser) -> None:
 def _run_certify(args, out) -> dict:
     w = _weights(args.weights)
     flags = ce.Flags(
-        eckardt_at_p=True if args.eckardt else None,
+        eckardt_at_p=args.eckardt,
         m=args.m,
         b1_in_x=args.b1,
         general_member=args.general,

@@ -42,7 +42,7 @@ class ContradictoryFlagsError(ValueError):
 class Flags:
     """Caller-asserted structural information about the member."""
 
-    eckardt_at_p: Optional[bool] = None
+    eckardt_at_p: bool = False
     m: Optional[int] = None
     b1_in_x: str = "unknown"          # "yes" | "no" | "unknown"
     general_member: bool = False
@@ -50,8 +50,8 @@ class Flags:
     def __post_init__(self):
         if self.b1_in_x not in ("yes", "no", "unknown"):
             raise ValueError("b1_in_x must be yes, no or unknown")
-        if not (self.eckardt_at_p is None or isinstance(self.eckardt_at_p, bool)):
-            raise ValueError(f"eckardt_at_p must be None or a bool, not {self.eckardt_at_p!r}")
+        if not isinstance(self.eckardt_at_p, bool):
+            raise ValueError(f"eckardt_at_p must be a bool, not {self.eckardt_at_p!r}")
         if not isinstance(self.general_member, bool):
             raise ValueError(f"general_member must be a bool, not {self.general_member!r}")
         if self.m is not None and as_integer(self.m, "escape level m") < 1:
@@ -562,7 +562,7 @@ def enumerate_data(n: int, max_weight: int, index: Optional[int] = None,
 def _certified_rows(tuples, index, degree, eckardt, general) -> Iterator[EnumerationRow]:
     """The rows of :func:`enumerate_data` for an iterable of ascending gcd-1
     ``tuples``."""
-    flags = Flags(eckardt_at_p=True if eckardt else None, general_member=general)
+    flags = Flags(eckardt_at_p=eckardt, general_member=general)
     for t in tuples:
         w = WeightVector(t)
         if not w.is_well_formed:

@@ -58,15 +58,6 @@ class Poly1D:
                 out[i + j] += a * b
         return Poly1D(out)
 
-    def __add__(self, other: "Poly1D") -> "Poly1D":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            out[i] += a
-        for i, b in enumerate(other.coeffs):
-            out[i] += b
-        return Poly1D(out)
-
     def scale(self, f: Fraction) -> "Poly1D":
         return Poly1D([c * Fraction(f) for c in self.coeffs])
 

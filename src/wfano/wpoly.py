@@ -4,9 +4,10 @@ Two gradings share one implementation.  A polynomial on P(a_0,...,a_s) has
 the degree sum(a_i*e_i) of its monomials; a polynomial in the Cox ring of a
 standard weighted blowup (strict transforms) has the class (alpha, beta) in
 Z^2.  Each type states only the grade of one monomial and its blocks of
-variables; one constructor, :meth:`_GradedPoly.from_dict`, sums equal
-monomials and checks homogeneity, and evaluation, differentiation and the
-irrelevant locus (some block all zero) are shared.  Coefficients are
+variables.  The one constructor grades each term once, checks that the
+grades agree and keeps the common grade; :meth:`_GradedPoly.from_dict`
+only sums equal monomials before calling it.  Evaluation, differentiation
+and the irrelevant locus (some block all zero) are shared.  Coefficients are
 :class:`fractions.Fraction`; exponent vectors are dense integer tuples and
 terms are kept in lexicographic order for deterministic serialization.
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -75,15 +76,6 @@ def _parse_terms(text: str, variables: Sequence[str], unknown: str):
         yield tuple(exps), coeff
 
 
-def _sum_terms(terms) -> dict[tuple[int, ...], Fraction]:
-    """Coefficients of equal monomials summed, zero sums dropped."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in terms:
-        key = tuple(exps)
-        out[key] = out[key] + coeff if key in out else Fraction(coeff)
-    return {k: c for k, c in out.items() if c != 0}
-
-
 def _mono_text(exps: Sequence[int], variables: Sequence[str]) -> str:
     """A monomial as "x0^2*x3"; "1" for the constant monomial."""
     return "*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(variables, exps) if e) or "1"
@@ -96,41 +88,41 @@ class _GradedPoly:
     A subclass states ``grade_of(space, exps)``, the grade of the monomial
     x^exps, ``arity(space)``, its number of variables, and ``blocks(space)``,
     its variable names grouped into the blocks whose common vanishing is the
-    irrelevant locus.  Names are built only for text and error messages.
+    irrelevant locus.  The constructor takes ``(space, terms)``, grades each
+    term once and keeps the common grade as ``grade``.  Names are built only
+    for text and error messages.
     """
 
     space: Union[WeightVector, BlowupFrame]
     terms: tuple[tuple[tuple[int, ...], Fraction], ...]
-    grade: Union[int, BiDegree]
+    grade: Union[int, BiDegree] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(sorted(self.terms)))
         if not self.terms:
             raise ValueError("polynomial is zero")
         arity = self.arity(self.space)
-        for exps, coeff in self.terms:
-            if len(exps) != arity or coeff == 0:
-                raise ValueError("malformed term")
-            if (grade := self.grade_of(self.space, exps)) != self.grade:
-                raise ValueError(f"term {_mono_text(exps, self.variables(self.space))} "
-                                 f"has degree {grade}, expected {self.grade}")
+        if any(len(exps) != arity or coeff == 0 for exps, coeff in self.terms):
+            raise ValueError("malformed term")
+        graded = sorted((self.grade_of(self.space, exps), exps) for exps, _ in self.terms)
+        (g0, k0), (g1, k1) = graded[0], graded[-1]
+        if g0 != g1:
+            names = self.variables(self.space)
+            raise ValueError(
+                f"inhomogeneous polynomial: term {_mono_text(k0, names)} has degree {g0} "
+                f"but term {_mono_text(k1, names)} has degree {g1}"
+            )
+        object.__setattr__(self, "grade", g0)
 
     @classmethod
     def from_dict(cls, space, terms):
         """The polynomial sum c*x^e over ``terms``, a dict {e: c} or (e, c)
         pairs; equal monomials are summed and zero sums dropped."""
-        summed = _sum_terms(terms.items() if isinstance(terms, dict) else terms)
-        if not summed:
-            raise ValueError("polynomial is zero")
-        graded = sorted((cls.grade_of(space, k), k) for k in summed)
-        (g0, k0), (g1, k1) = graded[0], graded[-1]
-        if g0 != g1:
-            names = cls.variables(space)
-            raise ValueError(
-                f"inhomogeneous polynomial: term {_mono_text(k0, names)} has degree {g0} "
-                f"but term {_mono_text(k1, names)} has degree {g1}"
-            )
-        return cls(space, tuple(summed.items()), g0)
+        summed: dict[tuple[int, ...], Fraction] = {}
+        for exps, coeff in terms.items() if isinstance(terms, dict) else terms:
+            key = tuple(exps)
+            summed[key] = summed[key] + coeff if key in summed else Fraction(coeff)
+        return cls(space, tuple((k, c) for k, c in summed.items() if c != 0))
 
     @classmethod
     def variables(cls, space) -> tuple[str, ...]:
@@ -367,10 +359,6 @@ class EckardtDatum:
     def __post_init__(self):
         if not 1 <= self.m <= self.k:
             raise ValueError("escape level out of range")
-
-    @property
-    def is_generalized_eckardt(self) -> bool:
-        return self.m == self.k
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,7 @@ def test_criterion_6_strict_transforms():
     # h*d0 + h'*d0' = d (here 1*2 + 1*2 = 4) and the Z^2 grading
     assert ft1 == wp.parse_bigraded("y3^2*x1^2 + z*y3*x0 + z^2*x1^4 + z^2*x2^4",
                                     ft1.frame)
-    assert ft1.bidegree.as_tuple() == (2, 2)
+    assert ft1.bidegree == (2, 2)
     assert ft1.frame.h * ft1.bidegree.alpha + ft1.frame.hp * ft1.bidegree.beta \
         == f1.degree
     assert not wp.qsm_at_point(ft1, [0, 0, 1, 1, 0]).quasi_smooth
@@ -191,7 +191,7 @@ def test_criterion_6_strict_transforms():
     w2 = WeightVector((2, 3, 4, 4, 5))
     f2 = wp.parse("x0*x4^2 + x1*x3*x4 + x2*x3^2 + x0^6 + x1^4 + x2^3", w2)
     ft2 = wp.strict_transform(f2, 2)
-    assert ft2.bidegree.as_tuple() == (2, 10)
+    assert ft2.bidegree == (2, 10)
     assert ft2 == wp.parse_bigraded(
         "x0*y4^2 + x1*y3*y4*z + x2*y3^2*z^2 + x0^6*z^10 + x1^4*z^10 + x2^3*z^10",
         ft2.frame)

@@ -44,7 +44,7 @@ def test_bezout_certificate_and_grading():
             fr = bl.build(w, r)
             k, kp = fr.bezout
             assert fr.hp * k - fr.h * kp == 1
-            assert fr.exceptional.as_tuple() == (-fr.hp, fr.h)
+            assert fr.exceptional == (-fr.hp, fr.h)
             assert bl.psi_pullback_o1(fr) == (0, Fraction(1, fr.hp))
             assert bl.pi_pullback_o1(fr) == (fr.g, 0)
 
@@ -95,14 +95,14 @@ def test_intersection_against_finite_cover_path():
 def test_exceptional_class():
     fr = bl.build(WeightVector((1, 1, 1, 1, 5)), 3)
     ex = bl.exceptional_class(fr)
-    assert ex.cls.as_tuple() == (-5, 1)
+    assert ex.cls == (-5, 1)
     assert ex.left_factor == (1, 1, 1, 1)
     assert ex.right_factor == (1,)
     assert ex.self_restriction == (Fraction(-5), Fraction(1))
 
     fr2 = bl.build(WeightVector((2, 3, 4, 4, 5)), 2)
     ex2 = bl.exceptional_class(fr2)
-    assert ex2.cls.as_tuple() == (-1, 1)
+    assert ex2.cls == (-1, 1)
     assert ex2.left_factor == (1, 3, 2)
     assert ex2.right_factor == (1, 1)
     assert ex2.restriction_scale == (Fraction(1, 2), Fraction(1, 20))

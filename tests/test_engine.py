@@ -182,6 +182,24 @@ def test_enumerate_trivial_sweep():
     assert "one-weight-index-one" not in rows[0].fired_rules()
 
 
+def test_enumerate_drops_nonpositive_degrees():
+    """An index sweep gives d = sum(w) - index, which is below 1 for the
+    lightest tuples; those are dropped, and the rows are exactly the
+    brute-force filter: gcd 1, well-formed, d >= 1."""
+    n, top, index = 1, 3, 4
+    candidates = [
+        (t, sum(t) - index)
+        for t in itertools.combinations_with_replacement(range(1, top + 1), n + 2)
+        if math.gcd(*t) == 1
+        and all(math.gcd(*(t[:i] + t[i + 1:])) == 1 for i in range(len(t)))
+    ]
+    expected = [(t, d) for t, d in candidates if d >= 1]
+    assert ((1, 1, 1), -1) in candidates and ((1, 1, 2), 0) in candidates
+    assert expected == [((1, 1, 3), 1), ((1, 2, 3), 2)]
+    rows = list(ce.enumerate_data(n=n, max_weight=top, index=index))
+    assert [(r.datum.ambient.weights, r.datum.d) for r in rows] == expected
+
+
 def test_enumerate_unstable_sweep():
     # degree-parameterized sweep covering X_{2a+1} in P(1^12, a): at n = 11
     # the instability criterion n > 2a^2/(a-1) holds only for a = 4, the
@@ -445,7 +463,7 @@ def test_non_integral_degree_and_escape_level_are_rejected(value):
             _datum([1, 1, 1, 1, 2], value)
         with pytest.raises(ValueError, match="escape level m must be an integer"):
             ce.Flags(m=value)
-    with pytest.raises(ValueError, match="eckardt_at_p must be None or a bool"):
+    with pytest.raises(ValueError, match="eckardt_at_p must be a bool"):
         ce.Flags(eckardt_at_p=value)
     with pytest.raises(ValueError, match="general_member must be a bool"):
         ce.Flags(general_member=value)
