@@ -4,7 +4,7 @@ Input is a Fano datum: an ambient weight vector, a degree, and structural
 flags (a generalized Eckardt vertex, its escape level, the weight-one base
 locus containment, generality of the member), all caller-asserted and
 recorded.  Quasi-smoothness of the member is a standing assumption of
-every rule.
+every rule; a datum that cannot be certified is refused when it is built.
 The rules are data: :data:`RULES` is one table of :class:`Rule` rows,
 each listing the :class:`Fact` preconditions it requires; the trace
 records the text of each fact as a hypothesis.
@@ -62,6 +62,10 @@ class Flags:
 class FanoDatum:
     """A weighted hypersurface family: ambient P(a_0,...,a_{n+1}), degree d.
 
+    Construction refuses, in order: a degree that is not a positive integer,
+    fewer than three weights, a P that is not well-formed, and (as
+    :class:`NonFanoError`) an index sum(a_i) - d that is not positive.
+
     The shape every rule reads is computed once, at construction: the
     dimension ``n``, the Fano ``index`` sum(a_i) - d, the ascending
     ``sorted_weights`` and ``c1``, the number of weight-one entries.  Since
@@ -82,6 +86,9 @@ class FanoDatum:
         index = fano_index(self.ambient, self.d)        # checks the degree first
         if len(self.ambient) < 3:
             raise ValueError("a hypersurface datum needs at least three weights")
+        self.ambient.require_well_formed()
+        if index <= 0:
+            raise NonFanoError(f"index sum(a_i) - d = {index} is not positive")
         w = tuple(sorted(self.ambient.weights))
         setattr_ = object.__setattr__
         setattr_(self, "n", len(w) - 2)
@@ -408,19 +415,16 @@ RULES: tuple[Rule, ...] = (
 def certify(datum: FanoDatum) -> DeltaCertificate:
     """Best available certified bound for delta(X; O(1)) and the verdict.
 
-    The weight-one containment and the Eckardt vertex are resolved once;
-    then every row of :data:`RULES` that fires is recorded, in table order.
+    The datum is trusted as built.  The weight-one containment and the
+    Eckardt vertex are resolved once; then every row of :data:`RULES` that
+    fires is recorded, in table order.
     The emitted bound is the maximum of the global lower bounds and of
     min(best vertex bound, best away bound) when a vertex/away split is
     available.  The verdict is taken against the anticanonical
     polarization: strict bound > 1 gives K-stable, a certified upper bound
     < 1 gives K-unstable.
     """
-    datum.ambient.require_well_formed()
     idx = datum.index
-    if idx <= 0:
-        raise NonFanoError(f"index sum(a_i) - d = {idx} is not positive")
-
     trace = []
     b1, derived = datum.flags.b1_in_x, derive_b1(datum)
     if derived.verdict != "unknown":
@@ -539,7 +543,8 @@ def enumerate_data(n: int, max_weight: int, index: Optional[int] = None,
     :func:`_coprime_tuple_count` (all C(M+n+1, n+2) ascending tuples, less
     those of gcd g >= 2, which are g times a gcd-1 tuple up to M/g) without
     listing them.  The candidates are then generated lazily, and the rows
-    are yielded as they are certified.
+    are yielded as they are certified: a tuple that is not well-formed is
+    skipped, and every other refusal is one caught ``ValueError``.
     """
     if (index is None) == (degree is None):
         raise ValueError("give exactly one of index or degree")
@@ -568,13 +573,9 @@ def _certified_rows(tuples, index, degree, eckardt, general) -> Iterator[Enumera
         if not w.is_well_formed:
             continue
         d = sum(t) - index if index is not None else degree
-        if d < 1:
-            continue
-        datum = FanoDatum(ambient=w, d=d, flags=flags)
-        if datum.index <= 0:
-            continue
         try:
+            datum = FanoDatum(ambient=w, d=d, flags=flags)
             cert = certify(datum)
-        except ContradictoryFlagsError:
+        except ValueError:         # d < 1, index <= 0, or contradictory flags
             continue
         yield EnumerationRow(datum=datum, certificate=cert)

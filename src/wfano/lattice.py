@@ -109,9 +109,6 @@ class WeightVector:
     def quotient_lattice(self) -> QuotientLattice:
         return QuotientLattice(self.weights)
 
-    def __str__(self) -> str:
-        return f"P({self.text()})"
-
 
 def reduce_weights(weights: Sequence[int]) -> tuple[int, tuple[int, ...], tuple[int, ...], int,
                                                      tuple[int, ...]]:

@@ -163,3 +163,17 @@ def test_frame_json_fields():
                       "v_rep", "bezout"}
     assert d["h"] == 1 and d["hp"] == 1
     assert d["ap"] == [1, 3, 2, 1, 1]
+
+
+@pytest.mark.parametrize("r, call, message", [
+    (1, lambda fr: bl.finite_cover_pull(fr, (1, 1, 1)), "need one exponent per weight"),
+    (1, lambda fr: bl.finite_cover_pull(fr, (1, 1, 0, 1)), "exponents must be positive"),
+    (1, lambda fr: bl.ray_cone_mult(fr, 9), "index out of range"),
+    (2, lambda fr: bl.ray_cone_mult(fr, 3),
+     "the last ray is proportional to the new ray when r = s-1"),
+])
+def test_input_checks_name_the_fault(r, call, message):
+    frame = bl.build(WeightVector((1, 1, 2, 3)), r)
+    with pytest.raises(ValueError) as err:
+        call(frame)
+    assert str(err.value) == message

@@ -410,3 +410,29 @@ def test_sqrt_fraction():
     assert cx.sqrt_fraction(F(9, 4)) == F(3, 2)
     assert cx.sqrt_fraction(F(2)) is None
     assert cx.sqrt_fraction(F(-1)) is None
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cx.RationalPolygon(((0, 0), (1, 0))), "a polygon needs at least three vertices"),
+    (lambda: cx.SlicedBody((0, 1), ((0, 1), (0, 1))), "need q+1 breakpoints for q pieces"),
+    (lambda: cx.SlicedBody((0, 0), ((0, 1),)), "breakpoints must increase from 0"),
+    (lambda: cx.SlicedBody((0, 1), ((-2, 1),)), "upper boundary must be nonnegative"),
+    (lambda: cx.SlicedBody((0, 1), ((0, 1),)).upper(2), "outside the support"),
+    (lambda: cx.GravityInput(c0=0, c1=0, c2=1, V=1), "need c0 >= 0 and c1, c2, V > 0"),
+    (lambda: cx.SurfaceLocalData(A=0, d_list=(), eps=1, L2=1),
+     "A, eps and L2 must be positive"),
+    (lambda: cx.SurfaceLocalData(A=1, d_list=(1,), eps=1, L2=1),
+     "boundary coefficients must lie in (0,1)"),
+    (lambda: cx.delta_lower_gravity(
+        cx.SurfaceLocalData(A=1, d_list=(F(1, 2), F(3, 4), F(3, 4)), eps=1, L2=1)),
+     "boundary degree must satisfy dC < 2"),
+    (lambda: cx.zariski_decompose([[-1]], [1, 2]), "class vector length mismatch"),
+])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_smallest_root_after_a_linear_polynomial():
+    assert cx._smallest_root_after(F(0), F(2), F(-1), F(0)) == F(1, 2)

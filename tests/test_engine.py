@@ -23,7 +23,9 @@ def _datum(weights, d, **flag_kwargs):
 
 def test_derive_b1_examples():
     # d = a*k: the congruence rule gives "no"
-    assert ce.derive_b1(_datum([1, 1, 1, 1, 2], 6)).verdict == "no"
+    assert ce.derive_b1(_datum([1, 1, 1, 1, 1, 2], 6)).verdict == "no"
+    with pytest.raises(ce.NonFanoError):
+        _datum([1, 1, 1, 1, 2], 6)           # index 0 is refused at construction
     # d = a*k + 1: the representability rule gives "yes"
     assert ce.derive_b1(_datum([1, 1, 1, 1, 2], 5)).verdict == "yes"
     # few weight-one coordinates relative to n: "no"
@@ -184,20 +186,39 @@ def test_enumerate_trivial_sweep():
 
 def test_enumerate_drops_nonpositive_degrees():
     """An index sweep gives d = sum(w) - index, which is below 1 for the
-    lightest tuples; those are dropped, and the rows are exactly the
-    brute-force filter: gcd 1, well-formed, d >= 1."""
-    n, top, index = 1, 3, 4
-    candidates = [
-        (t, sum(t) - index)
-        for t in itertools.combinations_with_replacement(range(1, top + 1), n + 2)
+    lightest tuples, and a degree sweep gives an index that is not positive
+    for them; both are dropped, and the rows are exactly the brute-force
+    filter: gcd 1, well-formed, d >= 1, sum(w) > d."""
+    n, top = 1, 3
+    well_formed = [
+        t for t in itertools.combinations_with_replacement(range(1, top + 1), n + 2)
         if math.gcd(*t) == 1
         and all(math.gcd(*(t[:i] + t[i + 1:])) == 1 for i in range(len(t)))
     ]
-    expected = [(t, d) for t, d in candidates if d >= 1]
-    assert ((1, 1, 1), -1) in candidates and ((1, 1, 2), 0) in candidates
-    assert expected == [((1, 1, 3), 1), ((1, 2, 3), 2)]
-    rows = list(ce.enumerate_data(n=n, max_weight=top, index=index))
-    assert [(r.datum.ambient.weights, r.datum.d) for r in rows] == expected
+    for sweep, dropped in (({"index": 4}, [((1, 1, 1), -1), ((1, 1, 2), 0)]),
+                           ({"degree": 4}, [((1, 1, 1), 4), ((1, 1, 2), 4)])):
+        candidates = [(t, sweep["degree"] if "degree" in sweep else sum(t) - sweep["index"])
+                      for t in well_formed]
+        expected = [(t, d) for t, d in candidates if 1 <= d < sum(t)]
+        assert [c for c in candidates if c not in expected] == dropped
+        assert [t for t, _ in expected] == [(1, 1, 3), (1, 2, 3)]
+        rows = list(ce.enumerate_data(n=n, max_weight=top, **sweep))
+        assert [(r.datum.ambient.weights, r.datum.d) for r in rows] == expected
+
+
+def test_enumerate_skips_contradictory_flags(monkeypatch):
+    """A certified upper bound of 0 contradicts every positive lower bound,
+    so ``certify`` raises and the sweep drops exactly those candidates."""
+    unpatched = list(ce.enumerate_data(n=2, max_weight=3, index=1))
+    kept = [r.datum for r in unpatched if r.certificate.bound == 0]
+    assert 0 < len(kept) < len(unpatched)
+    zero = ce.Rule("zero-upper", "upper", "delta <= 0", (ce.QUASI_SMOOTH,),
+                   lambda x, **_: ({}, F(0)))
+    monkeypatch.setattr(ce, "RULES", ce.RULES + (zero,))
+    with pytest.raises(ce.ContradictoryFlagsError):
+        ce.certify(_datum([1, 1, 1, 1, 2], 5))
+    assert list(ce.enumerate_data(n=2, max_weight=3, degree=6)) == []
+    assert [r.datum for r in ce.enumerate_data(n=2, max_weight=3, index=1)] == kept
 
 
 def test_enumerate_unstable_sweep():
@@ -320,11 +341,30 @@ def test_datum_shape_fields_match_their_definitions():
         assert w.is_well_formed == all(
             math.gcd(*(w.weights[:i] + w.weights[i + 1:])) == 1 for i in range(len(t)))
         d = sum(t) - 1
+        if not w.is_well_formed:
+            with pytest.raises(ValueError, match="not well-formed"):
+                ce.FanoDatum(ambient=w, d=d)
+            continue
         datum = ce.FanoDatum(ambient=w, d=d)
         assert datum.n == len(t) - 2
         assert datum.index == sum(t) - d == 1
         assert datum.sorted_weights == t
         assert datum.c1 == sum(1 for a in shuffled if a == 1)
+
+
+@pytest.mark.parametrize("weights, d, error, message", [
+    ((2, 2, 3), 0, ValueError, "degree must be a positive integer"),
+    ((1, 2), 5, ValueError, "a hypersurface datum needs at least three weights"),
+    ((2, 2, 3), 4, ValueError, "weights (2, 2, 3) are not well-formed; normalize first"),
+    ((1, 1, 1), 3, ce.NonFanoError, "index sum(a_i) - d = 0 is not positive"),
+])
+def test_datum_gate_refuses_in_order(weights, d, error, message):
+    """Each case passes every earlier check and fails its own: the degree,
+    the weight count, well-formedness of P, then the index."""
+    with pytest.raises(ValueError) as err:
+        _datum(weights, d)
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_datum_shape_fields_stay_out_of_equality():
@@ -453,6 +493,12 @@ def test_eckardt_moments_are_called_once_per_eckardt_certificate(monkeypatch):
                   and any(e.rule_id == "eckardt-vertex-lower" for e in result.trace))
     assert eckardt == 18
     assert calls == {"delta_eckardt": 18, "unstable_check": 18}
+
+
+def test_b1_flag_is_one_of_three_words():
+    with pytest.raises(ValueError) as err:
+        ce.Flags(b1_in_x="maybe")
+    assert str(err.value) == "b1_in_x must be yes, no or unknown"
 
 
 @pytest.mark.parametrize("value", [2.5, F(5, 2), "3", "no", "yes", 1])

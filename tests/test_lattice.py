@@ -220,3 +220,9 @@ def test_fano_index_linear(ws, d):
         ws = ws + [1]
     w = WeightVector(tuple(ws))
     assert fano_index(w, d) + d == sum(w.weights)
+
+
+def test_constructor_rejects_nonpositive_weights():
+    with pytest.raises(ValueError) as err:
+        WeightVector((0, 1))
+    assert str(err.value) == "weights must be positive integers"

@@ -102,3 +102,14 @@ def test_quotient_lattice_against_minors():
         divisible += index > 1
         assert lat.is_primitive(x) == (index == 1), (a, x)
     assert min(dependent, multiples, divisible) >= 200
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: smith_normal_form([[1, 2], [3]]), "ragged matrix"),
+    (lambda: QuotientLattice((1,)), "need at least two coordinates"),
+    (lambda: QuotientLattice((2, 4)), "quotient vector must be primitive (gcd 1)"),
+])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

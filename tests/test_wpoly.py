@@ -330,3 +330,34 @@ def test_each_term_is_graded_once_per_construction(monkeypatch):
     calls.clear()
     wp.strict_transform(f, 2)
     assert len(calls) == 8
+
+
+_P1112 = WeightVector((1, 1, 1, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: wp.parse("", _P1112), "empty polynomial text"),
+    (lambda: wp.parse("x0^2+", _P1112), "dangling sign in polynomial text"),
+    (lambda: wp.parse("x0^2+q1", _P1112), "cannot parse factor 'q1'"),
+    (lambda: wp.restrict(wp.parse("x0^4+x1^4+x2^4+x3^2", _P1112), 9), "index out of range"),
+    (lambda: wp.restrict(wp.parse("x0^4+x1^2+x2", WeightVector((1, 2, 4))), 0),
+     "residual weights have a common factor; normalize them first"),
+    (lambda: wp.qsm_at_point(wp.parse("x0^4+x1^4+x2^4+x3^2", _P1112), [1, 0]),
+     "expected 4 coordinates"),
+    (lambda: wp.EckardtDatum(a=2, k=2, m=0), "escape level out of range"),
+])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("weights, text, reason", [
+    ((1, 2, 3), "x0^6+x1^3+x2^2", "ambient weights are not (1,...,1,a)"),
+    ((1, 1, 1, 2), "x0^4+x1^4+x2^4+x3^2", "degree 4 is not 1 modulo the last weight 2"),
+    ((1, 1, 1, 2), "x0^5+x1^5+x3^2*x1",
+     "top slice is not c*x0*y^k; move the vertex tangent monomial to x0 first"),
+])
+def test_eckardt_not_applicable_reasons(weights, text, reason):
+    f = wp.parse(text, WeightVector(weights))
+    assert wp.eckardt_analyze(f) == wp.EckardtNotApplicable(reason)
