@@ -12,7 +12,9 @@ records the text of each fact as a hypothesis.
 Eckardt vertex once, folds over the table, combines the bounds that fired
 (maximum of lower bounds, local bounds combined over a vertex/away split),
 converts between the O(1) and anticanonical polarizations exactly, and
-emits a full audit trace.
+records what fired.  The audit trace is rendered from that record when
+:attr:`DeltaCertificate.trace` is read, so a sweep that reads only the
+bounds, the verdict and the fired rule ids never renders it.
 
 External inputs from the literature are separate rows tagged EXTERNAL and
 carry their own citation strings; they are never merged silently.
@@ -113,11 +115,17 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class DeltaCertificate:
-    """A certified bound for delta(X; O(1)) with verdict and audit trace.
+    """A certified bound for delta(X; O(1)) with verdict and audit record.
 
     ``bound`` is a lower bound (exclusive when ``strict``); ``upper`` is a
     certified upper bound when an instability rule fired.  Anticanonical
     values are the O(1) values divided by the index, exactly.
+
+    The record is what :func:`certify` saw fire: ``b1_note``, the statement
+    and reasons of the weight-one containment derivation (None when it was
+    not decided), and ``fired``, one ``(rule, args, inputs, value)`` per
+    rule that fired, in table order, with ``args`` the arguments of the
+    rule's facts.  :attr:`trace` renders the audit trace from it.
     """
 
     polarization: str
@@ -126,7 +134,24 @@ class DeltaCertificate:
     upper: Optional[Fraction]
     verdict: str                  # "K-stable" | "K-unstable" | "inconclusive"
     index: int
-    trace: tuple[TraceEntry, ...]
+    b1_note: Optional[tuple[str, tuple[str, ...]]]
+    fired: tuple[tuple[Rule, dict, dict, Optional[Fraction]], ...]
+
+    @property
+    def trace(self) -> tuple[TraceEntry, ...]:
+        """The audit trace, rendered on each read: the b1 note first, then
+        one entry per fired rule, its hypotheses the texts of its facts
+        formatted with their arguments and its output the value as a
+        string (None for a note)."""
+        notes = () if self.b1_note is None else (
+            TraceEntry("b1-derivation", self.b1_note[0], None, False, "note",
+                       self.b1_note[1], {}, None),)
+        return notes + tuple(
+            TraceEntry(rule.id, rule.statement, rule.citation, rule.citation is not None,
+                       rule.scope,
+                       tuple(f.text.format_map(args) for f in rule.requires if f.text),
+                       inputs, None if value is None else str(value))
+            for rule, args, inputs, value in self.fired)
 
     @property
     def anticanonical_bound(self) -> Fraction:
@@ -417,7 +442,9 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
 
     The datum is trusted as built.  The weight-one containment and the
     Eckardt vertex are resolved once; then every row of :data:`RULES` that
-    fires is recorded, in table order.
+    fires is recorded, in table order, with its facts' arguments, inputs
+    and value.  No trace entry is built here: the certificate renders its
+    trace when it is read.
     The emitted bound is the maximum of the global lower bounds and of
     min(best vertex bound, best away bound) when a vertex/away split is
     available.  The verdict is taken against the anticanonical
@@ -425,7 +452,7 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
     < 1 gives K-unstable.
     """
     idx = datum.index
-    trace = []
+    b1_note, fired = None, []
     b1, derived = datum.flags.b1_in_x, derive_b1(datum)
     if derived.verdict != "unknown":
         if derived.verdict == "contradiction":
@@ -441,8 +468,7 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
                 f"asserted b1_in_x={b1} contradicts the derived value {derived.verdict}: "
                 + "; ".join(derived.reasons)
             )
-        trace.append(TraceEntry("b1-derivation", statement, None, False, "note",
-                                derived.reasons, {}, None))
+        b1_note = (statement, derived.reasons)
     eckardt = _eckardt_vertex(datum)
 
     lower, strict, vertex, away, upper = Fraction(0), False, None, None, None
@@ -452,15 +478,13 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
             got = fact.check(datum, b1, eckardt)
             if got is None:
                 break
-            args = {**args, **got}
+            if got:
+                args = {**args, **got}
         if got is None:
             continue
         inputs, value = rule.value(datum, **args)
-        hypotheses = tuple(f.text.format_map(args) for f in rule.requires if f.text)
+        fired.append((rule, args, inputs, value))
         scope = rule.scope
-        trace.append(TraceEntry(rule.id, rule.statement, rule.citation,
-                                rule.citation is not None, scope, hypotheses, inputs,
-                                None if value is None else str(value)))
         if scope == "global":
             if value > lower or (value == lower and rule.strict):
                 lower, strict = value, rule.strict
@@ -492,7 +516,8 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
         upper=upper,
         verdict=verdict,
         index=idx,
-        trace=tuple(trace),
+        b1_note=b1_note,
+        fired=tuple(fired),
     )
 
 
@@ -505,11 +530,15 @@ ENUM_LIMITS = {"max_n": 24, "max_weight": 40, "max_rows": 200_000}
 
 @dataclass(frozen=True)
 class EnumerationRow:
+    """One certified datum of a sweep.  A sweep reads the bounds, the
+    verdict and :meth:`fired_rules`, so it never renders a trace."""
+
     datum: FanoDatum
     certificate: DeltaCertificate
 
     def fired_rules(self) -> tuple[str, ...]:
-        return tuple(t.rule_id for t in self.certificate.trace if t.scope != "note")
+        """The ids of the rules that fired, notes left out, in table order."""
+        return tuple(rule.id for rule, *_ in self.certificate.fired if rule.scope != "note")
 
 
 def _coprime_tuple_count(length: int, max_weight: int) -> int:

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -488,11 +489,53 @@ def test_eckardt_moments_are_called_once_per_eckardt_certificate(monkeypatch):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(ce, name, counted)
-    eckardt = sum(1 for _, result in _certify_corpus()
-                  if not isinstance(result, Exception)
-                  and any(e.rule_id == "eckardt-vertex-lower" for e in result.trace))
+    certs = [result for _, result in _certify_corpus() if not isinstance(result, Exception)]
+    assert calls == {"delta_eckardt": 18, "unstable_check": 18}
+    traces = [cert.trace for cert in certs]
+    assert [cert.trace for cert in certs] == traces     # every trace rendered twice
+    eckardt = sum(1 for trace in traces
+                  if any(e.rule_id == "eckardt-vertex-lower" for e in trace))
     assert eckardt == 18
     assert calls == {"delta_eckardt": 18, "unstable_check": 18}
+
+
+def test_fired_rules_and_the_trace_agree_over_the_corpus(corpus):
+    """A row's fired rule ids, read from the record, are the non-note rule
+    ids of the rendered trace, and rendering the trace twice gives equal
+    traces."""
+    for (t, d, flags), result in corpus:
+        if isinstance(result, Exception):
+            continue
+        trace = result.trace
+        row = ce.EnumerationRow(_datum(t, d, **flags), result)
+        assert row.fired_rules() == tuple(e.rule_id for e in trace if e.scope != "note")
+        assert result.trace == trace
+
+
+def test_a_sweep_renders_no_trace(monkeypatch):
+    """``enumerate`` reads the bounds, the verdict and the fired rule ids,
+    so it builds no trace entry, as CSV or as JSON; ``certify`` builds
+    exactly the entries it prints."""
+    built = []
+
+    class Counted(ce.TraceEntry):
+        def __init__(self, rule_id, *args):
+            built.append(rule_id)
+            super().__init__(rule_id, *args)
+
+    monkeypatch.setattr(ce, "TraceEntry", Counted)
+    sweep = ["enumerate", "--n", "3", "--max-weight", "8", "--index", "1",
+             "--eckardt", "--general"]
+    for argv in (sweep, sweep + ["--csv"]):
+        out = io.StringIO()
+        assert cli.run(argv, out=out) == 0
+        assert "one-weight-index-one" in out.getvalue()
+        assert built == []
+    out = io.StringIO()
+    assert cli.run(["certify", "--weights", "1,1,1,1,2", "--degree", "5"], out=out) == 0
+    trace = json.loads(out.getvalue())["trace"]
+    assert len(trace) > 1
+    assert built == [entry["rule_id"] for entry in trace]
 
 
 def test_b1_flag_is_one_of_three_words():
