@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .lattice import WeightVector, as_integer, fano_index
-from .moments import delta_eckardt, unstable_check
+from .moments import delta_eckardt, s_value, unstable_check
 
 
 class NonFanoError(ValueError):
@@ -428,7 +428,7 @@ RULES: tuple[Rule, ...] = (
          "delta(X; O(1)) <= delta_P(X; O(1)) <= A(E)/S(E) = n(n+1)/(ak+n)",
          _ECKARDT,
          lambda x, a, k, **_: ({"n": x.n, "a": a, "k": k},
-                               Fraction(x.n * (x.n + 1), a * k + x.n))),
+                               Fraction(x.n, a) / s_value(x.n, a, k, 1))),
     Rule("eckardt-unstable", "note",
          "since n > a^2 k (k-1)/(a-1), the anticanonical bound "
          "n(n+1)/((n+a-ak)(ak+n)) is < 1 and X is K-unstable",

@@ -14,17 +14,17 @@ integral of a single coordinate = t^n/n!, which reduces everything to 1D
 integrals in x_1.  One affine substitution per piece, x_1 = t/a on the
 first and x_1 = (ak+1)/a - k t on the second, makes the simplex size t on
 both, with t in [0, 1]; every integrand is then a polynomial in t, and
-each of its terms integrates to 1/(e+1) for t^e.  Only t^(n-1) and t^n
-occur, so the terms are integers over the common denominator a^2 n (n+1),
-the normalizer is folded into numerator and denominator, and each S-value
-is built as one Fraction.  Only three distinct S-values exist per
-(n, a, k), so they are computed together once, and the table compares
-them with the three closed forms once per (n, a, k).
-``Poly1D`` remains as the dense-polynomial reference behind
-``MomentRegion.volume``.
+each of its terms integrates to 1/(e+1) for t^e; each S-value is built
+as one Fraction (see ``_flag_integrals``).  Only three distinct S-values
+exist per (n, a, k), so they are computed together once.  ``Poly1D`` is the
+dense reference integrator of ``MomentRegion.volume`` and of the tests.
 
-The closed forms for the S-values, the local delta bound at the vertex, and
-the K-instability criterion are provided alongside for cross-checking.
+Every certified Eckardt value is A/S over these integrals, the step of
+Abban-Zhuang, with log discrepancy n/a for the exceptional divisor E and 1
+for the other flag members: the local bound of :func:`delta_eckardt`, the
+upper bound A(E)/S(E) and the witness of :func:`unstable_check`.  The
+paper's closed forms of the S-values are the cross-check; only
+``s_value_closed_form`` and :func:`moment_table` read them.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
+
+from .lattice import as_integer
 
 MAX_DIMENSION = 64
 
@@ -82,13 +84,13 @@ class Poly1D:
 
 
 def _validate(n: int, a: int, k: int, j: int = 1) -> None:
-    if n < 2:
+    if as_integer(n, "dimension n") < 2:
         raise ValueError("dimension must be at least 2")
     if n > MAX_DIMENSION:
         raise ValueError(f"dimension bounded by {MAX_DIMENSION}")
-    if a < 1 or k < 1:
+    if as_integer(a, "a") < 1 or as_integer(k, "k") < 1:
         raise ValueError("a and k must be positive integers")
-    if not 1 <= j <= n:
+    if not 1 <= as_integer(j, "flag depth j") <= n:
         raise ValueError("flag depth j must satisfy 1 <= j <= n")
 
 
@@ -182,16 +184,16 @@ def s_value_closed_form(n: int, a: int, k: int, j: int, q_in_w1: bool = False) -
 def delta_eckardt(n: int, a: int, k: int) -> tuple[Fraction, bool]:
     """Lower bound for the local threshold at a generalized Eckardt vertex.
 
-    Returns (min{n(n+1)/(ak+n), (ak+1)(n+1)/(2ak+1)}, exact) where the flag
-    is exact (the bound equals the threshold) whenever d = ak+1 >= n.
+    Returns (bound, exact): the least A/S over ``_flag_integrals`` with log
+    discrepancies (n/a, 1, 1), min{n(n+1)/(ak+n), (ak+1)(n+1)/(2ak+1)}; the
+    flag is exact (the bound equals the threshold) whenever d = ak+1 >= n.
     """
     _validate(n, a, k)
-    first = Fraction(n * (n + 1), a * k + n)
-    second = Fraction((a * k + 1) * (n + 1), 2 * a * k + 1)
+    ratios = [A / S for A, S in zip((Fraction(n, a), 1, 1), _flag_integrals(n, a, k))]
     exact = a * k + 1 >= n
-    if exact and min(first, second) != first:
+    if exact and min(ratios) != ratios[0]:
         raise AssertionError("exact case must realize the vertex ratio")
-    return min(first, second), exact
+    return min(ratios), exact
 
 
 @dataclass(frozen=True)
@@ -211,8 +213,8 @@ def unstable_check(n: int, a: int, k: int) -> UnstableReport:
     """K-instability from a generalized Eckardt vertex.
 
     For a >= 2 the variety is K-unstable as soon as n > a^2 k (k-1)/(a-1),
-    with certified witness delta(X) <= n(n+1) / ((n+a-ak)(ak+n)) < 1.
-    Requires a Fano index n + a - ak >= 1.
+    with certified witness delta(X) <= A(E)/S(E) / (n+a-ak) < 1, which is
+    n(n+1) / ((n+a-ak)(ak+n)).  Requires a Fano index n + a - ak >= 1.
     """
     _validate(n, a, k)
     if a < 2:
@@ -222,7 +224,7 @@ def unstable_check(n: int, a: int, k: int) -> UnstableReport:
         raise ValueError(f"index n + a - a*k = {index} is not positive; not a Fano datum")
     rhs = Fraction(a * a * k * (k - 1), a - 1)
     if n > rhs:
-        witness = Fraction(n * (n + 1), index * (a * k + n))
+        witness = Fraction(n, a) / s_value(n, a, k, 1) / index
         if witness >= 1:
             raise AssertionError("instability witness must be < 1 when the criterion holds")
         return UnstableReport(n, a, k, index, "K-unstable", witness, rhs)

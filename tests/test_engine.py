@@ -12,6 +12,7 @@ import pytest
 
 from wfano import cli
 from wfano import engine as ce
+from wfano import moments as mo
 from wfano.lattice import WeightVector
 
 F = Fraction
@@ -497,6 +498,41 @@ def test_eckardt_moments_are_called_once_per_eckardt_certificate(monkeypatch):
                   if any(e.rule_id == "eckardt-vertex-lower" for e in trace))
     assert eckardt == 18
     assert calls == {"delta_eckardt": 18, "unstable_check": 18}
+
+
+def test_certified_eckardt_values_have_one_source(monkeypatch, corpus):
+    """The certified Eckardt values are A/S over ``moments._flag_integrals``:
+    a change to its first S-value moves the bound of ``delta_eckardt``, the
+    ``eckardt-vertex-upper`` value of a certificate and the witness of
+    ``unstable_check``.  No certificate reads a closed form: with
+    ``moments._closed_forms`` raising, every corpus certificate is unchanged."""
+    integrals = mo._flag_integrals
+    shift = F(100, 101)                  # A/S of the first S-value times 100/101
+
+    def perturbed(n, a, k):
+        first, rest, on_w1 = integrals(n, a, k)
+        return first / shift, rest, on_w1
+
+    monkeypatch.setattr(mo, "_flag_integrals", perturbed)
+    assert mo.delta_eckardt(3, 2, 2) == (F(12, 7) * shift, True)
+    cert = ce.certify(_datum([1] * 12 + [4], 9, eckardt_at_p=True))
+    values = {rule.id: value for rule, _, _, value in cert.fired}
+    assert values["eckardt-vertex-upper"] == cert.upper == F(132, 19) * shift
+    assert mo.unstable_check(11, 4, 2).witness == F(132, 133) * shift
+    monkeypatch.setattr(mo, "_flag_integrals", integrals)
+
+    def unread(n, a, k):
+        raise RuntimeError("a closed form was read")
+
+    monkeypatch.setattr(mo, "_closed_forms", unread)
+    with pytest.raises(RuntimeError):
+        mo.s_value_closed_form(3, 2, 2, 1)
+
+    def outcome(result):
+        return (type(result), str(result)) if isinstance(result, Exception) else result
+
+    assert [(case, outcome(result)) for case, result in _certify_corpus()] == \
+        [(case, outcome(result)) for case, result in corpus]
 
 
 def test_fired_rules_and_the_trace_agree_over_the_corpus(corpus):

@@ -1,8 +1,10 @@
 import math
+import types
 from fractions import Fraction
 
 import pytest
 
+from wfano import engine as ce
 from wfano import moments as mo
 
 from helpers import brute_simplex_moment
@@ -148,6 +150,17 @@ def test_s_value_preconditions():
         mo.s_value(3, 1, 1, 4)
     with pytest.raises(ValueError):
         mo.s_value(100, 1, 1, 1)
+    # a flag depth or a datum that is not an integer is refused, not rounded
+    with pytest.raises(ValueError, match="flag depth j must be an integer, not 1.5"):
+        mo.s_value(3, 2, 2, 1.5)
+    with pytest.raises(ValueError, match="a must be an integer, not 2.0"):
+        mo.delta_eckardt(3, 2.0, 2)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        mo.unstable_check(11, 4, F(2))
+    with pytest.raises(ValueError, match="dimension n must be an integer"):
+        mo.moment_table([F(5, 2)], range(1, 2), range(1, 2))
+    with pytest.raises(ValueError, match="dimension n must be an integer"):
+        mo.MomentRegion("3", 1, 1)
 
 
 def test_s_value_monotonicity():
@@ -179,6 +192,31 @@ def test_delta_eckardt():
                 assert exact == (a * k + 1 >= n)
                 if exact:
                     assert val == F(n * (n + 1), a * k + n)
+
+
+def test_eckardt_values_match_the_closed_forms_on_a_grid():
+    """Over n = 2..64 and a, k = 1..24, the A/S values computed from the flag
+    integrals equal the paper's closed forms: the bound of ``delta_eckardt``
+    (inexact cases included), the value of the ``eckardt-vertex-upper`` row
+    and the witness of ``unstable_check`` wherever it is issued."""
+    upper = next(r for r in ce.RULES if r.id == "eckardt-vertex-upper")
+    witnesses = 0
+    for n in range(2, 65):
+        for a in range(1, 25):
+            for k in range(1, 25):
+                vertex = F(n * (n + 1), a * k + n)
+                bound, exact = mo.delta_eckardt(n, a, k)
+                assert bound == min(vertex, F((a * k + 1) * (n + 1), 2 * a * k + 1))
+                assert exact == (a * k + 1 >= n)
+                assert upper.value(types.SimpleNamespace(n=n), a=a, k=k)[1] == vertex
+                index = n + a - a * k
+                if a < 2 or index < 1:
+                    continue
+                report = mo.unstable_check(n, a, k)
+                if report.verdict == "K-unstable":
+                    assert report.witness == vertex / index
+                    witnesses += 1
+    assert witnesses > 0
 
 
 def test_unstable_check():
