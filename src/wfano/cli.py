@@ -73,12 +73,16 @@ class _Parser(argparse.ArgumentParser):
 class _Subcommands(argparse._SubParsersAction):
     """Subcommands whose parsers are made only when a parse names them.
 
-    Until then the map holds each name's builder; argparse's choice checks,
-    error messages and help read only its keys.  The builder adds the
-    subcommand's arguments, nested subcommands included."""
+    Every level of the command line uses it, so a run builds only the parsers
+    on its path, one per level.  Until a parse names a subcommand the map
+    holds its builder; argparse's choice checks, error messages and help read
+    only the keys.  The builder adds the subcommand's arguments, and its own
+    subcommands through this class.  As in argparse, a subcommand gets a line
+    in its parent's help only when ``help`` is given."""
 
-    def add_parser(self, name, *, help, build):
-        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+    def add_parser(self, name, *, build, help=None):
+        if help is not None:
+            self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
         self._name_parser_map[name] = build
 
     def __call__(self, parser, namespace, values, option_string=None):
@@ -289,17 +293,21 @@ def _run_enumerate(args, out) -> dict | None:
 
 
 def _moments_parser(m: _Parser) -> None:
-    msub = m.add_subparsers(dest="moments_command", required=True)
-    ms = msub.add_parser("s-value")
-    ms.add_argument("--n", type=int, required=True)
-    ms.add_argument("--a", type=int, required=True)
-    ms.add_argument("--k", type=int, required=True)
-    ms.add_argument("--j", type=int, required=True)
-    ms.add_argument("--q-in-w1", action="store_true")
-    mt = msub.add_parser("table")
-    mt.add_argument("--n-max", type=int, default=8)
-    mt.add_argument("--a-max", type=int, default=6)
-    mt.add_argument("--k-max", type=int, default=6)
+    def s_value(ms: _Parser) -> None:
+        ms.add_argument("--n", type=int, required=True)
+        ms.add_argument("--a", type=int, required=True)
+        ms.add_argument("--k", type=int, required=True)
+        ms.add_argument("--j", type=int, required=True)
+        ms.add_argument("--q-in-w1", action="store_true")
+
+    def table(mt: _Parser) -> None:
+        mt.add_argument("--n-max", type=int, default=8)
+        mt.add_argument("--a-max", type=int, default=6)
+        mt.add_argument("--k-max", type=int, default=6)
+
+    msub = m.add_subparsers(dest="moments_command", required=True, action=_Subcommands)
+    msub.add_parser("s-value", build=s_value)
+    msub.add_parser("table", build=table)
     m.set_defaults(handler=_run_moments)
 
 
@@ -323,15 +331,17 @@ def _run_moments(args, out) -> dict | None:
 
 
 def _okounkov_parser(o: _Parser) -> None:
-    osub = o.add_subparsers(dest="okounkov_command", required=True)
-    oc = osub.add_parser("case")
-    oc.add_argument("name", choices=["hirzebruch", "hirzebruch2", "perhaps-useful"])
-    oc.add_argument("--a", type=int, default=0)
-    oc.add_argument("--b", type=int, default=0)
-    oc.add_argument("--k", type=int, default=0)
-    oc.add_argument("--flag-in-surface", action="store_true")
-    oc.add_argument("--csv-samples", type=int, default=0,
-                    help="emit a CSV of boundary samples instead of JSON")
+    def case(oc: _Parser) -> None:
+        oc.add_argument("name", choices=["hirzebruch", "hirzebruch2", "perhaps-useful"])
+        oc.add_argument("--a", type=int, default=0)
+        oc.add_argument("--b", type=int, default=0)
+        oc.add_argument("--k", type=int, default=0)
+        oc.add_argument("--flag-in-surface", action="store_true")
+        oc.add_argument("--csv-samples", type=int, default=0,
+                        help="emit a CSV of boundary samples instead of JSON")
+
+    osub = o.add_subparsers(dest="okounkov_command", required=True, action=_Subcommands)
+    osub.add_parser("case", build=case)
     o.set_defaults(handler=_run_okounkov)
 
 
@@ -358,19 +368,28 @@ def _run_okounkov(args, out) -> dict | None:
 
 
 def _wps_parser(w: _Parser) -> None:
-    wsub = w.add_subparsers(dest="wps_command", required=True)
-    wn = wsub.add_parser("normalize")
-    wn.add_argument("--weights", required=True)
-    ws = wsub.add_parser("stratum")
-    ws.add_argument("--weights", required=True)
-    ws.add_argument("--vanish", required=True, type=_indices, help="comma separated indices")
-    wi = wsub.add_parser("index")
-    wi.add_argument("--weights", required=True)
-    wi.add_argument("--degree", type=int, required=True)
-    wb = wsub.add_parser("base-locus")
-    wb.add_argument("--weights", required=True)
-    wb.add_argument("--threshold", type=int, required=True)
-    wb.add_argument("--point", type=int, default=None)
+    def normalize(wn: _Parser) -> None:
+        wn.add_argument("--weights", required=True)
+
+    def stratum(ws: _Parser) -> None:
+        ws.add_argument("--weights", required=True)
+        ws.add_argument("--vanish", required=True, type=_indices,
+                        help="comma separated indices")
+
+    def index(wi: _Parser) -> None:
+        wi.add_argument("--weights", required=True)
+        wi.add_argument("--degree", type=int, required=True)
+
+    def base_locus(wb: _Parser) -> None:
+        wb.add_argument("--weights", required=True)
+        wb.add_argument("--threshold", type=int, required=True)
+        wb.add_argument("--point", type=int, default=None)
+
+    wsub = w.add_subparsers(dest="wps_command", required=True, action=_Subcommands)
+    wsub.add_parser("normalize", build=normalize)
+    wsub.add_parser("stratum", build=stratum)
+    wsub.add_parser("index", build=index)
+    wsub.add_parser("base-locus", build=base_locus)
     w.set_defaults(handler=_run_wps)
 
 
@@ -408,18 +427,22 @@ def _run_wps(args, out) -> dict:
 
 
 def _blowup_parser(b: _Parser) -> None:
-    bsub = b.add_subparsers(dest="blowup_command", required=True)
-    bb = bsub.add_parser("build")
-    bb.add_argument("--weights", required=True)
-    bb.add_argument("--r", type=int, required=True)
-    bi = bsub.add_parser("intersect")
-    bi.add_argument("--weights", required=True)
-    bi.add_argument("--r", type=int, required=True)
-    bi.add_argument("--k", type=int, required=True)
-    bt = bsub.add_parser("transform")
-    bt.add_argument("--weights", required=True)
-    bt.add_argument("--r", type=int, required=True)
-    bt.add_argument("--poly", required=True)
+    def build(bb: _Parser) -> None:
+        bb.add_argument("--weights", required=True)
+        bb.add_argument("--r", type=int, required=True)
+
+    def intersect(bi: _Parser) -> None:
+        build(bi)
+        bi.add_argument("--k", type=int, required=True)
+
+    def transform(bt: _Parser) -> None:
+        build(bt)
+        bt.add_argument("--poly", required=True)
+
+    bsub = b.add_subparsers(dest="blowup_command", required=True, action=_Subcommands)
+    bsub.add_parser("build", build=build)
+    bsub.add_parser("intersect", build=intersect)
+    bsub.add_parser("transform", build=transform)
     b.set_defaults(handler=_run_blowup)
 
 

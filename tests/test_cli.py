@@ -767,27 +767,59 @@ def test_help_from_the_console_exits_0(monkeypatch):
         assert proc.stdout == _run(argv)[1].encode()
 
 
+def _built(choices) -> list[str]:
+    """The names in a subcommand map whose parsers exist; the rest hold builders."""
+    return [name for name, entry in choices.items()
+            if isinstance(entry, argparse.ArgumentParser)]
+
+
 def test_run_builds_only_the_subcommand_it_names(monkeypatch):
     built = []
     build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(build_parser()) or built[-1])
     assert _run(["certify", "--weights", "1,1,1,1,2", "--degree", "5"])[0] == 0
-    (root,) = built
+    assert _run(["wps", "stratum", "--weights", "1,1,2,2", "--vanish", "0,1"])[0] == 0
+    root, wps_root = built
     assert _arguments(root) == _SURFACE[()]
     choices = _subcommands(root).choices
     assert _arguments(choices["certify"]) == _SURFACE[("certify",)]
-    assert [name for name, entry in choices.items()
-            if isinstance(entry, argparse.ArgumentParser)] == ["certify"]
+    assert _built(choices) == ["certify"]
+    wps = _subcommands(wps_root).choices["wps"]
+    assert _arguments(wps) == _SURFACE[("wps",)]
+    nested = _subcommands(wps).choices
+    assert _arguments(nested["stratum"]) == _SURFACE[("wps", "stratum")]
+    assert _built(nested) == ["stratum"]
+    assert all(callable(nested[name]) for name in ("normalize", "index", "base-locus"))
 
 
-@pytest.mark.parametrize("argv, parsers", [
-    (["certify", "--weights", "1,1,1,1,2", "--degree", "5"], 2),
-    (["wps", "stratum", "--weights", "1,1,2,2", "--vanish", "0,1"], 6),
-    (["blowup", "intersect", "--weights", "2,3,4,4,5", "--r", "2", "--k", "1"], 5),
-    (["moments", "table", "--n-max", "3", "--a-max", "2", "--k-max", "2"], 4),
-])
+# One successful run per leaf of _SURFACE.
+_LEAF_RUNS = [
+    ["certify", "--weights", "1,1,1,1,2", "--degree", "5"],
+    ["wps", "stratum", "--weights", "1,1,2,2", "--vanish", "0,1"],
+    ["blowup", "intersect", "--weights", "2,3,4,4,5", "--r", "2", "--k", "1"],
+    ["moments", "table", "--n-max", "3", "--a-max", "2", "--k-max", "2"],
+    ["enumerate", "--n", "2", "--max-weight", "4", "--index", "1", "--csv"],
+    ["moments", "s-value", "--n", "4", "--a", "2", "--k", "2", "--j", "4", "--q-in-w1"],
+    ["okounkov", "case", "hirzebruch", "--a", "2"],
+    ["wps", "normalize", "--weights", "2,2,3"],
+    ["wps", "index", "--weights", "1,1,1,1,2", "--degree", "5"],
+    ["wps", "base-locus", "--weights", "1,1,2,3", "--threshold", "1"],
+    ["blowup", "build", "--weights", "2,3,4,4,5", "--r", "2"],
+    ["blowup", "transform", "--weights", "3,1,1,1", "--r", "2",
+     "--poly", "x3^2*x1^2+x3*x0+x1^4+x2^4"],
+]
+
+
+def _path(argv) -> tuple:
+    """The parser path an argv names: its longest prefix in _SURFACE."""
+    return max((path for path in _SURFACE if tuple(argv[:len(path)]) == path), key=len)
+
+
+@pytest.mark.parametrize("argv, parsers", [(argv, len(_path(argv)) + 1) for argv in _LEAF_RUNS])
 def test_a_run_constructs_the_root_and_the_named_subtree(monkeypatch, argv, parsers):
-    """The root, the named subcommand and that subcommand's own subcommands."""
+    """One parser per level of the path the run names, and none off it."""
+    leaves = {path for path in _SURFACE if not any(p[:-1] == path for p in _SURFACE)}
+    assert {_path(a) for a in _LEAF_RUNS} == leaves and len(leaves) == len(_LEAF_RUNS)
     made = []
     init = argparse.ArgumentParser.__init__
 
@@ -797,24 +829,48 @@ def test_a_run_constructs_the_root_and_the_named_subtree(monkeypatch, argv, pars
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert _run(argv)[0] == 0
-    assert len(made) == parsers, made
+    assert made == [" ".join(["wfano", *argv[:level]]) for level in range(parsers)]
 
 
 def test_each_builder_runs_once_per_parser(monkeypatch):
+    """Parsing twice on one root runs each builder on the path once, at
+    every level."""
     calls = collections.Counter()
+    add_parser = cli._Subcommands.add_parser
 
-    def counted(name):
-        builder = getattr(cli, name)
-
-        def build(parser):
+    def counted(self, name, *, build, **kwargs):
+        def build_counted(parser):
             calls[name] += 1
-            builder(parser)
-        return build
+            build(parser)
+        add_parser(self, name, build=build_counted, **kwargs)
 
-    for name in ("_certify_parser", "_wps_parser", "_moments_parser"):
-        monkeypatch.setattr(cli, name, counted(name))
+    monkeypatch.setattr(cli._Subcommands, "add_parser", counted)
     parser = cli.build_parser()
     for argv in (["certify", "--weights", "1,1,1,1,2", "--degree", "5"],
                  ["wps", "index", "--weights", "1,1,2", "--degree", "4"]):
         assert parser.parse_args(argv) == parser.parse_args(argv)
-    assert calls == {"_certify_parser": 1, "_wps_parser": 1}
+    assert calls == {"certify": 1, "wps": 1, "index": 1}
+
+
+# The nested level's usage errors: an unknown, missing or abbreviated
+# subcommand, a leaf's missing required options (reported before the unknown
+# ``--bogus``) and a mistyped value.
+_NESTED_USAGE_ERRORS = [["wps", "frobnicate"], ["wps"], ["blowup", "build", "--bogus"],
+                        ["moments", "table", "--n-max", "x"], ["wps", "norm"]]
+
+
+def test_help_and_usage_error_bytes(monkeypatch):
+    """``--help`` and ``-h`` on every parser path, and the nested usage
+    errors: (argv, exit code, output) at 80 columns, hashed in order.  The
+    same bytes on CPython 3.10 to 3.13."""
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in [[*path, flag] for path in _SURFACE for flag in ("--help", "-h")]:
+        code, text = _run(argv)
+        digest.update(json.dumps([argv, code, text]).encode())
+    for argv in _NESTED_USAGE_ERRORS:
+        code, text = _run(argv)
+        assert (code, json.loads(text)["error"]["kind"]) == (2, "usage"), argv
+        digest.update(json.dumps([argv, code, text]).encode())
+    assert digest.hexdigest() == \
+        "b3aaac5d2046496a91281b1490e2f20a3bb126277e7b98512590f1fcc1eabab6"
