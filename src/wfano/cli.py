@@ -14,10 +14,10 @@ subclass); :func:`run` maps it to exit 2 with kind "precondition", and any
 other exception to exit 3.  ``enumerate --csv``, ``moments table`` and
 ``okounkov --csv-samples`` finish their checks before their first byte;
 they write CSV, so ``--approx`` and ``--format text`` are usage errors there.
-A run builds only the parser of the subcommand it names, and ``--help``
-through :func:`run` writes the help to its ``out`` and returns 0.  A run
-imports only the modules its subcommand uses: ``blowup`` loads for
-``blowup``, ``wpoly`` for ``blowup transform`` and ``convex`` for
+A run builds only the parsers on the path it names, one per level, and
+``--help`` through :func:`run` writes the help to its ``out`` and returns
+0.  A run imports only the modules its subcommand uses: ``blowup`` loads
+for ``blowup``, ``wpoly`` for ``blowup transform`` and ``convex`` for
 ``okounkov``.
 """
 
@@ -188,7 +188,10 @@ def _csv_writer(args, out):
 def build_parser() -> _Parser:
     """The root parser.  A subcommand's parser is made, and its arguments
     added by its builder (next to its handler), when a parse names it."""
-    p = _Parser(prog="wfano", description=__doc__)
+    p = _Parser(prog="wfano",
+                description="Exact lower bounds for the stability thresholds of weighted "
+                            "Fano hypersurfaces, and the weighted blowups, Okounkov bodies "
+                            "and flag moments behind them.")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--approx", action="store_true",
                    help="add approximate decimal values (12 significant digits)")
@@ -325,8 +328,8 @@ def _run_moments(args, out) -> dict | None:
     rows = mo.moment_table(range(2, args.n_max + 1), range(1, args.a_max + 1),
                            range(1, args.k_max + 1))
     writer = _csv_writer(args, out)
-    writer.writerow(("n", "a", "k", "j", "q_in_W1", "S", "closed_form", "match"))
-    writer.writerows(r.values() for r in rows)
+    writer.writerow(mo.TABLE_HEADER)
+    writer.writerows(rows)
     return None
 
 

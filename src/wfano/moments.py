@@ -24,7 +24,9 @@ Abban-Zhuang, with log discrepancy n/a for the exceptional divisor E and 1
 for the other flag members: the local bound of :func:`delta_eckardt`, the
 upper bound A(E)/S(E) and the witness of :func:`unstable_check`.  The
 paper's closed forms of the S-values are the cross-check; only
-``s_value_closed_form`` and :func:`moment_table` read them.
+``s_value_closed_form`` and :func:`moment_table` read them; the table's
+rows are tuples in ``TABLE_HEADER`` order with exact Fraction values, and
+each (n, a, k)'s values are picked once for all of its rows.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from typing import Iterator, Optional
 from .lattice import as_integer
 
 MAX_DIMENSION = 64
+TABLE_HEADER = ("n", "a", "k", "j", "q_in_W1", "S", "closed_form", "match")
 
 
 class Poly1D:
@@ -231,11 +234,10 @@ def unstable_check(n: int, a: int, k: int) -> UnstableReport:
     return UnstableReport(n, a, k, index, "inconclusive", None, rhs)
 
 
-def moment_table(n_range, a_range, k_range) -> Iterator[dict]:
-    """Rows (n,a,k,j,q_in_W1,S,closed_form,match) with exact Fraction S and
-    closed_form.  The three integrals of each (n, a, k) are compared with its
-    three closed forms once, and every row picks its ``match`` as it picks
-    ``S`` and ``closed_form``.
+def moment_table(n_range, a_range, k_range) -> Iterator[tuple]:
+    """Rows as tuples in ``TABLE_HEADER`` order, with exact Fraction S and
+    closed_form.  Each (n, a, k)'s three integrals, three closed forms and
+    three comparisons are picked once, as ``_pick`` selects, for its 2n rows.
 
     Every (n, a, k) of the re-iterable ranges is checked here, before the
     first row is computed; the rows are then yielded as they are computed.
@@ -247,20 +249,18 @@ def moment_table(n_range, a_range, k_range) -> Iterator[dict]:
     return _table_rows(n_range, a_range, k_range)
 
 
-def _table_rows(n_range, a_range, k_range) -> Iterator[dict]:
+def _table_rows(n_range, a_range, k_range) -> Iterator[tuple]:
     """The rows of :func:`moment_table` for checked ranges."""
     for n in n_range:
         for a in a_range:
             for k in k_range:
-                integrals = _flag_integrals(n, a, k)
-                closed = _closed_forms(n, a, k)
-                matches = tuple(map(operator.eq, integrals, closed))
-                for j in range(1, n + 1):
-                    for q in (False, True):
-                        yield {
-                            "n": n, "a": a, "k": k, "j": j,
-                            "q_in_W1": q,
-                            "S": _pick(integrals, n, j, q),
-                            "closed_form": _pick(closed, n, j, q),
-                            "match": _pick(matches, n, j, q),
-                        }
+                integrals = s1, s2, s3 = _flag_integrals(n, a, k)
+                closed = c1, c2, c3 = _closed_forms(n, a, k)
+                m1, m2, m3 = map(operator.eq, integrals, closed)
+                yield n, a, k, 1, False, s1, c1, m1
+                yield n, a, k, 1, True, s1, c1, m1
+                for j in range(2, n):
+                    yield n, a, k, j, False, s2, c2, m2
+                    yield n, a, k, j, True, s2, c2, m2
+                yield n, a, k, n, False, s2, c2, m2
+                yield n, a, k, n, True, s3, c3, m3

@@ -23,6 +23,7 @@ from wfano import blowup as bl
 from wfano import cli
 from wfano import convex as cx
 from wfano import engine as ce
+from wfano import moments as mo
 from wfano.cli import run
 from wfano.lattice import WeightVector
 from wfano.schema import ERROR_SCHEMA, REPORT_SCHEMA
@@ -445,6 +446,7 @@ def test_moments_table_csv():
     assert code == 0
     lines = text.strip().splitlines()
     assert lines[0] == "n,a,k,j,q_in_W1,S,closed_form,match"
+    assert lines[0] == ",".join(mo.TABLE_HEADER)
     assert all(line.endswith("True") for line in lines[1:])
 
 
@@ -454,6 +456,19 @@ def test_moments_table_default_bytes():
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "1edf3e8e5f01ec1c40c9dfb3c0f574b0390099da413adc0e8d80a6e90681b8b8"
+
+
+@pytest.mark.parametrize("maxima, size, sha", [
+    (("6", "4", "5"), 21604, "b5b4689d5f9f563e03ee9fa4e29ec11582ddd13b6e6f6c55746eb550f4fcba9b"),
+    (("6", "5", "4"), 21668, "b5193ac89a5db545df1679bb9512745a72196c27b36e80e73a6592d4c2e8c885"),
+])
+def test_moments_table_bench_bytes(maxima, size, sha):
+    """Two tables the benchmark runs, pinned byte for byte."""
+    n, a, k = maxima
+    code, text = _run(["moments", "table", "--n-max", n, "--a-max", a, "--k-max", k])
+    assert code == 0
+    data = text.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha)
 
 
 _PIN_WELL_FORMED = ["1,1,2,2", "1,1,1,1,7", "2,3,4,4,5", "1,1,2,3", "1,2,3,5", "3,1,1,1"]
@@ -873,4 +888,13 @@ def test_help_and_usage_error_bytes(monkeypatch):
         assert (code, json.loads(text)["error"]["kind"]) == (2, "usage"), argv
         digest.update(json.dumps([argv, code, text]).encode())
     assert digest.hexdigest() == \
-        "b3aaac5d2046496a91281b1490e2f20a3bb126277e7b98512590f1fcc1eabab6"
+        "49790b7cd35ea69068512ee898be096835a1ccf2e7c2e9b344fc59a45b75ac7d"
+
+
+def test_root_help_is_not_the_module_docstring(monkeypatch):
+    """``wfano --help`` prints a description of its own: editing the ``cli``
+    module docstring moves no help byte."""
+    monkeypatch.setenv("COLUMNS", "80")
+    before = [_run([*path, "--help"]) for path in _SURFACE]
+    monkeypatch.setattr(cli, "__doc__", "Developer notes.")
+    assert [_run([*path, "--help"]) for path in _SURFACE] == before

@@ -1,3 +1,4 @@
+import collections
 import math
 import types
 from fractions import Fraction
@@ -237,8 +238,15 @@ def test_unstable_check():
         mo.unstable_check(2, 3, 4)  # index not positive
 
 
+def _rows(rows):
+    """The table's tuple rows read by column name."""
+    return [dict(zip(mo.TABLE_HEADER, row)) for row in rows]
+
+
 def test_moment_table_rows():
-    rows = list(mo.moment_table(range(2, 3), range(1, 2), range(1, 2)))
+    tuples = list(mo.moment_table(range(2, 3), range(1, 2), range(1, 2)))
+    assert all(type(r) is tuple and len(r) == len(mo.TABLE_HEADER) for r in tuples)
+    rows = _rows(tuples)
     assert len(rows) == 2 * 2  # j in {1,2}, two flags
     assert all(r["match"] for r in rows)
     assert set(rows[0]) == {"n", "a", "k", "j", "q_in_W1", "S", "closed_form", "match"}
@@ -255,7 +263,26 @@ def test_moment_table_checks_every_triple_before_the_first_row():
 
 
 def _default_table():
-    return list(mo.moment_table(range(2, 9), range(1, 7), range(1, 7)))
+    return _rows(mo.moment_table(range(2, 9), range(1, 7), range(1, 7)))
+
+
+def test_moment_table_computes_each_triple_once(monkeypatch):
+    """Over the default table, one integral and one closed-form triple per
+    (n, a, k), and no per-row pick."""
+    calls = collections.Counter()
+
+    def counted(name):
+        f = getattr(mo, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(mo, name, spy)
+
+    for name in ("_flag_integrals", "_closed_forms", "_pick"):
+        counted(name)
+    assert len(_default_table()) == 2520
+    assert calls == {"_flag_integrals": 252, "_closed_forms": 252}
 
 
 def test_moment_table_match_is_the_comparison():
