@@ -3,17 +3,21 @@
 Subcommands: certify, enumerate, moments (s-value | table), okounkov, wps
 (normalize | stratum | index | base-locus), blowup (build | intersect |
 transform).  The library returns exact values and this module alone lays
-them out.  Reports are emitted as JSON (default) or aligned text; all
-rationals are exact fraction strings "p/q", and ``--approx`` adds a clearly
-labelled block with a 12-significant-digit decimal for each of them.  Exit
-codes: 0 success, 2 precondition or usage violation (machine-readable error
-object), 3 internal invariant failure.  The ``wfano`` command exits 1, with
-no output of its own, when its reader closes the output early (``| head``).
-The library signals a precondition violation with ``ValueError`` (or a
-subclass); :func:`run` maps it to exit 2 with kind "precondition", and any
-other exception to exit 3.  ``enumerate --csv``, ``moments table`` and
-``okounkov --csv-samples`` finish their checks before their first byte;
-they write CSV, so ``--approx`` and ``--format text`` are usage errors there.
+them out.  Each subcommand's handler is a function of the parsed arguments
+alone: it returns a report, or a CSV table (``enumerate --csv``, ``moments
+table`` and ``okounkov --csv-samples``), and :func:`run` alone writes it and
+picks the exit code.  Reports are emitted as JSON (default) or aligned text;
+all rationals are exact fraction strings "p/q", and ``--approx`` adds a
+clearly labelled block with a 12-significant-digit decimal for each of
+them.  Exit codes: 0 success, 2 precondition or usage violation
+(machine-readable error object), 3 internal invariant failure.  The
+``wfano`` command exits 1, with no output of its own, when its reader closes
+the output early (``| head``).  The library signals a precondition
+violation with ``ValueError`` (or a subclass); :func:`run` maps it to exit 2
+with kind "precondition", and any other exception to exit 3.  A table's
+handler finishes its checks before it returns, so no CSV precedes an error
+object; CSV has no decimals and no aligned text, so :func:`run` refuses
+``--approx`` and ``--format text`` for a table as usage errors.
 A run builds only the parsers on the path it names, one per level, and
 ``--help`` through :func:`run` writes the help to its ``out`` and returns
 0.  A run imports only the modules its subcommand uses: ``blowup`` loads
@@ -29,6 +33,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Iterable, NamedTuple, Sequence
 
 from . import engine as ce
 from . import moments as mo
@@ -45,26 +50,22 @@ class CLIError(Exception):
 
 
 class _Exit(Exception):
-    """argparse ends the run itself (``--help``): the exit code and the text
-    that :func:`run` writes to its ``out``."""
+    """``--help`` ends the parse: the help text, which :func:`run` writes to
+    its ``out`` before it returns 0."""
 
-    def __init__(self, status: int, text: str):
-        super().__init__(text)
-        self.status = status
-        self.text = text
+
+class _Table(NamedTuple):
+    """A handler's CSV output: :func:`run` writes the header, then the rows."""
+
+    header: Sequence[str]
+    rows: Iterable[Sequence]
 
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise :class:`CLIError`; ``--help`` raises :class:`_Exit`."""
 
     def print_help(self, file=None):
-        if file is not None:
-            super().print_help(file)
-        else:
-            self.exit(0, self.format_help())
-
-    def exit(self, status=0, message=None):
-        raise _Exit(status, message or "")
+        raise _Exit(self.format_help())
 
     def error(self, message):
         raise CLIError("usage", message)
@@ -174,17 +175,6 @@ def _indices(text: str) -> list[int]:
         raise argparse.ArgumentTypeError("must be comma separated indices")
 
 
-def _csv_writer(args, out):
-    """The CSV writer of a table branch.  Decimals and aligned text do not
-    apply to CSV, so ``--approx`` and ``--format text`` are usage errors
-    there rather than silently ignored."""
-    if args.approx:
-        raise CLIError("usage", "--approx does not apply to CSV output")
-    if args.format != "json":
-        raise CLIError("usage", "--format text does not apply to CSV output")
-    return csv.writer(out, lineterminator="\n")
-
-
 def build_parser() -> _Parser:
     """The root parser.  A subcommand's parser is made, and its arguments
     added by its builder (next to its handler), when a parse names it."""
@@ -233,7 +223,7 @@ def _certify_parser(c: _Parser) -> None:
     c.set_defaults(handler=_run_certify)
 
 
-def _run_certify(args, out) -> dict:
+def _run_certify(args) -> dict:
     w = _weights(args.weights)
     flags = ce.Flags(
         eckardt_at_p=args.eckardt,
@@ -274,19 +264,16 @@ def _enumerate_parser(e: _Parser) -> None:
     e.set_defaults(handler=_run_enumerate)
 
 
-def _run_enumerate(args, out) -> dict | None:
-    """CSV rows are written as they are certified; JSON needs them all first
-    for ``row_count``."""
+def _run_enumerate(args) -> dict | _Table:
+    """CSV rows are certified as :func:`run` writes them; JSON needs them all
+    first for ``row_count``."""
     rows = ce.enumerate_data(
         n=args.n, max_weight=args.max_weight, index=args.index,
         degree=args.degree, eckardt=args.eckardt, general=args.general,
     )
     values = map(_enumerate_values, rows)
     if args.csv:
-        writer = _csv_writer(args, out)
-        writer.writerow(_ENUMERATE_HEADER)
-        writer.writerows((*v[:-1], ";".join(v[-1])) for v in values)
-        return None
+        return _Table(_ENUMERATE_HEADER, ((*v[:-1], ";".join(v[-1])) for v in values))
     payload = [dict(zip(_ENUMERATE_HEADER, v)) for v in values]
     return _report("enumerate",
                    {"n": args.n, "max_weight": args.max_weight, "index": args.index,
@@ -314,7 +301,7 @@ def _moments_parser(m: _Parser) -> None:
     m.set_defaults(handler=_run_moments)
 
 
-def _run_moments(args, out) -> dict | None:
+def _run_moments(args) -> dict | _Table:
     if args.moments_command == "s-value":
         s = mo.s_value(args.n, args.a, args.k, args.j, args.q_in_w1)
         cf = mo.s_value_closed_form(args.n, args.a, args.k, args.j, args.q_in_w1)
@@ -325,12 +312,9 @@ def _run_moments(args, out) -> dict | None:
     if args.n_max < 2 or args.a_max < 1 or args.k_max < 1:
         raise CLIError("precondition", "empty table: need --n-max >= 2, --a-max >= 1 "
                                        "and --k-max >= 1")
-    rows = mo.moment_table(range(2, args.n_max + 1), range(1, args.a_max + 1),
-                           range(1, args.k_max + 1))
-    writer = _csv_writer(args, out)
-    writer.writerow(mo.TABLE_HEADER)
-    writer.writerows(rows)
-    return None
+    return _Table(mo.TABLE_HEADER,
+                  mo.moment_table(range(2, args.n_max + 1), range(1, args.a_max + 1),
+                                  range(1, args.k_max + 1)))
 
 
 def _okounkov_parser(o: _Parser) -> None:
@@ -348,17 +332,13 @@ def _okounkov_parser(o: _Parser) -> None:
     o.set_defaults(handler=_run_okounkov)
 
 
-def _run_okounkov(args, out) -> dict | None:
+def _run_okounkov(args) -> dict | _Table:
     from . import convex as cx
 
     case = cx.okounkov_body_surface(args.name, a=args.a, b=args.b, k=args.k,
                                     flag_in_surface=args.flag_in_surface)
     if args.csv_samples:
-        samples = case.body.boundary_samples(args.csv_samples)
-        writer = _csv_writer(args, out)
-        writer.writerow(["x", "upper"])
-        writer.writerows(samples)
-        return None
+        return _Table(("x", "upper"), case.body.boundary_samples(args.csv_samples))
     return _report("okounkov case",
                    {"case": args.name, "a": args.a, "b": args.b, "k": args.k,
                     "flag_in_surface": args.flag_in_surface},
@@ -396,7 +376,7 @@ def _wps_parser(w: _Parser) -> None:
     w.set_defaults(handler=_run_wps)
 
 
-def _run_wps(args, out) -> dict:
+def _run_wps(args) -> dict:
     w = _weights(args.weights)
     if args.wps_command == "normalize":
         rep = normalize(w)
@@ -449,7 +429,7 @@ def _blowup_parser(b: _Parser) -> None:
     b.set_defaults(handler=_run_blowup)
 
 
-def _run_blowup(args, out) -> dict:
+def _run_blowup(args) -> dict:
     from . import blowup as bl
 
     w = _weights(args.weights)
@@ -487,31 +467,36 @@ def _run_blowup(args, out) -> dict:
 
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        rep = args.handler(args, out)
-        if rep is not None:
-            if args.approx and (approx := _approx(rep["outputs"])) is not None:
-                rep["approx"] = approx
-            rep["outputs"] = _fmt(rep["outputs"])
-            _emit(rep, args.format, out)
+        args = build_parser().parse_args(argv)
+        result = args.handler(args)
+        if isinstance(result, _Table):
+            # decimals and aligned text do not apply to CSV: refused, not ignored
+            if args.approx:
+                raise CLIError("usage", "--approx does not apply to CSV output")
+            if args.format != "json":
+                raise CLIError("usage", "--format text does not apply to CSV output")
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(result.header)
+            writer.writerows(result.rows)
+            return 0
+        if args.approx and (approx := _approx(result["outputs"])) is not None:
+            result["approx"] = approx
+        result["outputs"] = _fmt(result["outputs"])
+        _emit(result, args.format, out)
         return 0
     except _Exit as exc:
-        out.write(exc.text)
-        return exc.status
-    except (CLIError, ValueError) as exc:
+        out.write(str(exc))
+        return 0
+    except Exception as exc:
+        if isinstance(exc, (CLIError, ValueError)):
+            code, kind, message = 2, getattr(exc, "kind", "precondition"), str(exc)
+        else:  # internal invariant violation
+            code, kind, message = 3, "internal", f"{type(exc).__name__}: {exc}"
         json.dump({"schema_version": SCHEMA_VERSION,
-                   "error": {"kind": getattr(exc, "kind", "precondition"),
-                             "message": str(exc)}}, out, indent=2)
+                   "error": {"kind": kind, "message": message}}, out, indent=2)
         out.write("\n")
-        return 2
-    except Exception as exc:  # internal invariant violation
-        json.dump({"schema_version": SCHEMA_VERSION,
-                   "error": {"kind": "internal", "message": f"{type(exc).__name__}: {exc}"}},
-                  out, indent=2)
-        out.write("\n")
-        return 3
+        return code
 
 
 def main() -> None:

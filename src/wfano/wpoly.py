@@ -318,11 +318,12 @@ def qsm_at_coordinate_points(f: SparseWPoly) -> dict[int, tuple[str, Optional[in
     """
     w = f.ambient
     d = f.degree
+    exps = {e for e, _ in f.terms}  # the monomials of f: its terms are nonzero
     report: dict[int, tuple[str, Optional[int]]] = {}
     for i in range(len(w)):
         if d % w[i] == 0:
             pure = tuple(d // w[i] if t == i else 0 for t in range(len(w)))
-            if f.coefficient(pure) != 0:
+            if pure in exps:
                 report[i] = ("not_on_hypersurface", None)
                 continue
         witness = None
@@ -330,10 +331,10 @@ def qsm_at_coordinate_points(f: SparseWPoly) -> dict[int, tuple[str, Optional[in
             if j == i:
                 continue
             if (d - w[j]) >= 0 and (d - w[j]) % w[i] == 0:
-                exps = [0] * len(w)
-                exps[i] = (d - w[j]) // w[i]
-                exps[j] = 1
-                if f.coefficient(tuple(exps)) != 0:
+                e = [0] * len(w)
+                e[i] = (d - w[j]) // w[i]
+                e[j] = 1
+                if tuple(e) in exps:
                     witness = j
                     break
         if witness is not None:

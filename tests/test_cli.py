@@ -117,6 +117,10 @@ def test_exit_code_2_on_precondition():
                  ["--approx", "enumerate", "--n", "2", "--max-weight", "4", "--index", "1",
                   "--csv"],
                  ["--format", "text", "okounkov", "case", "hirzebruch", "--a", "2",
+                  "--csv-samples", "4"],
+                 ["--format", "text", "enumerate", "--n", "2", "--max-weight", "4", "--index",
+                  "1", "--csv"],
+                 ["--approx", "okounkov", "case", "hirzebruch", "--a", "2",
                   "--csv-samples", "4"]):
         code, text = _run(argv)
         assert code == 2
@@ -845,6 +849,25 @@ def test_a_run_constructs_the_root_and_the_named_subtree(monkeypatch, argv, pars
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert _run(argv)[0] == 0
     assert made == [" ".join(["wfano", *argv[:level]]) for level in range(parsers)]
+
+
+_CSV_RUNS = [["moments", "table", "--n-max", "3", "--a-max", "2", "--k-max", "2"],
+             ["enumerate", "--n", "2", "--max-weight", "4", "--index", "1", "--csv"],
+             ["okounkov", "case", "hirzebruch", "--a", "2", "--csv-samples", "4"]]
+
+
+@pytest.mark.parametrize("argv", _LEAF_RUNS + _CSV_RUNS[2:])
+def test_handlers_return_and_only_run_writes(capsys, argv):
+    """A handler writes nothing: it returns a table for the three CSV runs
+    and a report for every other run, and ``run`` writes either."""
+    args = cli.build_parser().parse_args(argv)
+    result = args.handler(args)
+    if argv in _CSV_RUNS:
+        assert isinstance(result, cli._Table)
+        list(result.rows)
+    else:
+        assert isinstance(result, dict) and "schema_version" in result
+    assert capsys.readouterr() == ("", "")
 
 
 def test_each_builder_runs_once_per_parser(monkeypatch):
