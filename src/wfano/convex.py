@@ -11,19 +11,21 @@ Each formula lives in one place.  Polygons and sliced bodies take their
 area and centroid from one shoelace formula, :func:`_moments`, computed
 once per body at construction; a sliced body passes its outline (0,0),
 (t_q,0), then back along the graph of g.  Intersection numbers come from
-:func:`_pair` and :func:`_form`.  Both the Zariski decomposition and the
-chamber walk behind the Okounkov bodies go through one elimination,
-:func:`_solve_negative_definite`: its pivots decide negative definiteness by
-Sylvester's criterion, and the same pass solves the orthogonality system
-(the walk solves for the constants and the slopes in x as two columns).
+:func:`_pair` and :func:`_form`.  The Zariski decomposition goes through
+one elimination, :func:`_solve_negative_definite`: its pivots decide
+negative definiteness by Sylvester's criterion, and the same pass solves the
+orthogonality system.  The two Hirzebruch-type Okounkov bodies are stated in
+closed form: for S = P(1,1,a) the triangle under g(x) = ax on [0, 1/a], and
+for S = P(1,a,a+1) the same slope up to x = 1/(a(a+1)), then g(x) = 1/a - x
+to 1/a; the tests check both against the Zariski decomposition of
+L - xC_0 in their two-curve models.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 Point = tuple[Fraction, Fraction]
 
@@ -34,17 +36,6 @@ def _frac_point(p: Sequence) -> Point:
 
 def _cross(o: Point, a: Point, b: Point) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def sqrt_fraction(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 def _moments(vertices: Sequence[Point]) -> tuple[Fraction, Fraction, Fraction]:
@@ -423,82 +414,6 @@ class OkounkovCase:
         return self.body.area()
 
 
-def _okounkov_from_curve_model(intersection: Sequence[Sequence], l_coeffs: Sequence,
-                               flag_index: int) -> tuple[SlicedBody, Fraction]:
-    """Okounkov body of L for the flag (curve, generic point) by walking the
-    Zariski chambers of L - x * C_flag.  Returns (body, nef threshold).
-
-    Only models whose chamber walls and pseudo-effective threshold are
-    rational are supported (all shipped families are).
-    """
-    m = [[Fraction(x) for x in row] for row in intersection]
-    n = len(m)
-    # D(x) = dc + x * dm and P(x) = pc + x * pm, as constants and slopes in x
-    dc = [Fraction(x) for x in l_coeffs]
-    dm = [Fraction(-1) if i == flag_index else Fraction(0) for i in range(n)]
-    support: list[int] = []
-    x0 = Fraction(0)
-    breakpoints = [Fraction(0)]
-    pieces: list[tuple[Fraction, Fraction]] = []
-    for _ in range(n + 2):
-        # solve for the negative part on the current support, linearly in x
-        gram = [[m[i][j] for j in support] for i in support]
-        sol_c, sol_m = _solve_negative_definite(
-            gram, [[_pair(m, dc, j) for j in support], [_pair(m, dm, j) for j in support]],
-            "chamber support is not negative definite")
-        pc, pm = dc[:], dm[:]
-        for idx, j in enumerate(support):
-            pc[j] -= sol_c[idx]
-            pm[j] -= sol_m[idx]
-        # volume of the positive part: quadratic in x
-        q2, q1, q0 = _form(m, pm, pm), 2 * _form(m, pc, pm), _form(m, pc, pc)
-        vol_root = _smallest_root_after(q2, q1, q0, x0)
-        # next wall: a curve outside the support starts meeting P negatively
-        wall = None
-        for j in range(n):
-            if j in support:
-                continue
-            slope = _pair(m, pm, j)
-            if slope < 0:
-                root = -_pair(m, pc, j) / slope
-                if root > x0 and (wall is None or root < wall[0]):
-                    wall = (root, j)
-        piece = (_pair(m, pm, flag_index), _pair(m, pc, flag_index))
-        if vol_root is None and wall is None:
-            raise ValueError("model does not reach the pseudo-effective boundary rationally")
-        if vol_root is not None and (wall is None or vol_root <= wall[0]):
-            end = vol_root
-            pieces.append(piece)
-            breakpoints.append(end)
-            body = SlicedBody(tuple(breakpoints), tuple(pieces))
-            nef_threshold = breakpoints[1] if support else breakpoints[-1]
-            return body, nef_threshold
-        end, j = wall
-        if end > x0:
-            pieces.append(piece)
-            breakpoints.append(end)
-        support.append(j)
-        x0 = end
-    raise AssertionError("chamber walk failed to terminate")
-
-
-def _smallest_root_after(q2: Fraction, q1: Fraction, q0: Fraction,
-                         x0: Fraction) -> Optional[Fraction]:
-    """Smallest rational root > x0 of q2 x^2 + q1 x + q0, if any."""
-    roots = []
-    if q2 == 0:
-        if q1 != 0:
-            roots.append(-q0 / q1)
-    else:
-        disc = q1 * q1 - 4 * q2 * q0
-        r = sqrt_fraction(disc)
-        if r is None:
-            return None
-        roots.extend([(-q1 - r) / (2 * q2), (-q1 + r) / (2 * q2)])
-    cands = [r for r in roots if r > x0]
-    return min(cands) if cands else None
-
-
 def okounkov_body_surface(case: str, a: int = 0, b: int = 0, k: int = 0,
                           flag_in_surface: bool = False) -> OkounkovCase:
     """Okounkov bodies of O_S(1) for the three supported surface families.
@@ -519,11 +434,14 @@ def okounkov_body_surface(case: str, a: int = 0, b: int = 0, k: int = 0,
     if case in ("hirzebruch", "hirzebruch2"):
         if a < 1:
             raise ValueError("need a >= 1")
-        # the two models differ only in the self-intersection of the second curve
-        e = Fraction(0) if case == "hirzebruch" else Fraction(-1, a + 1)
-        inter = [[Fraction(-a), Fraction(1)], [Fraction(1), e]]
-        body, eps = _okounkov_from_curve_model(inter, [Fraction(1, a), Fraction(1)], 0)
-        return _finish_case(body, eps)
+        # L - xC_0 = (1/a - x)C_0 + C_1, with C_0^2 = -a and C_0.C_1 = 1, meets C_0 in ax and
+        # C_1 in 1/a - x + C_1^2.  Both bodies end at x = 1/a; for C_1^2 = -1/(a+1), past
+        # x = 1/(a(a+1)) the positive part is (1/a - x)(C_0 + (a+1)C_1), meeting C_0 in 1/a - x.
+        inv = Fraction(1, a)
+        if case == "hirzebruch":
+            return _finish_case(SlicedBody((0, inv), ((a, 0),)), inv)
+        wall = Fraction(1, a * (a + 1))
+        return _finish_case(SlicedBody((0, wall, inv), ((a, 0), (-1, inv))), wall)
     if case == "perhaps-useful":
         if a < 1 or b < 1 or k < 2:
             raise ValueError("need a, b >= 1 and k >= 2")

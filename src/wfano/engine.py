@@ -60,13 +60,17 @@ class Flags:
             raise ValueError("escape level m must be >= 1")
 
 
+MAX_DEGREE = 10**6        # derive_b1's knapsack holds a bitset of d + 1 bits
+
+
 @dataclass(frozen=True)
 class FanoDatum:
     """A weighted hypersurface family: ambient P(a_0,...,a_{n+1}), degree d.
 
     Construction refuses, in order: a degree that is not a positive integer,
-    fewer than three weights, a P that is not well-formed, and (as
-    :class:`NonFanoError`) an index sum(a_i) - d that is not positive.
+    fewer than three weights, a P that is not well-formed, (as
+    :class:`NonFanoError`) an index sum(a_i) - d that is not positive, and
+    a degree above :data:`MAX_DEGREE`.
 
     The shape every rule reads is computed once, at construction: the
     dimension ``n``, the Fano ``index`` sum(a_i) - d, the ascending
@@ -91,6 +95,8 @@ class FanoDatum:
         self.ambient.require_well_formed()
         if index <= 0:
             raise NonFanoError(f"index sum(a_i) - d = {index} is not positive")
+        if self.d > MAX_DEGREE:
+            raise ValueError(f"degree {self.d} exceeds the limit {MAX_DEGREE}")
         w = tuple(sorted(self.ambient.weights))
         setattr_ = object.__setattr__
         setattr_(self, "n", len(w) - 2)

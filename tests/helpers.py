@@ -3,8 +3,10 @@
 These deliberately avoid the code paths they are used to check: the simplex
 moment oracle integrates recursively variable by variable, the smooth-model
 intersection oracle works with lattice-polytope volumes, the quotient-lattice
-index oracle takes gcds of Bareiss determinants instead of a Smith form, and
-the random weight generator produces gcd-1 (optionally well-formed) tuples.
+index oracle takes gcds of Bareiss determinants instead of a Smith form, the
+family census decides existence by brute force over the Iano-Fletcher
+criteria with its own knapsack, and the random weight generator produces
+gcd-1 (optionally well-formed) tuples.
 """
 
 from __future__ import annotations
@@ -132,3 +134,104 @@ def random_weight_vector(rng: random.Random, length: int, max_weight: int = 50,
         if well_formed and not wv.is_well_formed:
             continue
         return wv
+
+
+def census(n: int, max_weight: int, index: int = 1, terminal: bool = False):
+    """The families X_d in P(a_0..a_{n+1}) with ascending gcd-1 weights up to
+    ``max_weight`` and d = sum(a_i) - ``index`` whose general member is
+    quasi-smooth and well-formed and not a linear cone, as (weights, d) in
+    lexicographic order.
+
+    Each tuple passes, in order: the singleton condition (each a_i divides d
+    or d - a_j > 0 for some j != i), d not a weight, X well-formed
+    (Iano-Fletcher, *Working with weighted complete intersections* (2000),
+    Thm 6.10: the gcd of all weights but one is 1, of all but two divides d),
+    and quasi-smoothness (Thm 8.1: for every nonempty I, some degree-d
+    monomial uses only the variables in I, or |I| distinct e outside I have
+    x_I^M x_e of degree d).  With ``terminal`` (n = 3 only) X must also be
+    terminal: no prime divides three weights, every edge P_iP_j with
+    gcd(a_i, a_j) > 1 meets X in points only, and every point of X is of
+    type 1/r(b, -b, c) with b and c prime to r.
+    """
+    if terminal and n != 3:
+        raise ValueError("the terminal conditions are stated for n = 3")
+    out = []
+    for w in itertools.combinations_with_replacement(range(1, max_weight + 1), n + 2):
+        if math.gcd(*w) != 1:
+            continue
+        d = sum(w) - index
+        if d < 1 or not _census_singletons(w, d):
+            continue
+        if d in w or not _census_well_formed(w, d):
+            continue
+        reach = _census_reach(w, d)
+        if not _census_quasi_smooth(w, d, reach):
+            continue
+        if terminal and not _census_terminal(w, d, reach):
+            continue
+        out.append((w, d))
+    return out
+
+
+def _census_singletons(w, d) -> bool:
+    for i in reversed(range(len(w))):   # the largest weight fails most often
+        a = w[i]
+        if d % a and not any(d > b and (d - b) % a == 0 for b in w[:i] + w[i + 1:]):
+            return False
+    return True
+
+
+def _census_well_formed(w, d) -> bool:
+    m = len(w)
+    return (all(math.gcd(*w[:i], *w[i + 1:]) == 1 for i in range(m))
+            and all(d % math.gcd(*(w[k] for k in range(m) if k not in (i, j))) == 0
+                    for i, j in itertools.combinations(range(m), 2)))
+
+
+def _census_reach(w, d) -> list:
+    """``reach[S]``: the bitmask of the values 0..d that are sums of the
+    weights indexed by the bitmask S, built up one weight at a time."""
+    full = (1 << (d + 1)) - 1
+    reach = [1] * (1 << len(w))
+    for s in range(1, len(reach)):
+        low = (s & -s).bit_length() - 1
+        r, step = reach[s & (s - 1)], w[low]
+        while step <= d:           # shifts by a, 2a, 4a, ... reach every multiple
+            r |= (r << step) & full
+            step *= 2
+        reach[s] = r
+    return reach
+
+
+def _census_quasi_smooth(w, d, reach) -> bool:
+    m = len(w)
+    for s in range(1, 1 << m):
+        if reach[s] >> d & 1:
+            continue
+        outside = [e for e in range(m) if not s >> e & 1]
+        if sum(w[e] <= d and reach[s] >> (d - w[e]) & 1 for e in outside) < bin(s).count("1"):
+            return False
+    return True
+
+
+def _census_terminal(w, d, reach) -> bool:
+    m = len(w)
+    if any(math.gcd(*t) > 1 for t in itertools.combinations(w, 3)):
+        return False
+    points = []                     # (r, the three weights of the type)
+    for i, a in enumerate(w):
+        if a > 1 and d % a:
+            e = next(e for e in range(m) if e != i and d > w[e] and (d - w[e]) % a == 0)
+            points.append((a, [w[k] for k in range(m) if k not in (i, e)]))
+    for i, j in itertools.combinations(range(m), 2):
+        r = math.gcd(w[i], w[j])
+        if r == 1:
+            continue
+        if not reach[1 << i | 1 << j] >> d & 1:
+            return False            # X contains the whole edge
+        monomials = sum(1 for p in range(d // w[i] + 1) if (d - p * w[i]) % w[j] == 0)
+        points += [(r, [w[k] for k in range(m) if k not in (i, j)])] * (monomials - 1)
+    return all(
+        any((b + c) % r == 0 and math.gcd(b, r) == 1 and math.gcd(e, r) == 1
+            for b, c, e in itertools.permutations(t))
+        for r, t in points)

@@ -49,6 +49,24 @@ def test_certify_example():
     assert rep["schema_version"] == "wfano-certify/1"
 
 
+def test_certify_refuses_a_degree_above_the_cap():
+    """The weight-one knapsack holds d + 1 bits, so a degree past
+    ``MAX_DEGREE`` is a precondition error (exit 2), checked after every
+    older refusal; the cap itself still certifies."""
+    big = ce.MAX_DEGREE + 3
+    code, rep = _run_json(["certify", "--weights", f"1,1,1,1,{big - 3}", "--degree", str(big)])
+    assert code == 2
+    jsonschema.validate(rep, ERROR_SCHEMA)
+    assert rep["error"] == {"kind": "precondition",
+                            "message": f"degree {big} exceeds the limit {ce.MAX_DEGREE}"}
+    code, rep = _run_json(["certify", "--weights", "1,1,1,2", "--degree", str(big)])
+    assert rep["error"]["message"] == f"index sum(a_i) - d = {5 - big} is not positive"
+    code, rep = _run_json(["certify", "--weights", "1,1,1,1,999996", "--degree", "999999"])
+    assert code == 0
+    jsonschema.validate(rep, REPORT_SCHEMA)
+    assert rep["inputs"]["index"] == 1
+
+
 def test_moments_example():
     code, rep = _run_json(["moments", "s-value", "--n", "3", "--a", "2",
                            "--k", "2", "--j", "1"])

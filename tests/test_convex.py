@@ -361,6 +361,24 @@ def test_okounkov_hirzebruch2():
         assert case.s_value == F(a + 2, 3 * a * (a + 1))
 
 
+@pytest.mark.parametrize("name, c1_squared", [
+    ("hirzebruch", lambda a: F(0)),
+    ("hirzebruch2", lambda a: F(-1, a + 1)),
+])
+def test_okounkov_closed_forms_match_the_zariski_decomposition(name, c1_squared):
+    # the curve model of S: L = C_0/a + C_1, flag C_0, C_0^2 = -a, C_0.C_1 = 1
+    for a in range(1, 11):
+        case = cx.okounkov_body_surface(name, a=a)
+        m = [[F(-a), F(1)], [F(1), c1_squared(a)]]
+        for i in range(41):
+            x = case.t_max * i / 40
+            dec = cx.zariski_decompose(m, (F(1, a) - x, F(1)))
+            p = dec.positive
+            assert p[0] * m[0][0] + p[1] * m[1][0] == case.body.upper(x)
+            assert (dec.support == ()) == (x <= case.eps)
+        assert sum(p[i] * m[i][j] * p[j] for i in range(2) for j in range(2)) == 0
+
+
 def test_boundary_samples_need_a_positive_count():
     body = cx.okounkov_body_surface("hirzebruch", a=2).body
     assert body.boundary_samples(2) == [(0, body.upper(0)),
@@ -406,12 +424,6 @@ def test_okounkov_area_is_half_selfintersection():
             assert 2 * case.area == F(b * k + a, b)
 
 
-def test_sqrt_fraction():
-    assert cx.sqrt_fraction(F(9, 4)) == F(3, 2)
-    assert cx.sqrt_fraction(F(2)) is None
-    assert cx.sqrt_fraction(F(-1)) is None
-
-
 @pytest.mark.parametrize("call, message", [
     (lambda: cx.RationalPolygon(((0, 0), (1, 0))), "a polygon needs at least three vertices"),
     (lambda: cx.SlicedBody((0, 1), ((0, 1), (0, 1))), "need q+1 breakpoints for q pieces"),
@@ -433,6 +445,3 @@ def test_input_checks_name_the_fault(call, message):
         call()
     assert str(err.value) == message
 
-
-def test_smallest_root_after_a_linear_polynomial():
-    assert cx._smallest_root_after(F(0), F(2), F(-1), F(0)) == F(1, 2)

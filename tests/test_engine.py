@@ -15,6 +15,8 @@ from wfano import engine as ce
 from wfano import moments as mo
 from wfano.lattice import WeightVector
 
+from helpers import census
+
 F = Fraction
 
 
@@ -206,6 +208,23 @@ def test_enumerate_drops_nonpositive_degrees():
         assert [t for t, _ in expected] == [(1, 1, 3), (1, 2, 3)]
         rows = list(ce.enumerate_data(n=n, max_weight=top, **sweep))
         assert [(r.datum.ambient.weights, r.datum.d) for r in rows] == expected
+
+
+def test_census_oracle_counts():
+    """The brute-force census of ROADMAP item 1: the index-1 threefold
+    families with a quasi-smooth, well-formed member that is not a linear
+    cone, and with the terminal filter the 95 (Reid's list; Johnson-Kollar,
+    *Fano hypersurfaces in weighted projective 4-spaces*, Experiment. Math.
+    10 (2001)).  Every family it keeps is an ``enumerate_data`` row."""
+    small = census(3, 10)
+    assert len(small) == 94
+    assert len(census(3, 33)) == 580
+    terminal = census(3, 33, terminal=True)
+    assert len(terminal) == 95
+    assert ((1, 1, 6, 14, 21), 42) in terminal and ((1, 5, 6, 22, 33), 66) in terminal
+    rows = {(r.datum.ambient.weights, r.datum.d) for r in ce.enumerate_data(3, 10, index=1)}
+    assert len(rows) == 1376
+    assert set(small) <= rows
 
 
 def test_enumerate_skips_contradictory_flags(monkeypatch):
