@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .lattice import WeightVector, reduce_weights
+from .snf import QuotientLattice
 
 
 class BiDegree(NamedTuple):
@@ -98,7 +99,7 @@ def build(ambient: WeightVector, r: int) -> BlowupFrame:
         v_rep=v_rep,
         bezout=(k, kp),
     )
-    if not ambient.quotient_lattice().is_primitive(v_rep):
+    if not QuotientLattice(ambient.weights).is_primitive(v_rep):
         raise AssertionError("constructed ray class is not primitive")
     return frame
 
@@ -292,4 +293,4 @@ def ray_cone_mult(frame: BlowupFrame, i: int) -> int:
         raise ValueError("the last ray is proportional to the new ray when r = s-1")
     e = [0] * (frame.s + 1)
     e[i] = 1
-    return frame.ambient.quotient_lattice().sublattice_index([e, frame.v_rep])
+    return QuotientLattice(frame.ambient.weights).sublattice_index([e, frame.v_rep])

@@ -307,9 +307,9 @@ class ZariskiDecomposition:
     support: tuple[int, ...]
 
 
-def _solve_negative_definite(gram: list[list[Fraction]], columns: list[list[Fraction]],
-                             message: str) -> list[list[Fraction]]:
-    """Solve gram @ x = c for each column c; gram must be negative definite.
+def _solve_negative_definite(gram: list[list[Fraction]], rhs: list[Fraction],
+                             message: str) -> list[Fraction]:
+    """Solve gram @ x = rhs; gram must be negative definite.
 
     Elimination without row exchanges: the k-th pivot of a symmetric matrix
     is D_k / D_{k-1}, the ratio of consecutive leading minors.  By
@@ -318,7 +318,7 @@ def _solve_negative_definite(gram: list[list[Fraction]], columns: list[list[Frac
     :class:`NotPseudoEffectiveError` with ``message``.
     """
     n = len(gram)
-    rows = [list(row) + [c[i] for c in columns] for i, row in enumerate(gram)]
+    rows = [[*row, c] for row, c in zip(gram, rhs)]
     for k in range(n):
         pivot = rows[k][k]
         if pivot >= 0:
@@ -327,13 +327,10 @@ def _solve_negative_definite(gram: list[list[Fraction]], columns: list[list[Frac
             f = rows[r][k] / pivot
             if f:
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[k])]
-    solutions = []
-    for col in range(n, n + len(columns)):
-        x = [Fraction(0)] * n
-        for k in reversed(range(n)):
-            x[k] = (rows[k][col] - sum(rows[k][j] * x[j] for j in range(k + 1, n))) / rows[k][k]
-        solutions.append(x)
-    return solutions
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        x[k] = (rows[k][n] - sum(rows[k][j] * x[j] for j in range(k + 1, n))) / rows[k][k]
+    return x
 
 
 def _pair(m: Sequence[Sequence[Fraction]], u: Sequence[Fraction], j: int) -> Fraction:
@@ -378,8 +375,8 @@ def zariski_decompose(intersection: Sequence[Sequence], cls: Sequence) -> Zarisk
         support.extend(bad)
         gram = [[m[i][j] for j in support] for i in support]
         rhs = [_pair(m, d, j) for j in support]
-        [sol] = _solve_negative_definite(
-            gram, [rhs], "support is not negative definite; class is not pseudo-effective "
+        sol = _solve_negative_definite(
+            gram, rhs, "support is not negative definite; class is not pseudo-effective "
             "within this curve model")
         if any(x < 0 for x in sol):
             raise NotPseudoEffectiveError("negative part would have a negative coefficient")
@@ -429,11 +426,15 @@ def okounkov_body_surface(case: str, a: int = 0, b: int = 0, k: int = 0,
       the delta bounds use.  Otherwise the body is the exact triangle for a
       general flag curve in |O_S(1)|.
 
-    Any other case is rejected.
+    Any other case is rejected, and so is a nonzero b or k, or
+    ``flag_in_surface``, for the two Hirzebruch-type cases, which read only a.
     """
     if case in ("hirzebruch", "hirzebruch2"):
         if a < 1:
             raise ValueError("need a >= 1")
+        if b or k or flag_in_surface:
+            raise ValueError("b, k and flag_in_surface apply only to perhaps-useful, "
+                             f"not to {case}")
         # L - xC_0 = (1/a - x)C_0 + C_1, with C_0^2 = -a and C_0.C_1 = 1, meets C_0 in ax and
         # C_1 in 1/a - x + C_1^2.  Both bodies end at x = 1/a; for C_1^2 = -1/(a+1), past
         # x = 1/(a(a+1)) the positive part is (1/a - x)(C_0 + (a+1)C_1), meeting C_0 in 1/a - x.

@@ -106,9 +106,6 @@ class WeightVector:
     def text(self) -> str:
         return ",".join(map(str, self.weights))
 
-    def quotient_lattice(self) -> QuotientLattice:
-        return QuotientLattice(self.weights)
-
 
 def reduce_weights(weights: Sequence[int]) -> tuple[int, tuple[int, ...], tuple[int, ...], int,
                                                      tuple[int, ...]]:
@@ -283,7 +280,7 @@ def fano_index(w: WeightVector, d: int) -> int:
 def stratum_mult_oracle(w: WeightVector, vanish: Iterable[int]) -> int:
     """Cone multiplicity of a stratum by lattice index (independent of
     the gcd formula used by :func:`stratum`)."""
-    lat = w.quotient_lattice()
+    lat = QuotientLattice(w.weights)
     m = len(w)
     rays = []
     for i in sorted(set(int(j) for j in vanish)):

@@ -17,7 +17,8 @@ both, with t in [0, 1]; every integrand is then a polynomial in t, and
 each of its terms integrates to 1/(e+1) for t^e; each S-value is built
 as one Fraction (see ``_flag_integrals``).  Only three distinct S-values
 exist per (n, a, k), so they are computed together once.  ``Poly1D`` is the
-dense reference integrator of ``MomentRegion.volume`` and of the tests.
+tests' dense integrator, the independent check of ``_flag_integrals`` and of
+the region's volume (ak+1)/(a n!); the benchmark counts its products.
 
 Every certified Eckardt value is A/S over these integrals, the step of
 Abban-Zhuang, with log discrepancy n/a for the exceptional divisor E and 1
@@ -31,7 +32,6 @@ each (n, a, k)'s values are picked once for all of its rows.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,9 +63,6 @@ class Poly1D:
                 out[i + j] += a * b
         return Poly1D(out)
 
-    def scale(self, f: Fraction) -> "Poly1D":
-        return Poly1D([c * Fraction(f) for c in self.coeffs])
-
     def power(self, e: int) -> "Poly1D":
         out = Poly1D([1])
         base = self
@@ -95,33 +92,6 @@ def _validate(n: int, a: int, k: int, j: int = 1) -> None:
         raise ValueError("a and k must be positive integers")
     if not 1 <= as_integer(j, "flag depth j") <= n:
         raise ValueError("flag depth j must satisfy 1 <= j <= n")
-
-
-@dataclass(frozen=True)
-class MomentRegion:
-    """The two-piece region of the flag moments; pieces share x_1 = 1/a."""
-
-    n: int
-    a: int
-    k: int
-
-    def __post_init__(self):
-        _validate(self.n, self.a, self.k)
-
-    def volume(self) -> Fraction:
-        """Exact volume; equals (ak+1)/(a * n!)."""
-        n, a, k = self.n, self.a, self.k
-        fact = math.factorial(n - 1)
-        piece1 = Poly1D([0, a]).power(n - 1).scale(Fraction(1, fact))
-        v1 = piece1.integral(0, Fraction(1, a))
-        t2 = Poly1D([Fraction(a * k + 1, a * k), Fraction(-1, k)])
-        piece2 = t2.power(n - 1).scale(Fraction(1, fact))
-        v2 = piece2.integral(Fraction(1, a), Fraction(a * k + 1, a))
-        return v1 + v2
-
-    @property
-    def normalizer(self) -> Fraction:
-        return Fraction(math.factorial(self.n) * self.a, self.a * self.k + 1)
 
 
 def _flag_integrals(n: int, a: int, k: int) -> tuple[Fraction, Fraction, Fraction]:

@@ -129,9 +129,6 @@ class _GradedPoly:
         """The variable names of ``space``, in exponent order."""
         return sum(cls.blocks(space), ())
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return dict(self.terms).get(tuple(exps), Fraction(0))
-
     def divisible_by_variable(self, i: int) -> bool:
         return all(exps[i] > 0 for exps, _ in self.terms)
 
@@ -218,10 +215,6 @@ class BiGradedPoly(_GradedPoly):
 
     def divisible_by_z(self) -> bool:
         return self.divisible_by_variable(-1)
-
-    def collapse(self) -> SparseWPoly:
-        """Substitute z -> 1 and y_j -> x_j; inverts the strict transform."""
-        return SparseWPoly.from_dict(self.frame.ambient, ((e[:-1], c) for e, c in self.terms))
 
 
 def parse_bigraded(text: str, frame: BlowupFrame) -> BiGradedPoly:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they are used to check: the simplex
 moment oracle integrates recursively variable by variable, the smooth-model
-intersection oracle works with lattice-polytope volumes, the quotient-lattice
+intersection oracle works with lattice-polytope volumes, the flag region's
+volume is a dense ``Poly1D`` integral over its slices, the quotient-lattice
 index oracle takes gcds of Bareiss determinants instead of a Smith form, the
 family census decides existence by brute force over the Iano-Fletcher
 criteria with its own knapsack, and the random weight generator produces
@@ -17,6 +18,7 @@ import random
 from fractions import Fraction
 
 from wfano.lattice import WeightVector
+from wfano.moments import Poly1D
 
 
 def brute_simplex_moment(n_vars: int, upper, weights) -> Fraction:
@@ -41,6 +43,16 @@ def brute_simplex_moment(n_vars: int, upper, weights) -> Fraction:
         f = out
     t = Fraction(upper)
     return sum(c * t**i for i, c in enumerate(f))
+
+
+def region_volume(n: int, a: int, k: int) -> Fraction:
+    """Volume of the two-piece flag region of ``wfano.moments``: its slices
+    over x_1 are simplices of size t = a x_1 up to 1/a, then
+    ((ak+1)/a - x_1)/k up to (ak+1)/a, of volume t^(n-1)/(n-1)!."""
+    v1 = Poly1D([0, a]).power(n - 1).integral(0, Fraction(1, a))
+    t2 = Poly1D([Fraction(a * k + 1, a * k), Fraction(-1, k)])
+    v2 = t2.power(n - 1).integral(Fraction(1, a), Fraction(a * k + 1, a))
+    return (v1 + v2) / math.factorial(n - 1)
 
 
 def smooth_blowup_intersection(s: int, r: int, k: int) -> Fraction:

@@ -15,8 +15,9 @@ from wfano import engine as ce
 from wfano import moments as mo
 from wfano import wpoly as wp
 from wfano.lattice import WeightVector, normalize
+from wfano.snf import QuotientLattice
 
-from helpers import random_weight_vector, smooth_blowup_intersection
+from helpers import random_weight_vector, region_volume, smooth_blowup_intersection
 
 F = Fraction
 
@@ -41,8 +42,7 @@ def test_criterion_1_moment_grid():
                             expected = F(1, n + 1)
                         assert s == expected, (n, a, k, j, q)
                         checks += 1
-                assert mo.MomentRegion(n, a, k).normalizer \
-                    * mo.MomentRegion(n, a, k).volume() == 1
+                assert F(math.factorial(n) * a, a * k + 1) * region_volume(n, a, k) == 1
     _report(1, f"moment integrals equal the closed forms on the full grid "
                f"({checks} exact checks)")
 
@@ -216,7 +216,7 @@ def test_criterion_7_blowup_random_corpus():
         s = w.s
         r = rng.randint(1, s - 1)
         frame = bl.build(w, r)
-        lat = w.quotient_lattice()
+        lat = QuotientLattice(w.weights)
         assert lat.is_primitive(frame.v_rep)
         bl.ray_membership_witness(frame)
         cover = bl.finite_cover_pull(frame, w.weights)

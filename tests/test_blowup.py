@@ -9,6 +9,7 @@ import pytest
 from wfano import blowup as bl
 from wfano import cli
 from wfano.lattice import WeightVector
+from wfano.snf import QuotientLattice
 
 from helpers import (quotient_index_by_minors, random_weight_vector,
                      smooth_blowup_intersection)
@@ -61,7 +62,7 @@ def test_primitivity_and_ray_mults_random():
     rng = random.Random(2718)
     for _ in range(150):
         w = random_weight_vector(rng, rng.randint(3, 6), 10, well_formed=True)
-        lat = w.quotient_lattice()
+        lat = QuotientLattice(w.weights)
         for r in range(1, w.s):
             fr = bl.build(w, r)
             assert lat.is_primitive(fr.v_rep)

@@ -119,7 +119,9 @@ def test_exit_code_2_on_precondition():
                  ["moments", "table", "--k-max", "-2"],
                  ["blowup", "transform", "--weights", "1,1,1", "--r", "1", "--poly", "1"],
                  ["blowup", "transform", "--weights", "1,1,2", "--r", "1", "--poly", "z"],
-                 ["okounkov", "case", "hirzebruch", "--a", "2", "--csv-samples", "-3"]):
+                 ["okounkov", "case", "hirzebruch", "--a", "2", "--csv-samples", "-3"],
+                 ["okounkov", "case", "hirzebruch", "--a", "2", "--k", "9", "--b", "4",
+                  "--flag-in-surface"]):
         code, text = _run(argv)
         assert code == 2
         assert text.startswith("{"), argv

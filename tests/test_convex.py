@@ -329,13 +329,13 @@ def test_negative_definite_solve_matches_sylvester():
         definite = all(_cofactor_det([row[:k] for row in gram[:k]]) * (-1) ** k > 0
                        for k in range(1, n + 1))
         if not definite:
-            with pytest.raises(cx.NotPseudoEffectiveError, match="^not definite$"):
-                cx._solve_negative_definite(gram, columns, "not definite")
+            for c in columns:
+                with pytest.raises(cx.NotPseudoEffectiveError, match="^not definite$"):
+                    cx._solve_negative_definite(gram, c, "not definite")
             outcomes["raised"] += 1
         else:
-            solutions = cx._solve_negative_definite(gram, columns, "not definite")
-            assert len(solutions) == len(columns)
-            for x, c in zip(solutions, columns):
+            for c in columns:
+                x = cx._solve_negative_definite(gram, c, "not definite")
                 assert [sum(gram[i][j] * x[j] for j in range(n)) for i in range(n)] == c
             outcomes["solved"] += 1
         assert gram == before
@@ -439,6 +439,10 @@ def test_okounkov_area_is_half_selfintersection():
         cx.SurfaceLocalData(A=1, d_list=(F(1, 2), F(3, 4), F(3, 4)), eps=1, L2=1)),
      "boundary degree must satisfy dC < 2"),
     (lambda: cx.zariski_decompose([[-1]], [1, 2]), "class vector length mismatch"),
+    (lambda: cx.okounkov_body_surface("hirzebruch", a=1, flag_in_surface=True),
+     "b, k and flag_in_surface apply only to perhaps-useful, not to hirzebruch"),
+    (lambda: cx.okounkov_body_surface("hirzebruch2", a=2, b=4),
+     "b, k and flag_in_surface apply only to perhaps-useful, not to hirzebruch2"),
 ])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as err:

@@ -8,7 +8,7 @@ import pytest
 from wfano import engine as ce
 from wfano import moments as mo
 
-from helpers import brute_simplex_moment
+from helpers import brute_simplex_moment, region_volume
 
 F = Fraction
 
@@ -28,23 +28,14 @@ def test_region_volume_normalization():
     for n in range(2, 7):
         for a in (1, 2, 5):
             for k in (1, 2, 4):
-                region = mo.MomentRegion(n, a, k)
-                assert region.volume() == F(a * k + 1, a * math.factorial(n))
-                assert region.normalizer * region.volume() == 1
+                volume = region_volume(n, a, k)
+                assert volume == F(a * k + 1, a * math.factorial(n))
+                assert F(math.factorial(n) * a, a * k + 1) * volume == 1
 
 
 def test_region_volume_against_brute_force():
     for (n, a, k) in [(2, 1, 1), (3, 2, 2), (4, 3, 1), (2, 4, 3)]:
-        # piecewise volume by brute-force slab integration over x_1 samples
-        # is replaced by the exact piece volumes of simplices:
-        v1 = brute_simplex_moment(n, F(1), [0] * n)  # placeholder sanity
-        assert v1 == F(1, math.factorial(n))
-        region = mo.MomentRegion(n, a, k)
-        # integrate the two pieces by brute force over x_1 via Fubini with
-        # the brute simplex volume at sampled rational heights is exact
-        # because the integrand is polynomial; use interpolation instead:
-        total = _volume_by_interpolation(n, a, k)
-        assert region.volume() == total
+        assert region_volume(n, a, k) == _volume_by_interpolation(n, a, k)
 
 
 def _volume_by_interpolation(n, a, k):
@@ -116,7 +107,7 @@ def _dense_flag_integrals(n, a, k):
     t2, lo2, hi2 = pieces[1]
     v = mo.Poly1D([F(-1, a * k), F(1, k)])  # (x - 1/a)/k
     v_term = (v * t2.power(n - 1)).integral(lo2, hi2)
-    norm = mo.MomentRegion(n, a, k).normalizer
+    norm = 1 / region_volume(n, a, k)
     rest = rest / (fact_nm1 * n)
     return (norm * first / fact_nm1, norm * rest, norm * (rest + v_term / fact_nm1))
 
@@ -161,7 +152,7 @@ def test_s_value_preconditions():
     with pytest.raises(ValueError, match="dimension n must be an integer"):
         mo.moment_table([F(5, 2)], range(1, 2), range(1, 2))
     with pytest.raises(ValueError, match="dimension n must be an integer"):
-        mo.MomentRegion("3", 1, 1)
+        mo.s_value("3", 1, 1, 1)
 
 
 def test_s_value_monotonicity():

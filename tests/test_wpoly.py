@@ -33,8 +33,7 @@ def test_parse_examples():
 
 def test_parse_rational_coefficients():
     f = wp.parse("2/3*x0^2 - x1^2", WeightVector((1, 1)))
-    assert f.coefficient((2, 0)) == Fraction(2, 3)
-    assert f.coefficient((0, 2)) == -1
+    assert dict(f.terms) == {(2, 0): Fraction(2, 3), (0, 2): -1}
 
 
 def test_strict_transform_example_one():
@@ -110,7 +109,8 @@ def test_push_pull_property():
         ft = wp.strict_transform(f, r)
         frame = ft.frame
         assert frame.h * ft.bidegree.alpha + frame.hp * ft.bidegree.beta == d
-        assert ft.collapse() == f
+        # z -> 1 and y_j -> x_j inverts the strict transform
+        assert wp.SparseWPoly.from_dict(frame.ambient, ((e[:-1], c) for e, c in ft.terms)) == f
         assert not ft.divisible_by_z()
         count += 1
 
@@ -164,7 +164,7 @@ def test_restrict():
     f = wp.parse("x0^2 + x1*x2", WeightVector((1, 1, 1)))
     g = wp.restrict(f, 0)
     assert g.ambient.weights == (1, 1)
-    assert g.coefficient((1, 1)) == 1
+    assert dict(g.terms) == {(1, 1): 1}
 
     with pytest.raises(ValueError):
         wp.restrict(wp.parse("x0*x1", WeightVector((1, 1))), 0)
@@ -281,10 +281,10 @@ def test_parse_bigraded_rejects_inhomogeneous_text():
 
 def test_coefficient_of_an_absent_monomial_is_zero():
     f = wp.parse("x3^2*x1^2 + x3*x0 + x1^4 + x2^4", W3111)
-    assert f.coefficient((0, 2, 2, 0)) == 0
-    ft = wp.strict_transform(f, 2)
-    assert ft.coefficient((0, 2, 0, 2, 0)) == 1
-    assert ft.coefficient((0, 2, 0, 2, 1)) == 0
+    assert (0, 2, 2, 0) not in dict(f.terms)
+    terms = dict(wp.strict_transform(f, 2).terms)
+    assert terms[(0, 2, 0, 2, 0)] == 1
+    assert (0, 2, 0, 2, 1) not in terms
 
 
 def test_direct_construction_checks_what_from_dict_checks():
