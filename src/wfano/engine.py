@@ -9,12 +9,16 @@ The rules are data: :data:`RULES` is one table of :class:`Rule` rows,
 each listing the :class:`Fact` preconditions it requires; the trace
 records the text of each fact as a hypothesis.
 :func:`certify` resolves the weight-one base locus containment and the
-Eckardt vertex once, folds over the table, combines the bounds that fired
-(maximum of lower bounds, local bounds combined over a vertex/away split),
-converts between the O(1) and anticanonical polarizations exactly, and
-records what fired.  The audit trace is rendered from that record when
-:attr:`DeltaCertificate.trace` is read, so a sweep that reads only the
-bounds, the verdict and the fired rule ids never renders it.
+Eckardt vertex once, folds in table order over the rows that the datum's
+weight shape (one weight > 1, two, or any other) admits, combines the
+bounds that fired (maximum of lower bounds, local bounds combined over a
+vertex/away split), converts between the O(1) and anticanonical
+polarizations exactly, and records what fired.  The audit trace is
+rendered from that record when :attr:`DeltaCertificate.trace` is read, so
+a sweep that reads only the bounds, the verdict and the fired rule ids
+never renders it.  The records without a check of their own, the
+certificate, :class:`B1Result` and the sweep's :class:`EnumerationRow`,
+are NamedTuples.
 
 External inputs from the literature are separate rows tagged EXTERNAL and
 carry their own citation strings; they are never merged silently.
@@ -26,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .lattice import WeightVector, as_integer, fano_index
 from .moments import delta_eckardt, s_value, unstable_check
@@ -119,8 +123,7 @@ class TraceEntry:
     output: Optional[str]
 
 
-@dataclass(frozen=True)
-class DeltaCertificate:
+class DeltaCertificate(NamedTuple):
     """A certified bound for delta(X; O(1)) with verdict and audit record.
 
     ``bound`` is a lower bound (exclusive when ``strict``); ``upper`` is a
@@ -168,8 +171,7 @@ class DeltaCertificate:
         return None if self.upper is None else self.upper / self.index
 
 
-@dataclass(frozen=True)
-class B1Result:
+class B1Result(NamedTuple):
     verdict: str                  # "yes" | "no" | "unknown" | "contradiction"
     reasons: tuple[str, ...]
 
@@ -177,10 +179,14 @@ class B1Result:
 def _representable(d: int, parts: tuple[int, ...]) -> bool:
     """Whether d >= 0 is a nonnegative integer combination of the given parts.
 
-    Bit v of ``reach`` says v is a combination of the parts seen so far.
-    Shifting by p, 2p, 4p, ... while the step is at most d adds every
-    multiple of p up to d, so each part costs O(log d) big-int operations.
+    A part that divides d answers at once.  Otherwise bit v of ``reach``
+    says v is a combination of the parts seen so far.  Shifting by p, 2p,
+    4p, ... while the step is at most d adds every multiple of p up to d, so
+    each part costs O(log d) big-int operations.
     """
+    for p in parts:
+        if d % p == 0:
+            return True
     mask = (1 << (d + 1)) - 1
     reach = 1
     for p in parts:
@@ -443,14 +449,46 @@ RULES: tuple[Rule, ...] = (
 )
 
 
+def _rule_shape(rule: Rule) -> int:
+    """The number of weights > 1 a datum needs for every fact of ``rule`` to
+    hold: 1 when a fact checks ONE_WEIGHT or ECKARDT_VERTEX (the Eckardt
+    vertex has a ``k`` only on that shape), 2 when one checks TWO_WEIGHTS,
+    0 when the row admits any shape.  A ``replace(fact, text=None)`` copy
+    shares the check of its fact."""
+    checks = {fact.check for fact in rule.requires}
+    if ONE_WEIGHT.check in checks or ECKARDT_VERTEX.check in checks:
+        return 1
+    return 2 if TWO_WEIGHTS.check in checks else 0
+
+
+# (the RULES it indexes, per shape 0, 1, 2 the rows that shape admits)
+_by_shape: tuple = (None, ())
+
+
+def _shape_rules(shape: int) -> tuple[Rule, ...]:
+    """The rows of :data:`RULES` that a datum of ``shape`` admits, in table
+    order: shape 1 or 2 is the number of weights > 1, 0 any other.  The
+    index is rebuilt whenever ``RULES`` is rebound."""
+    global _by_shape
+    if _by_shape[0] is not RULES:
+        _by_shape = (RULES, tuple(tuple(rule for rule in RULES if _rule_shape(rule) in (0, s))
+                                  for s in range(3)))
+    return _by_shape[1][shape]
+
+
+_ZERO = Fraction(0)
+
+
 def certify(datum: FanoDatum) -> DeltaCertificate:
     """Best available certified bound for delta(X; O(1)) and the verdict.
 
     The datum is trusted as built.  The weight-one containment and the
     Eckardt vertex are resolved once; then every row of :data:`RULES` that
     fires is recorded, in table order, with its facts' arguments, inputs
-    and value.  No trace entry is built here: the certificate renders its
-    trace when it is read.
+    and value.  Only the rows that the datum's weight shape admits are
+    visited (:func:`_shape_rules`); every other row has a fact that fails
+    on that shape.  No trace entry is built here: the certificate renders
+    its trace when it is read.
     The emitted bound is the maximum of the global lower bounds and of
     min(best vertex bound, best away bound) when a vertex/away split is
     available.  The verdict is taken against the anticanonical
@@ -477,8 +515,9 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
         b1_note = (statement, derived.reasons)
     eckardt = _eckardt_vertex(datum)
 
-    lower, strict, vertex, away, upper = Fraction(0), False, None, None, None
-    for rule in RULES:
+    big = datum.n + 2 - datum.c1                        # the number of weights > 1
+    lower, strict, vertex, away, upper = _ZERO, False, None, None, None
+    for rule in _shape_rules(big if big <= 2 else 0):
         args = _HOLDS
         for fact in rule.requires:
             got = fact.check(datum, b1, eckardt)
@@ -534,8 +573,7 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
 ENUM_LIMITS = {"max_n": 24, "max_weight": 40, "max_rows": 200_000}
 
 
-@dataclass(frozen=True)
-class EnumerationRow:
+class EnumerationRow(NamedTuple):
     """One certified datum of a sweep.  A sweep reads the bounds, the
     verdict and :meth:`fired_rules`, so it never renders a trace."""
 

@@ -352,15 +352,24 @@ def test_byte_identical_determinism():
     assert out1 == out2
 
 
-def test_enumerate_csv_bytes():
-    """The benchmark's sweep CSV is pinned byte for byte."""
-    code, text = _run(["enumerate", "--n", "3", "--max-weight", "14", "--index", "1",
+_SWEEP_CSV = {        # --index: (bytes, SHA-256) of the benchmark's sweep CSV
+    1: (308_328, "1a373e534c0102396013921ee202fef8c3fc5863821fa17b69da28372b83d18d"),
+    2: (326_472, "8c00470965a1b345a7d3c4a71d72825c98eedd1b89a6764b942ce2113f9e0ca1"),
+    3: (312_870, "8242ee0204a1b9d0a258f70e80867d0c9f6b139baf3b841e4c4f1c82ef100726"),
+    4: (325_543, "2a0ae268e7e5eb3bb77735b52cec0df6597e4944c3da789f0d798cc7bc8fe927"),
+}
+
+
+@pytest.mark.parametrize("index", sorted(_SWEEP_CSV))
+def test_enumerate_csv_bytes(index):
+    """The benchmark's four sweep CSVs are pinned byte for byte; the index-3
+    sweep has 13 K-unstable rows, so the Eckardt rules fire inside it."""
+    code, text = _run(["enumerate", "--n", "3", "--max-weight", "14", "--index", str(index),
                        "--eckardt", "--general", "--csv"])
     assert code == 0
     data = text.encode()
-    assert len(data) == 308_328
-    assert hashlib.sha256(data).hexdigest() == \
-        "1a373e534c0102396013921ee202fef8c3fc5863821fa17b69da28372b83d18d"
+    assert (len(data), hashlib.sha256(data).hexdigest()) == _SWEEP_CSV[index]
+    assert text.count("K-unstable") == (13 if index == 3 else 0)
 
 
 def test_closed_output_pipe_exits_1_without_a_traceback():

@@ -593,6 +593,57 @@ def test_a_sweep_renders_no_trace(monkeypatch):
     assert built == [entry["rule_id"] for entry in trace]
 
 
+def test_the_shape_index_drops_only_rows_that_cannot_fire(corpus):
+    """Per weight shape (one weight > 1: c1 = n+1, two: c1 = n, any other)
+    ``certify`` visits a sub-table of ``RULES`` in table order, and every
+    row it leaves out has a fact that fails, checked in order, on every
+    corpus datum of that shape, whatever the weight-one containment."""
+    tables = [ce._shape_rules(shape) for shape in range(3)]
+    for table in tables:
+        positions = [ce.RULES.index(rule) for rule in table]
+        assert positions == sorted(positions)
+    assert [len(table) for table in tables] == [4, 10, 6]
+    shapes = set()
+    for (t, d, flags), _ in corpus:
+        try:
+            datum = _datum(t, d, **flags)
+            k = ce._eckardt_vertex(datum)
+        except ValueError:
+            continue
+        shape = 1 if datum.c1 == datum.n + 1 else 2 if datum.c1 == datum.n else 0
+        shapes.add(shape)
+        for rule in ce.RULES:
+            if any(rule is kept for kept in tables[shape]):
+                continue
+            for b1 in ("yes", "no", "unknown"):
+                assert not all(fact.check(datum, b1, k) is not None
+                               for fact in rule.requires), (t, d, flags, rule.id, b1)
+    assert shapes == {0, 1, 2}
+
+
+def test_check_free_records_are_named_tuples():
+    """The certificate, the b1 result and the sweep row keep their fields,
+    in order, hash as the tuple of their fields and refuse assignment."""
+    assert ce.DeltaCertificate._fields == (
+        "polarization", "bound", "strict", "upper", "verdict", "index", "b1_note", "fired")
+    assert ce.B1Result._fields == ("verdict", "reasons")
+    assert ce.EnumerationRow._fields == ("datum", "certificate")
+    reasons = ("n+1 = 4 >= 2*c1 = 2: locus too large to lie on X",)
+    assert hash(ce.B1Result("no", reasons)) == hash(("no", reasons))
+    datum = _datum([1, 1, 1, 1, 2], 5)
+    cert = ce.certify(datum)
+    row = ce.EnumerationRow(datum, cert)
+    for record, name in ((ce.derive_b1(datum), "verdict"), (cert, "bound"),
+                         (row, "certificate")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            setattr(record, "extra", None)
+    assert (cert.anticanonical_bound, row.fired_rules()) == (cert.bound, (
+        "one-weight-gap", "tail-base-locus-away", "tail-base-locus-vertex",
+        "one-weight-index-one"))
+
+
 def test_b1_flag_is_one_of_three_words():
     with pytest.raises(ValueError) as err:
         ce.Flags(b1_in_x="maybe")
