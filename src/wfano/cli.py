@@ -245,12 +245,12 @@ _ENUMERATE_HEADER = ("weights", "degree", "index", "bound", "anticanonical_bound
                      "upper", "verdict", "rules")
 
 
-def _enumerate_values(row: ce.EnumerationRow) -> tuple:
-    """One row's exact values in :data:`_ENUMERATE_HEADER` order; ``rules`` is
-    the tuple of fired rule ids."""
-    c = row.certificate
-    return (row.datum.ambient.text(), row.datum.d, c.index, c.bound,
-            c.anticanonical_bound, c.upper, c.verdict, row.fired_rules())
+def _enumerate_values(row: ce.EnumerationRow, rules) -> tuple:
+    """One row's exact values in :data:`_ENUMERATE_HEADER` order; ``rules``
+    lays out the tuple of fired rule ids: joined for CSV, a list for JSON."""
+    datum, c = row
+    return (datum.ambient.text(), datum.d, c.index, c.bound, c.anticanonical_bound,
+            c.upper, c.verdict, rules(row.fired_rules()))
 
 
 def _enumerate_parser(e: _Parser) -> None:
@@ -271,10 +271,9 @@ def _run_enumerate(args) -> dict | _Table:
         n=args.n, max_weight=args.max_weight, index=args.index,
         degree=args.degree, eckardt=args.eckardt, general=args.general,
     )
-    values = map(_enumerate_values, rows)
     if args.csv:
-        return _Table(_ENUMERATE_HEADER, ((*v[:-1], ";".join(v[-1])) for v in values))
-    payload = [dict(zip(_ENUMERATE_HEADER, v)) for v in values]
+        return _Table(_ENUMERATE_HEADER, (_enumerate_values(row, ";".join) for row in rows))
+    payload = [dict(zip(_ENUMERATE_HEADER, _enumerate_values(row, list))) for row in rows]
     return _report("enumerate",
                    {"n": args.n, "max_weight": args.max_weight, "index": args.index,
                     "degree": args.degree, "eckardt": args.eckardt,

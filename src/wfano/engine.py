@@ -16,9 +16,12 @@ vertex/away split), converts between the O(1) and anticanonical
 polarizations exactly, and records what fired.  The audit trace is
 rendered from that record when :attr:`DeltaCertificate.trace` is read, so
 a sweep that reads only the bounds, the verdict and the fired rule ids
-never renders it.  The records without a check of their own, the
-certificate, :class:`B1Result` and the sweep's :class:`EnumerationRow`,
-are NamedTuples.
+never renders it.  Likewise the reasons of the weight-one containment
+derivation are (template, args) pairs, formatted only where they are
+read: by :func:`derive_b1`, by the message of a
+:class:`ContradictoryFlagsError`, or by the trace; a sweep formats none.
+The records without a check of their own, the certificate,
+:class:`B1Result` and the sweep's :class:`EnumerationRow`, are NamedTuples.
 
 External inputs from the literature are separate rows tagged EXTERNAL and
 carry their own citation strings; they are never merged silently.
@@ -134,7 +137,9 @@ class DeltaCertificate(NamedTuple):
     and reasons of the weight-one containment derivation (None when it was
     not decided), and ``fired``, one ``(rule, args, inputs, value)`` per
     rule that fired, in table order, with ``args`` the arguments of the
-    rule's facts.  :attr:`trace` renders the audit trace from it.
+    rule's facts.  The statement and each reason of ``b1_note`` are
+    (template, args) pairs, unformatted.  :attr:`trace` renders the audit
+    trace from the record, formatting them.
     """
 
     polarization: str
@@ -143,7 +148,7 @@ class DeltaCertificate(NamedTuple):
     upper: Optional[Fraction]
     verdict: str                  # "K-stable" | "K-unstable" | "inconclusive"
     index: int
-    b1_note: Optional[tuple[str, tuple[str, ...]]]
+    b1_note: Optional[tuple[tuple[str, tuple], tuple[tuple[str, tuple], ...]]]
     fired: tuple[tuple[Rule, dict, dict, Optional[Fraction]], ...]
 
     @property
@@ -153,8 +158,8 @@ class DeltaCertificate(NamedTuple):
         formatted with their arguments and its output the value as a
         string (None for a note)."""
         notes = () if self.b1_note is None else (
-            TraceEntry("b1-derivation", self.b1_note[0], None, False, "note",
-                       self.b1_note[1], {}, None),)
+            TraceEntry("b1-derivation", _b1_text(*self.b1_note[0]), None, False, "note",
+                       tuple(_b1_text(*reason) for reason in self.b1_note[1]), {}, None),)
         return notes + tuple(
             TraceEntry(rule.id, rule.statement, rule.citation, rule.citation is not None,
                        rule.scope,
@@ -179,13 +184,19 @@ class B1Result(NamedTuple):
 def _representable(d: int, parts: tuple[int, ...]) -> bool:
     """Whether d >= 0 is a nonnegative integer combination of the given parts.
 
-    A part that divides d answers at once.  Otherwise bit v of ``reach``
-    says v is a combination of the parts seen so far.  Shifting by p, 2p,
-    4p, ... while the step is at most d adds every multiple of p up to d, so
-    each part costs O(log d) big-int operations.
+    A part that divides d answers at once, and so does Sylvester's theorem
+    (J. J. Sylvester, 1884): for coprime parts a, b every integer
+    >= (a-1)(b-1) is a nonnegative combination of a and b, the largest that
+    is not being ab - a - b.  Otherwise bit v of ``reach`` says v is a
+    combination of the parts seen so far.  Shifting by p, 2p, 4p, ... while
+    the step is at most d adds every multiple of p up to d, so each part
+    costs O(log d) big-int operations.
     """
     for p in parts:
         if d % p == 0:
+            return True
+    for a, b in itertools.combinations(parts, 2):
+        if d >= (a - 1) * (b - 1) and math.gcd(a, b) == 1:
             return True
     mask = (1 << (d + 1)) - 1
     reach = 1
@@ -195,6 +206,38 @@ def _representable(d: int, parts: tuple[int, ...]) -> bool:
             reach |= (reach << step) & mask
             step *= 2
     return bool(reach >> d & 1)
+
+
+def _b1_text(template: str, args: tuple) -> str:
+    """A b1 reason or statement, formatted when it is read: by :func:`derive_b1`,
+    by a :class:`ContradictoryFlagsError` message, or by
+    :attr:`DeltaCertificate.trace`."""
+    return template.format(*args)
+
+
+_B1_DERIVED = "weight-one base locus containment derived: {}"
+_B1_CONTRADICTION = ("the containment rules for the weight-one base locus contradict each "
+                     "other, so no quasi-smooth member with this datum exists; the "
+                     "certificate is vacuously sound")
+
+
+def _decide_b1(datum: FanoDatum) -> tuple[str, tuple[tuple[str, tuple], ...]]:
+    """The verdict of :func:`derive_b1` and its reasons, each a (template,
+    args) pair that :func:`_b1_text` formats."""
+    n, d, c1 = datum.n, datum.d, datum.c1
+    big = datum.sorted_weights[c1:]
+    no_reasons = ()
+    if n + 1 >= 2 * c1:
+        no_reasons = (("n+1 = {} >= 2*c1 = {}: locus too large to lie on X", (n + 1, 2 * c1)),)
+    for a in big:
+        if d % a != 1:
+            no_reasons += (("d = {} is {} mod {}, not 1", (d, d % a, a)),)
+            break
+    if not _representable(d, big):
+        yes = (("degree is not a nonnegative combination of the weights > 1, so every "
+                "monomial of degree d vanishes on the weight-one locus", ()),)
+        return ("contradiction", yes + no_reasons) if no_reasons else ("yes", yes)
+    return ("no", no_reasons) if no_reasons else ("unknown", ())
 
 
 def derive_b1(datum: FanoDatum) -> B1Result:
@@ -207,29 +250,12 @@ def derive_b1(datum: FanoDatum) -> B1Result:
       (3) containment forces d = 1 mod a_j for every weight a_j > 1, so a
           violation gives "no".
     When (2) fires together with (1) or (3) the asserted family is empty.
+    The decision is :func:`_decide_b1`, which :func:`certify` calls
+    directly and which leaves its reasons unformatted; they are formatted
+    here, for the callers that read them.
     """
-    n, d, c1 = datum.n, datum.d, datum.c1
-    big = datum.sorted_weights[c1:]
-    no_reasons = []
-    yes_reasons = []
-    if n + 1 >= 2 * c1:
-        no_reasons.append(f"n+1 = {n + 1} >= 2*c1 = {2 * c1}: locus too large to lie on X")
-    for a in big:
-        if d % a != 1:
-            no_reasons.append(f"d = {d} is {d % a} mod {a}, not 1")
-            break
-    if not _representable(d, big):
-        yes_reasons.append(
-            "degree is not a nonnegative combination of the weights > 1, so every "
-            "monomial of degree d vanishes on the weight-one locus"
-        )
-    if yes_reasons and no_reasons:
-        return B1Result("contradiction", tuple(yes_reasons + no_reasons))
-    if yes_reasons:
-        return B1Result("yes", tuple(yes_reasons))
-    if no_reasons:
-        return B1Result("no", tuple(no_reasons))
-    return B1Result("unknown", ())
+    verdict, reasons = _decide_b1(datum)
+    return B1Result(verdict, tuple(_b1_text(*reason) for reason in reasons))
 
 
 def _eckardt_vertex(datum: FanoDatum) -> Optional[int]:
@@ -497,22 +523,18 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
     """
     idx = datum.index
     b1_note, fired = None, []
-    b1, derived = datum.flags.b1_in_x, derive_b1(datum)
-    if derived.verdict != "unknown":
-        if derived.verdict == "contradiction":
-            b1, statement = "unknown", (
-                "the containment rules for the weight-one base locus contradict each "
-                "other, so no quasi-smooth member with this datum exists; the "
-                "certificate is vacuously sound")
-        elif b1 in ("unknown", derived.verdict):
-            b1 = derived.verdict
-            statement = f"weight-one base locus containment derived: {b1}"
+    b1, (derived, reasons) = datum.flags.b1_in_x, _decide_b1(datum)
+    if derived != "unknown":
+        if derived == "contradiction":
+            b1, statement = "unknown", (_B1_CONTRADICTION, ())
+        elif b1 in ("unknown", derived):
+            b1, statement = derived, (_B1_DERIVED, (derived,))
         else:
             raise ContradictoryFlagsError(
-                f"asserted b1_in_x={b1} contradicts the derived value {derived.verdict}: "
-                + "; ".join(derived.reasons)
+                f"asserted b1_in_x={b1} contradicts the derived value {derived}: "
+                + "; ".join(_b1_text(*reason) for reason in reasons)
             )
-        b1_note = (statement, derived.reasons)
+        b1_note = (statement, reasons)
     eckardt = _eckardt_vertex(datum)
 
     big = datum.n + 2 - datum.c1                        # the number of weights > 1
@@ -554,16 +576,7 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
         verdict = "K-stable"
     else:
         verdict = "inconclusive"
-    return DeltaCertificate(
-        polarization="O(1)",
-        bound=lower,
-        strict=strict,
-        upper=upper,
-        verdict=verdict,
-        index=idx,
-        b1_note=b1_note,
-        fired=tuple(fired),
-    )
+    return DeltaCertificate("O(1)", lower, strict, upper, verdict, idx, b1_note, tuple(fired))
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +595,7 @@ class EnumerationRow(NamedTuple):
 
     def fired_rules(self) -> tuple[str, ...]:
         """The ids of the rules that fired, notes left out, in table order."""
-        return tuple(rule.id for rule, *_ in self.certificate.fired if rule.scope != "note")
+        return tuple([rule.id for rule, _, _, _ in self.certificate.fired if rule.scope != "note"])
 
 
 def _coprime_tuple_count(length: int, max_weight: int) -> int:
@@ -651,4 +664,4 @@ def _certified_rows(tuples, index, degree, eckardt, general) -> Iterator[Enumera
             cert = certify(datum)
         except ValueError:         # d < 1, index <= 0, or contradictory flags
             continue
-        yield EnumerationRow(datum=datum, certificate=cert)
+        yield EnumerationRow(datum, cert)

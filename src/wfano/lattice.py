@@ -16,7 +16,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, starmap
 from typing import Iterable, Optional, Sequence
 
 from .snf import QuotientLattice
@@ -72,8 +72,8 @@ class WeightVector:
             raise ValueError(
                 f"gcd of weights {w} is {math.gcd(*w)} != 1; divide out the common factor first"
             )
-        object.__setattr__(self, "is_well_formed", all(
-            math.gcd(*rest) == 1 for rest in combinations(w, len(w) - 1)))
+        object.__setattr__(self, "is_well_formed",
+                           set(starmap(math.gcd, combinations(w, len(w) - 1))) == {1})
 
     @classmethod
     def parse(cls, text: str) -> "WeightVector":

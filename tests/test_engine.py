@@ -25,19 +25,36 @@ def _datum(weights, d, **flag_kwargs):
                         flags=ce.Flags(**flag_kwargs))
 
 
+_NOT_A_COMBINATION = ("degree is not a nonnegative combination of the weights > 1, so every "
+                      "monomial of degree d vanishes on the weight-one locus")
+
+
 def test_derive_b1_examples():
+    """Verdicts and the exact reasons behind them."""
     # d = a*k: the congruence rule gives "no"
-    assert ce.derive_b1(_datum([1, 1, 1, 1, 1, 2], 6)).verdict == "no"
+    assert ce.derive_b1(_datum([1, 1, 1, 1, 1, 2], 6)) == ("no", ("d = 6 is 0 mod 2, not 1",))
     with pytest.raises(ce.NonFanoError):
         _datum([1, 1, 1, 1, 2], 6)           # index 0 is refused at construction
     # d = a*k + 1: the representability rule gives "yes"
-    assert ce.derive_b1(_datum([1, 1, 1, 1, 2], 5)).verdict == "yes"
-    # few weight-one coordinates relative to n: "no"
-    assert ce.derive_b1(_datum([1, 2, 3, 3, 4], 7)).verdict == "no"
+    assert ce.derive_b1(_datum([1, 1, 1, 1, 2], 5)) == ("yes", (_NOT_A_COMBINATION,))
+    # few weight-one coordinates relative to n: "no", and the congruence fails too
+    assert ce.derive_b1(_datum([1, 2, 3, 3, 4], 7)) == (
+        "no", ("n+1 = 4 >= 2*c1 = 2: locus too large to lie on X", "d = 7 is 3 mod 4, not 1"))
     # d not 0 or 1 mod a: contradictory (the family is empty)
-    assert ce.derive_b1(_datum([1, 1, 1, 1, 8], 11)).verdict == "contradiction"
+    assert ce.derive_b1(_datum([1, 1, 1, 1, 8], 11)) == (
+        "contradiction", (_NOT_A_COMBINATION, "d = 11 is 3 mod 8, not 1"))
     # ordinary projective space: the locus is empty, contained vacuously
-    assert ce.derive_b1(_datum([1, 1, 1, 1, 1], 3)).verdict == "yes"
+    assert ce.derive_b1(_datum([1, 1, 1, 1, 1], 3)) == ("yes", (_NOT_A_COMBINATION,))
+
+
+def test_asserted_b1_against_the_derived_value_names_the_reasons():
+    """Exit 2, with the derived reasons joined into the message."""
+    out = io.StringIO()
+    assert cli.run(["certify", "--weights", "1,1,1,1,2", "--degree", "5", "--b1", "no"],
+                   out=out) == 2
+    assert json.loads(out.getvalue())["error"] == {
+        "kind": "precondition",
+        "message": "asserted b1_in_x=no contradicts the derived value yes: " + _NOT_A_COMBINATION}
 
 
 def test_certify_one_weight_family():
@@ -331,14 +348,27 @@ def test_enumerate_draws_candidates_lazily(monkeypatch):
 
 
 def test_representable_against_brute_force():
-    top = 80
-    for length in range(5):
+    """Every multiset of up to five parts in 2..12, the shapes of weights > 1
+    that the n = 3 sweeps meet, against a reach table up to 120."""
+    top = 120
+    for length in range(6):
         for parts in itertools.combinations_with_replacement(range(2, 13), length):
             reach = [True] + [False] * top
             for v in range(1, top + 1):
                 reach[v] = any(p <= v and reach[v - p] for p in parts)
             for d in range(top + 1):
                 assert ce._representable(d, parts) == reach[d], (d, parts)
+
+
+def test_representable_two_coprime_parts_near_the_degree_limit():
+    """Two coprime parts a, b: d is a combination exactly when b times the
+    residue of d/b mod a is at most d.  Sylvester's bound (a-1)(b-1) answers
+    from 997,002 up to the degree limit; below it the bitset decides."""
+    a, b = 999, 1000
+    inverse = pow(b, -1, a)
+    for d in [*range(996_990, 997_020), *range(ce.MAX_DEGREE - 20, ce.MAX_DEGREE + 1)]:
+        assert ce._representable(d, (a, b)) == ((d * inverse) % a * b <= d), d
+    assert not ce._representable(a * b - a - b, (a, b))        # the Frobenius number
 
 
 def _tail_pattern_scan(weights, tail):
@@ -591,6 +621,37 @@ def test_a_sweep_renders_no_trace(monkeypatch):
     trace = json.loads(out.getvalue())["trace"]
     assert len(trace) > 1
     assert built == [entry["rule_id"] for entry in trace]
+
+
+def test_a_sweep_formats_no_b1_reason(monkeypatch):
+    """``enumerate`` reads no b1 reason and no b1 statement, so it formats
+    none, as CSV or as JSON, though its certificates hold them; ``certify``
+    formats exactly the ones its trace prints."""
+    formatted = []
+    text = ce._b1_text
+
+    def spy(template, args):
+        formatted.append(text(template, args))
+        return formatted[-1]
+
+    monkeypatch.setattr(ce, "_b1_text", spy)
+    assert any(row.certificate.b1_note[1]
+               for row in ce.enumerate_data(n=3, max_weight=8, index=1, eckardt=True,
+                                            general=True)
+               if row.certificate.b1_note is not None)
+    sweep = ["enumerate", "--n", "3", "--max-weight", "8", "--index", "1",
+             "--eckardt", "--general"]
+    for argv in (sweep, sweep + ["--csv"]):
+        out = io.StringIO()
+        assert cli.run(argv, out=out) == 0
+        assert "one-weight-index-one" in out.getvalue()
+    assert formatted == []
+    out = io.StringIO()
+    assert cli.run(["certify", "--weights", "1,1,1,1,2", "--degree", "5"], out=out) == 0
+    note = json.loads(out.getvalue())["trace"][0]
+    assert note["rule_id"] == "b1-derivation"
+    assert formatted == [note["statement"], *note["hypotheses"]] == [
+        "weight-one base locus containment derived: yes", _NOT_A_COMBINATION]
 
 
 def test_the_shape_index_drops_only_rows_that_cannot_fire(corpus):
