@@ -20,15 +20,14 @@ object; CSV has no decimals and no aligned text, so :func:`run` refuses
 ``--approx`` and ``--format text`` for a table as usage errors.
 A run builds only the parsers on the path it names, one per level, and
 ``--help`` through :func:`run` writes the help to its ``out`` and returns
-0.  A run imports only the modules its subcommand uses: ``blowup`` loads
-for ``blowup``, ``wpoly`` for ``blowup transform`` and ``convex`` for
-``okounkov``.
+0.  A run imports only the modules its subcommand uses: ``csv`` loads for
+a table, ``blowup`` for ``blowup``, ``wpoly`` for ``blowup transform`` and
+``convex`` for ``okounkov``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -206,7 +205,7 @@ def _certificate(cert: ce.DeltaCertificate) -> tuple[dict, list[dict]]:
     """The exact outputs of ``cert`` in report key order, and its trace with
     each entry's ``inputs`` as strings in sorted key order."""
     outputs = {k: getattr(cert, k) for k in _CERTIFICATE_OUTPUTS}
-    trace = [{**vars(t), "inputs": {k: str(v) for k, v in sorted(t.inputs.items())}}
+    trace = [{**t._asdict(), "inputs": {k: str(v) for k, v in sorted(t.inputs.items())}}
              for t in cert.trace]
     return outputs, trace
 
@@ -475,6 +474,8 @@ def run(argv, out=None) -> int:
                 raise CLIError("usage", "--approx does not apply to CSV output")
             if args.format != "json":
                 raise CLIError("usage", "--format text does not apply to CSV output")
+            import csv
+
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(result.header)
             writer.writerows(result.rows)

@@ -20,8 +20,13 @@ never renders it.  Likewise the reasons of the weight-one containment
 derivation are (template, args) pairs, formatted only where they are
 read: by :func:`derive_b1`, by the message of a
 :class:`ContradictoryFlagsError`, or by the trace; a sweep formats none.
-The records without a check of their own, the certificate,
-:class:`B1Result` and the sweep's :class:`EnumerationRow`, are NamedTuples.
+The records without a check of their own are NamedTuples: the
+certificate, :class:`B1Result`, the sweep's :class:`EnumerationRow`,
+:class:`TraceEntry`, :class:`Fact` and :class:`Rule` here, and
+``lattice.NormalizationReport``, ``CoordinateStratum`` and ``BaseLocus``
+and ``moments.UnstableReport``.  The checked values :class:`Flags`,
+:class:`FanoDatum` and ``lattice.WeightVector`` are immutable slotted
+classes, so importing the engine loads no ``dataclasses``.
 
 External inputs from the literature are separate rows tagged EXTERNAL and
 carry their own citation strings; they are never merged silently.
@@ -31,11 +36,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .lattice import WeightVector, as_integer, fano_index
+from .lattice import WeightVector, _Value, as_integer, fano_index
 from .moments import delta_eckardt, s_value, unstable_check
 
 
@@ -47,31 +51,29 @@ class ContradictoryFlagsError(ValueError):
     """Asserted flags force an empty family or contradictory bounds."""
 
 
-@dataclass(frozen=True)
-class Flags:
+class Flags(_Value):
     """Caller-asserted structural information about the member."""
 
-    eckardt_at_p: bool = False
-    m: Optional[int] = None
-    b1_in_x: str = "unknown"          # "yes" | "no" | "unknown"
-    general_member: bool = False
+    __slots__ = _fields = ("eckardt_at_p", "m", "b1_in_x", "general_member")
 
-    def __post_init__(self):
-        if self.b1_in_x not in ("yes", "no", "unknown"):
+    def __init__(self, eckardt_at_p: bool = False, m: Optional[int] = None,
+                 b1_in_x: str = "unknown", general_member: bool = False):
+        if b1_in_x not in ("yes", "no", "unknown"):
             raise ValueError("b1_in_x must be yes, no or unknown")
-        if not isinstance(self.eckardt_at_p, bool):
-            raise ValueError(f"eckardt_at_p must be a bool, not {self.eckardt_at_p!r}")
-        if not isinstance(self.general_member, bool):
-            raise ValueError(f"general_member must be a bool, not {self.general_member!r}")
-        if self.m is not None and as_integer(self.m, "escape level m") < 1:
+        if not isinstance(eckardt_at_p, bool):
+            raise ValueError(f"eckardt_at_p must be a bool, not {eckardt_at_p!r}")
+        if not isinstance(general_member, bool):
+            raise ValueError(f"general_member must be a bool, not {general_member!r}")
+        if m is not None and as_integer(m, "escape level m") < 1:
             raise ValueError("escape level m must be >= 1")
+        for name, value in zip(self._fields, (eckardt_at_p, m, b1_in_x, general_member)):
+            object.__setattr__(self, name, value)
 
 
 MAX_DEGREE = 10**6        # derive_b1's knapsack holds a bitset of d + 1 bits
 
 
-@dataclass(frozen=True)
-class FanoDatum:
+class FanoDatum(_Value):
     """A weighted hypersurface family: ambient P(a_0,...,a_{n+1}), degree d.
 
     Construction refuses, in order: a degree that is not a positive integer,
@@ -84,36 +86,33 @@ class FanoDatum:
     ``sorted_weights`` and ``c1``, the number of weight-one entries.  Since
     the weights are positive, the sorted weights have the shape
     (1^(len - t), w_1 <= ... <= w_t) with every w_i >= 2 exactly when
-    ``c1 == len - t``.
+    ``c1 == len - t``.  These four are not among the ``_fields``.
     """
 
-    ambient: WeightVector
-    d: int
-    flags: Flags = field(default_factory=Flags)
-    n: int = field(init=False, compare=False, repr=False)
-    index: int = field(init=False, compare=False, repr=False)
-    sorted_weights: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    c1: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("ambient", "d", "flags", "n", "index", "sorted_weights", "c1")
+    _fields = ("ambient", "d", "flags")
 
-    def __post_init__(self):
-        index = fano_index(self.ambient, self.d)        # checks the degree first
-        if len(self.ambient) < 3:
+    def __init__(self, ambient: WeightVector, d: int, flags: Flags = Flags()):
+        index = fano_index(ambient, d)        # checks the degree first
+        if len(ambient) < 3:
             raise ValueError("a hypersurface datum needs at least three weights")
-        self.ambient.require_well_formed()
+        ambient.require_well_formed()
         if index <= 0:
             raise NonFanoError(f"index sum(a_i) - d = {index} is not positive")
-        if self.d > MAX_DEGREE:
-            raise ValueError(f"degree {self.d} exceeds the limit {MAX_DEGREE}")
-        w = tuple(sorted(self.ambient.weights))
+        if d > MAX_DEGREE:
+            raise ValueError(f"degree {d} exceeds the limit {MAX_DEGREE}")
+        w = tuple(sorted(ambient.weights))
         setattr_ = object.__setattr__
+        setattr_(self, "ambient", ambient)
+        setattr_(self, "d", d)
+        setattr_(self, "flags", flags)
         setattr_(self, "n", len(w) - 2)
         setattr_(self, "index", index)
         setattr_(self, "sorted_weights", w)
         setattr_(self, "c1", w.count(1))
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One audited step: which rule fired, on what, with what output."""
 
     rule_id: str
@@ -279,8 +278,7 @@ def _eckardt_vertex(datum: FanoDatum) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     """A precondition of a rule; ``name`` is its word in a small vocabulary.
 
     ``check(datum, b1, eckardt)`` returns the fact's arguments, a dict, when
@@ -361,8 +359,7 @@ ONE_MOD_EVERY_WEIGHT = Fact(
 UNSTABLE = Fact("unstable", _unstable, "n = {n} > a^2 k(k-1)/(a-1) = {rhs}")
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """One row of :data:`RULES`.
 
     The facts of ``requires`` are checked in order, and the first that
@@ -447,7 +444,7 @@ RULES: tuple[Rule, ...] = (
          "a general quasi-smooth Fano hypersurface of index 1 with at least "
          "(n+2)/2 weight-one coordinates and d = 1 mod a_i for every weight "
          "a_i > 1 is K-stable",
-         (C1_HALF, INDEX_ONE, replace(N_GE_3, text=None), SOME_WEIGHT_ABOVE_1,
+         (C1_HALF, INDEX_ONE, N_GE_3._replace(text=None), SOME_WEIGHT_ABOVE_1,
           ONE_MOD_EVERY_WEIGHT, GENERAL_MEMBER, QUASI_SMOOTH),
          lambda x, c1, **_: ({"n": x.n, "d": x.d, "c1": c1}, Fraction(1)),
          strict=True),
@@ -459,7 +456,7 @@ RULES: tuple[Rule, ...] = (
     Rule("vertex-complement", "away",
          "for a quasi-smooth X_d in P(1^(n+1), a) containing the last coordinate "
          "vertex, every other point satisfies delta_p(X; O(1)) >= (n+1) a / d",
-         (replace(ECKARDT_VERTEX, text=None), ONE_WEIGHT, VERTEX_DEGREE, QUASI_SMOOTH),
+         (ECKARDT_VERTEX._replace(text=None), ONE_WEIGHT, VERTEX_DEGREE, QUASI_SMOOTH),
          lambda x, a, **_: ({"n": x.n, "a": a, "d": x.d}, Fraction((x.n + 1) * a, x.d))),
     Rule("eckardt-vertex-upper", "upper",
          "the exceptional divisor of the vertex blowup gives "
@@ -470,7 +467,7 @@ RULES: tuple[Rule, ...] = (
     Rule("eckardt-unstable", "note",
          "since n > a^2 k (k-1)/(a-1), the anticanonical bound "
          "n(n+1)/((n+a-ak)(ak+n)) is < 1 and X is K-unstable",
-         (replace(ECKARDT_VERTEX, text=None), UNSTABLE),
+         (ECKARDT_VERTEX._replace(text=None), UNSTABLE),
          lambda x, witness, **_: ({"witness": witness}, None)),
 )
 
@@ -479,7 +476,7 @@ def _rule_shape(rule: Rule) -> int:
     """The number of weights > 1 a datum needs for every fact of ``rule`` to
     hold: 1 when a fact checks ONE_WEIGHT or ECKARDT_VERTEX (the Eckardt
     vertex has a ``k`` only on that shape), 2 when one checks TWO_WEIGHTS,
-    0 when the row admits any shape.  A ``replace(fact, text=None)`` copy
+    0 when the row admits any shape.  A ``fact._replace(text=None)`` copy
     shares the check of its fact."""
     checks = {fact.check for fact in rule.requires}
     if ONE_WEIGHT.check in checks or ECKARDT_VERTEX.check in checks:

@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, starmap
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .snf import QuotientLattice
 
@@ -45,24 +44,55 @@ def parse_weight_text(text: str) -> tuple[int, ...]:
     return tuple(weights)
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class _Value:
+    """An immutable value whose ``__init__`` checks its arguments and sets its
+    slots with ``object.__setattr__``.  Equality (with a value of the same
+    class only), hash, repr and copies read the ``_fields``, the constructor's
+    arguments, as a frozen dataclass's do; a copy is built, and checked, anew."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class WeightVector(_Value):
     """Weights (a_0,...,a_s) of a weighted projective space.
 
     The constructor requires gcd(a_0,...,a_s) = 1 and length >= 2; it never
     rescales silently.
     ``is_well_formed`` (no s of the s+1 weights share a common factor) is
-    decided once, at construction.
+    decided once, at construction, and is not one of the ``_fields``.
     """
 
-    weights: tuple[int, ...]
-    is_well_formed: bool = field(init=False, compare=False, repr=False)
+    __slots__ = ("weights", "is_well_formed")
+    _fields = ("weights",)
 
-    def __post_init__(self):
+    def __init__(self, weights: Iterable[int]):
         try:
-            w = tuple(map(operator.index, self.weights))
+            w = tuple(map(operator.index, weights))
         except TypeError:
-            raise ValueError(f"weights must be integers, not {self.weights!r}") from None
+            raise ValueError(f"weights must be integers, not {weights!r}") from None
         object.__setattr__(self, "weights", w)
         if len(w) < 2:
             raise ValueError("a weight vector needs at least two entries")
@@ -127,25 +157,17 @@ def reduce_weights(weights: Sequence[int]) -> tuple[int, tuple[int, ...], tuple[
     return h, second, gi, g, reduced
 
 
-@dataclass(frozen=True)
-class NormalizationReport:
+class NormalizationReport(NamedTuple):
     """Result of normalizing a weight vector to well-formed shape.
 
-    Invariant: prod(input) = g**s * prod(output) with s = len(input) - 1,
-    and the output is well-formed.
+    Invariant, checked by :func:`normalize`: prod(input) = g**s *
+    prod(output) with s = len(input) - 1, and the output is well-formed.
     """
 
     input: WeightVector
     g_i: tuple[int, ...]
     g: int
     output: WeightVector
-
-    def __post_init__(self):
-        s = len(self.input.weights) - 1
-        if self.input.product() != self.g**s * self.output.product():
-            raise AssertionError("normalization product identity violated")
-        if not self.output.is_well_formed:
-            raise AssertionError("normalization did not produce a well-formed vector")
 
 
 def normalize(w: WeightVector) -> NormalizationReport:
@@ -155,7 +177,12 @@ def normalize(w: WeightVector) -> NormalizationReport:
     identity report (all g_i = 1).
     """
     _, _, gi, g, reduced = reduce_weights(w.weights)
-    return NormalizationReport(input=w, g_i=gi, g=g, output=WeightVector(reduced))
+    output = WeightVector(reduced)
+    if w.product() != g ** (len(w) - 1) * output.product():
+        raise AssertionError("normalization product identity violated")
+    if not output.is_well_formed:
+        raise AssertionError("normalization did not produce a well-formed vector")
+    return NormalizationReport(w, gi, g, output)
 
 
 def top_intersection(w: WeightVector) -> Fraction:
@@ -164,13 +191,13 @@ def top_intersection(w: WeightVector) -> Fraction:
     return Fraction(1, w.product())
 
 
-@dataclass(frozen=True)
-class CoordinateStratum:
+class CoordinateStratum(NamedTuple):
     """A coordinate stratum Z = (x_i = 0, i in vanishing) of P(a_0,...,a_s).
 
     Z is itself a weighted projective space; ``quotient_weights`` is its
     well-formed presentation and O_P(1) restricts to O(scale) on it.
     ``mult`` is the multiplicity of the corresponding cone of the fan.
+    :func:`stratum` checks both.
     """
 
     ambient: WeightVector
@@ -178,17 +205,6 @@ class CoordinateStratum:
     quotient_weights: WeightVector
     scale: Fraction
     mult: int
-
-    def __post_init__(self):
-        if not self.quotient_weights.is_well_formed:
-            raise AssertionError("stratum quotient weights must be well-formed")
-        # degree consistency: scale^dim / prod(quotient) == mult * prod(vanishing) / prod(all)
-        dim = len(self.ambient) - len(self.vanishing) - 1
-        lhs = self.scale**dim * top_intersection(self.quotient_weights)
-        kept = [self.ambient[i] for i in range(len(self.ambient)) if i not in self.vanishing]
-        rhs = Fraction(self.mult, math.prod(kept))
-        if lhs != rhs:
-            raise AssertionError("stratum restriction scale is inconsistent")
 
     @property
     def dimension(self) -> int:
@@ -213,17 +229,17 @@ def stratum(w: WeightVector, vanish: Iterable[int]) -> CoordinateStratum:
     if len(kept) < 2:
         raise ValueError("stratum must keep at least two coordinates")
     h, _, _, g, reduced = reduce_weights([w[i] for i in kept])
-    return CoordinateStratum(
-        ambient=w,
-        vanishing=vanish,
-        quotient_weights=WeightVector(reduced),
-        scale=Fraction(1, g * h),
-        mult=h,
-    )
+    quotient, scale = WeightVector(reduced), Fraction(1, g * h)
+    if not quotient.is_well_formed:
+        raise AssertionError("stratum quotient weights must be well-formed")
+    # degree consistency: scale^dim / prod(quotient) == mult * prod(vanishing) / prod(all)
+    if scale ** (len(kept) - 1) * top_intersection(quotient) != Fraction(
+            h, math.prod(w[i] for i in kept)):
+        raise AssertionError("stratum restriction scale is inconsistent")
+    return CoordinateStratum(w, vanish, quotient, scale, h)
 
 
-@dataclass(frozen=True)
-class BaseLocus:
+class BaseLocus(NamedTuple):
     """Reduced base locus of the systems |O(a_i)| with a_i <= threshold.
 
     Without a base point the locus is (x_i = 0 : a_i <= threshold); with a
@@ -259,7 +275,7 @@ def base_locus(w: WeightVector, a: int, p: Optional[int] = None) -> BaseLocus:
     st = None
     if len(w) - len(vanishing) >= 2:
         st = stratum(w, vanishing)
-    return BaseLocus(ambient=w, threshold=a, basepoint=p, vanishing=vanishing, stratum=st)
+    return BaseLocus(w, a, p, vanishing, st)
 
 
 def as_integer(value, what: str) -> int:

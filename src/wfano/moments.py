@@ -33,9 +33,8 @@ each (n, a, k)'s values are picked once for all of its rows.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .lattice import as_integer
 
@@ -169,8 +168,7 @@ def delta_eckardt(n: int, a: int, k: int) -> tuple[Fraction, bool]:
     return min(ratios), exact
 
 
-@dataclass(frozen=True)
-class UnstableReport:
+class UnstableReport(NamedTuple):
     """Outcome of the Eckardt-vertex instability criterion."""
 
     n: int

@@ -405,6 +405,24 @@ def test_import_wfano_loads_only_the_engine():
     assert proc.stdout == "[]\n"
 
 
+def test_certify_loads_no_dataclasses_inspect_or_csv():
+    """A fresh ``certify`` run leaves ``dataclasses`` (and the ``inspect``
+    it pulls in) and ``csv`` unloaded: its records are NamedTuples, its
+    checked values slotted classes, and only a table imports ``csv``."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import io, sys\n"
+            "import wfano.cli as cli\n"
+            "status = cli.run(['certify', '--weights', '1,1,1,1,2', '--degree', '5'],\n"
+            "                 out=io.StringIO())\n"
+            "print(status, sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+
+
 def test_a_run_imports_only_what_its_subcommand_uses():
     """In a fresh process, ``certify``, ``enumerate``, ``moments`` and ``wps``
     leave ``convex``, ``wpoly`` and ``blowup`` unloaded; then ``blowup build``

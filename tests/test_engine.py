@@ -1,10 +1,11 @@
 import collections
-import dataclasses
+import copy
 import hashlib
 import io
 import itertools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ import pytest
 
 from wfano import cli
 from wfano import engine as ce
+from wfano import lattice
 from wfano import moments as mo
 from wfano.lattice import WeightVector
 
@@ -423,11 +425,11 @@ def test_datum_shape_fields_stay_out_of_equality():
     assert datum == _datum([1, 1, 1, 1, 2], 5)
     assert hash(datum) == hash(_datum([1, 1, 1, 1, 2], 5))
     assert "c1" not in repr(datum) and "sorted_weights" not in repr(datum)
-    lower = dataclasses.replace(datum, d=4)
+    lower = ce.FanoDatum(datum.ambient, 4, datum.flags)
     assert (lower.index, lower.c1, lower.n) == (2, 4, 3)
-    assert dataclasses.replace(lower, d=5) == datum
+    assert ce.FanoDatum(lower.ambient, 5, lower.flags) == datum
     with pytest.raises(ValueError):
-        dataclasses.replace(datum, d=0)
+        ce.FanoDatum(datum.ambient, 0, datum.flags)
 
 
 _CORPUS_FLAGS = ({}, {"eckardt_at_p": True, "general_member": True}, {"m": 2},
@@ -604,9 +606,9 @@ def test_a_sweep_renders_no_trace(monkeypatch):
     built = []
 
     class Counted(ce.TraceEntry):
-        def __init__(self, rule_id, *args):
+        def __new__(cls, rule_id, *args):
             built.append(rule_id)
-            super().__init__(rule_id, *args)
+            return super().__new__(cls, rule_id, *args)
 
     monkeypatch.setattr(ce, "TraceEntry", Counted)
     sweep = ["enumerate", "--n", "3", "--max-weight", "8", "--index", "1",
@@ -683,19 +685,37 @@ def test_the_shape_index_drops_only_rows_that_cannot_fire(corpus):
 
 
 def test_check_free_records_are_named_tuples():
-    """The certificate, the b1 result and the sweep row keep their fields,
-    in order, hash as the tuple of their fields and refuse assignment."""
+    """The records without a check of their own keep their fields, in order,
+    and refuse assignment; the certificate, the b1 result and the sweep row
+    hash as the tuple of their fields."""
     assert ce.DeltaCertificate._fields == (
         "polarization", "bound", "strict", "upper", "verdict", "index", "b1_note", "fired")
     assert ce.B1Result._fields == ("verdict", "reasons")
     assert ce.EnumerationRow._fields == ("datum", "certificate")
+    assert ce.TraceEntry._fields == ("rule_id", "statement", "citation", "external", "scope",
+                                     "hypotheses", "inputs", "output")
+    assert ce.Fact._fields == ("name", "check", "text")
+    assert ce.Rule._fields == ("id", "scope", "statement", "requires", "value", "citation",
+                               "strict")
+    assert lattice.NormalizationReport._fields == ("input", "g_i", "g", "output")
+    assert lattice.CoordinateStratum._fields == ("ambient", "vanishing", "quotient_weights",
+                                                 "scale", "mult")
+    assert lattice.BaseLocus._fields == ("ambient", "threshold", "basepoint", "vanishing",
+                                         "stratum")
+    assert mo.UnstableReport._fields == ("n", "a", "k", "index", "verdict", "witness",
+                                         "criterion_rhs")
     reasons = ("n+1 = 4 >= 2*c1 = 2: locus too large to lie on X",)
     assert hash(ce.B1Result("no", reasons)) == hash(("no", reasons))
     datum = _datum([1, 1, 1, 1, 2], 5)
     cert = ce.certify(datum)
     row = ce.EnumerationRow(datum, cert)
+    w = WeightVector((1, 1, 2, 3))
     for record, name in ((ce.derive_b1(datum), "verdict"), (cert, "bound"),
-                         (row, "certificate")):
+                         (row, "certificate"), (cert.trace[0], "rule_id"),
+                         (ce.QUASI_SMOOTH, "text"), (ce.RULES[0], "id"),
+                         (lattice.normalize(w), "g"), (lattice.stratum(w, [0]), "mult"),
+                         (lattice.base_locus(w, 1), "stratum"),
+                         (mo.unstable_check(11, 4, 2), "verdict")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
         with pytest.raises(AttributeError):
@@ -703,6 +723,32 @@ def test_check_free_records_are_named_tuples():
     assert (cert.anticanonical_bound, row.fired_rules()) == (cert.bound, (
         "one-weight-gap", "tail-base-locus-away", "tail-base-locus-vertex",
         "one-weight-index-one"))
+
+
+@pytest.mark.parametrize("value, twin, key, attrs, text", [
+    (WeightVector((1, 1, 1, 1, 2)), WeightVector([1, 1, 1, 1, 2]), ((1, 1, 1, 1, 2),),
+     ("weights", "is_well_formed"), "WeightVector(weights=(1, 1, 1, 1, 2))"),
+    (ce.Flags(eckardt_at_p=True, m=2, b1_in_x="yes", general_member=True),
+     ce.Flags(True, 2, "yes", True), (True, 2, "yes", True), ("m", "b1_in_x"),
+     "Flags(eckardt_at_p=True, m=2, b1_in_x='yes', general_member=True)"),
+    (_datum([1, 1, 1, 1, 2], 5), ce.FanoDatum(WeightVector((1, 1, 1, 1, 2)), 5),
+     (WeightVector((1, 1, 1, 1, 2)), 5, ce.Flags()), ("d", "flags", "c1", "index"),
+     "FanoDatum(ambient=WeightVector(weights=(1, 1, 1, 1, 2)), d=5, flags=Flags("
+     "eckardt_at_p=False, m=None, b1_in_x='unknown', general_member=False))"),
+])
+def test_checked_values_are_immutable(value, twin, key, attrs, text):
+    """``Flags``, ``FanoDatum`` and ``WeightVector`` refuse assignment and
+    deletion of every attribute, computed ones included, and compare, hash,
+    print and copy as frozen dataclasses: by their constructor arguments,
+    and equal only to a value of their own class."""
+    for name in (*attrs, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == twin and hash(value) == hash(twin) == hash(key)
+    assert value != key and repr(value) == repr(twin) == text
+    assert copy.copy(value) == pickle.loads(pickle.dumps(value)) == value
 
 
 def test_b1_flag_is_one_of_three_words():
