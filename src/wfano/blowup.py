@@ -17,7 +17,6 @@ blowups of the coordinate divisors D_0 and D_s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -34,8 +33,7 @@ class BiDegree(NamedTuple):
     __str__ = tuple.__repr__  # "(alpha, beta)" in messages
 
 
-@dataclass(frozen=True)
-class BlowupFrame:
+class BlowupFrame(NamedTuple):
     """All derived data of the standard weighted blowup along (x_0=...=x_r=0).
 
     ``v_rep`` is the integer representative of the primitive ray class
@@ -136,8 +134,7 @@ def intersection_bi(frame: BlowupFrame, k: int) -> Fraction:
     return Fraction(frame.h**k * frame.hp ** (frame.s - k), frame.ambient.product())
 
 
-@dataclass(frozen=True)
-class ExceptionalData:
+class ExceptionalData(NamedTuple):
     """Product structure E ~ P(a'_0..a'_r) x P(a'_{r+1}..a'_s).
 
     ``restriction_scale`` implements [O(alpha,beta)]|_E = O(alpha/g, beta/g'),
@@ -181,8 +178,7 @@ def _assert_degree_one(frame: BlowupFrame) -> None:
         raise AssertionError("exceptional product degree check failed")
 
 
-@dataclass(frozen=True)
-class CoverData:
+class CoverData(NamedTuple):
     """Pullback behaviour along the finite toric cover a_i = e_i * abar_i."""
 
     scaling: tuple[Fraction, Fraction]
@@ -209,8 +205,7 @@ def finite_cover_pull(frame: BlowupFrame, exponents: Sequence[int]) -> CoverData
     return CoverData(scaling=scaling, degree=math.prod(e), bar_frame=bar_frame)
 
 
-@dataclass(frozen=True)
-class DivisorRestriction:
+class DivisorRestriction(NamedTuple):
     """Restriction of the blowup to a coordinate divisor D_i (i = 0 or s).
 
     When the blowup restricts to an isomorphism on the strict transform,

@@ -23,9 +23,10 @@ L - xC_0 in their two-curve models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
+
+from .lattice import _Value
 
 Point = tuple[Fraction, Fraction]
 
@@ -51,9 +52,11 @@ def _moments(vertices: Sequence[Point]) -> tuple[Fraction, Fraction, Fraction]:
     return area / 2, mx / 6, my / 6
 
 
-class _Body:
-    """Area and centroid of both body types, stored once by ``__post_init__``
-    as plain attributes, so they stay out of equality, hashing and the repr."""
+class _Body(_Value):
+    """Area and centroid of both body types, stored once by the constructor
+    in slots outside the ``_fields``."""
+
+    __slots__ = ("_area", "_centroid")
 
     def _store_moments(self, outline: Sequence[Point], kind: str) -> None:
         area, mx, my = _moments(outline)
@@ -69,7 +72,6 @@ class _Body:
         return self._centroid
 
 
-@dataclass(frozen=True)
 class RationalPolygon(_Body):
     """Convex polygon with exact rational vertices in counterclockwise order.
 
@@ -78,10 +80,10 @@ class RationalPolygon(_Body):
     arbitrary point cloud via an exact convex hull.
     """
 
-    vertices: tuple[Point, ...]
+    __slots__ = _fields = ("vertices",)
 
-    def __post_init__(self):
-        verts = tuple(_frac_point(v) for v in self.vertices)
+    def __init__(self, vertices: Sequence[Sequence]):
+        verts = tuple(_frac_point(v) for v in vertices)
         object.__setattr__(self, "vertices", verts)
         n = len(verts)
         if n < 3:
@@ -111,7 +113,6 @@ class RationalPolygon(_Body):
         return cls(tuple(hull))
 
 
-@dataclass(frozen=True)
 class SlicedBody(_Body):
     """A 2D body {0 <= x <= t_q, 0 <= y <= g(x)} with piecewise-affine g.
 
@@ -121,12 +122,11 @@ class SlicedBody(_Body):
     area.
     """
 
-    breakpoints: tuple[Fraction, ...]
-    pieces: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = _fields = ("breakpoints", "pieces")
 
-    def __post_init__(self):
-        bp = tuple(Fraction(x) for x in self.breakpoints)
-        pc = tuple((Fraction(m), Fraction(c)) for m, c in self.pieces)
+    def __init__(self, breakpoints: Sequence, pieces: Sequence[Sequence]):
+        bp = tuple(Fraction(x) for x in breakpoints)
+        pc = tuple((Fraction(m), Fraction(c)) for m, c in pieces)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "pieces", pc)
         if len(bp) < 2 or len(pc) != len(bp) - 1:
@@ -179,29 +179,25 @@ def barycenter(body: BodyLike) -> tuple[Point, Fraction]:
     return body.centroid(), body.area()
 
 
-@dataclass(frozen=True)
-class GravityInput:
+class GravityInput(_Value):
     """A convex body of area V whose part left of x = c1 is the trapezoid
     0 <= y <= ((c2 - c0)/c1) x + c0."""
 
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
-    V: Fraction
+    __slots__ = _fields = ("c0", "c1", "c2", "V")
 
-    def __post_init__(self):
-        for name in ("c0", "c1", "c2", "V"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.c0 < 0 or self.c1 <= 0 or self.c2 <= 0 or self.V <= 0:
+    def __init__(self, c0: Fraction, c1: Fraction, c2: Fraction, V: Fraction):
+        c0, c1, c2, V = map(Fraction, (c0, c1, c2, V))
+        if c0 < 0 or c1 <= 0 or c2 <= 0 or V <= 0:
             raise ValueError("need c0 >= 0 and c1, c2, V > 0")
-        if self.c2 < self.c0:
+        if c2 < c0:
             raise ValueError("need c2 >= c0")
-        if self.V < self.c1 * (self.c0 + self.c2) / 2:
+        if V < c1 * (c0 + c2) / 2:
             raise ValueError("area V smaller than the prescribed left slice")
+        for name, value in zip(self._fields, (c0, c1, c2, V)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class GravityBounds:
+class GravityBounds(NamedTuple):
     b1_max: Fraction
     b2_max: Fraction
     extremal: RationalPolygon
@@ -224,8 +220,7 @@ def gravity_bounds(gin: GravityInput) -> GravityBounds:
     return GravityBounds(b1_max=b1, b2_max=b2, extremal=poly)
 
 
-@dataclass(frozen=True)
-class SurfaceLocalData:
+class SurfaceLocalData(_Value):
     """Local data of a plt blowup of a klt surface pair at a point.
 
     A is the log discrepancy of the exceptional curve C, d_list the
@@ -233,20 +228,17 @@ class SurfaceLocalData:
     exceeding the Seshadri constant of L along C, and L2 = (L^2).
     """
 
-    A: Fraction
-    d_list: tuple[Fraction, ...]
-    eps: Fraction
-    L2: Fraction
+    __slots__ = _fields = ("A", "d_list", "eps", "L2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "A", Fraction(self.A))
-        object.__setattr__(self, "d_list", tuple(Fraction(d) for d in self.d_list))
-        object.__setattr__(self, "eps", Fraction(self.eps))
-        object.__setattr__(self, "L2", Fraction(self.L2))
-        if self.A <= 0 or self.eps <= 0 or self.L2 <= 0:
+    def __init__(self, A: Fraction, d_list: Sequence[Fraction], eps: Fraction, L2: Fraction):
+        A, eps, L2 = map(Fraction, (A, eps, L2))
+        d_list = tuple(map(Fraction, d_list))
+        if A <= 0 or eps <= 0 or L2 <= 0:
             raise ValueError("A, eps and L2 must be positive")
-        if any(not 0 < d < 1 for d in self.d_list):
+        if any(not 0 < d < 1 for d in d_list):
             raise ValueError("boundary coefficients must lie in (0,1)")
+        for name, value in zip(self._fields, (A, d_list, eps, L2)):
+            object.__setattr__(self, name, value)
 
     @property
     def dC(self) -> Fraction:
@@ -257,8 +249,7 @@ class SurfaceLocalData:
         return max(self.d_list) if self.d_list else Fraction(0)
 
 
-@dataclass(frozen=True)
-class SurfaceDeltaBound:
+class SurfaceDeltaBound(NamedTuple):
     bound: Fraction
     term_flag_curve: Fraction
     term_point: Fraction
@@ -300,8 +291,7 @@ class NotPseudoEffectiveError(ValueError):
     """The class admits no Zariski decomposition in the given curve model."""
 
 
-@dataclass(frozen=True)
-class ZariskiDecomposition:
+class ZariskiDecomposition(NamedTuple):
     positive: tuple[Fraction, ...]
     negative: tuple[Fraction, ...]
     support: tuple[int, ...]
@@ -394,8 +384,7 @@ def _check_zariski(m, dec: ZariskiDecomposition) -> None:
         raise AssertionError("positive and negative part are not orthogonal")
 
 
-@dataclass(frozen=True)
-class OkounkovCase:
+class OkounkovCase(NamedTuple):
     """An Okounkov body of O_S(1) for one of the supported surface families,
     with the surface invariants read off the construction."""
 

@@ -22,6 +22,8 @@ from .snf import QuotientLattice
 
 
 _ENTRY_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+MAX_WEIGHTS = 1000        # far above any sweep's or moment table's length
+_TOO_MANY = f"a weight vector has at most MAX_WEIGHTS = {MAX_WEIGHTS} entries"
 
 
 def parse_weight_text(text: str) -> tuple[int, ...]:
@@ -40,6 +42,8 @@ def parse_weight_text(text: str) -> tuple[int, ...]:
         rep = int(m.group(2)) if m.group(2) else 1
         if w < 1 or rep < 1:
             raise ValueError(f"weights and repetition counts must be positive: {entry!r}")
+        if len(weights) + rep > MAX_WEIGHTS:
+            raise ValueError(_TOO_MANY)
         weights.extend([w] * rep)
     return tuple(weights)
 
@@ -48,7 +52,13 @@ class _Value:
     """An immutable value whose ``__init__`` checks its arguments and sets its
     slots with ``object.__setattr__``.  Equality (with a value of the same
     class only), hash, repr and copies read the ``_fields``, the constructor's
-    arguments, as a frozen dataclass's do; a copy is built, and checked, anew."""
+    arguments, in order; a copy is built, and checked, anew.  Whatever the
+    constructor computes from them sits in further slots, outside the
+    ``_fields``.
+
+    This is the package's one record idiom: a record without a check of its
+    own is a :class:`typing.NamedTuple`, and a checked value is a ``_Value``.
+    """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -79,8 +89,8 @@ class _Value:
 class WeightVector(_Value):
     """Weights (a_0,...,a_s) of a weighted projective space.
 
-    The constructor requires gcd(a_0,...,a_s) = 1 and length >= 2; it never
-    rescales silently.
+    The constructor requires gcd(a_0,...,a_s) = 1 and between 2 and
+    :data:`MAX_WEIGHTS` entries; it never rescales silently.
     ``is_well_formed`` (no s of the s+1 weights share a common factor) is
     decided once, at construction, and is not one of the ``_fields``.
     """
@@ -96,6 +106,8 @@ class WeightVector(_Value):
         object.__setattr__(self, "weights", w)
         if len(w) < 2:
             raise ValueError("a weight vector needs at least two entries")
+        if len(w) > MAX_WEIGHTS:
+            raise ValueError(_TOO_MANY)
         if min(w) < 1:
             raise ValueError("weights must be positive integers")
         if math.gcd(*w) != 1:

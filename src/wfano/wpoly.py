@@ -21,12 +21,11 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .blowup import BiDegree, BlowupFrame, build
-from .lattice import WeightVector
+from .lattice import WeightVector, _Value
 
 
 _COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -81,8 +80,7 @@ def _mono_text(exps: Sequence[int], variables: Sequence[str]) -> str:
     return "*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(variables, exps) if e) or "1"
 
 
-@dataclass(frozen=True)
-class _GradedPoly:
+class _GradedPoly(_Value):
     """A nonzero polynomial all of whose terms have one grade in ``space``.
 
     A subclass states ``grade_of(space, exps)``, the grade of the monomial
@@ -93,26 +91,27 @@ class _GradedPoly:
     for text and error messages.
     """
 
-    space: Union[WeightVector, BlowupFrame]
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
-    grade: Union[int, BiDegree] = field(init=False)
+    __slots__ = ("space", "terms", "grade")
+    _fields = ("space", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(sorted(self.terms)))
-        if not self.terms:
+    def __init__(self, space: Union[WeightVector, BlowupFrame],
+                 terms: Sequence[tuple[tuple[int, ...], Fraction]]):
+        terms = tuple(sorted(terms))
+        if not terms:
             raise ValueError("polynomial is zero")
-        arity = self.arity(self.space)
-        if any(len(exps) != arity or coeff == 0 for exps, coeff in self.terms):
+        arity = self.arity(space)
+        if any(len(exps) != arity or coeff == 0 for exps, coeff in terms):
             raise ValueError("malformed term")
-        graded = sorted((self.grade_of(self.space, exps), exps) for exps, _ in self.terms)
+        graded = sorted((self.grade_of(space, exps), exps) for exps, _ in terms)
         (g0, k0), (g1, k1) = graded[0], graded[-1]
         if g0 != g1:
-            names = self.variables(self.space)
+            names = self.variables(space)
             raise ValueError(
                 f"inhomogeneous polynomial: term {_mono_text(k0, names)} has degree {g0} "
                 f"but term {_mono_text(k1, names)} has degree {g1}"
             )
-        object.__setattr__(self, "grade", g0)
+        for name, value in zip(_GradedPoly.__slots__, (space, terms, g0)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, space, terms):
@@ -161,6 +160,8 @@ class _GradedPoly:
 class SparseWPoly(_GradedPoly):
     """A nonzero weighted-homogeneous polynomial on P(a_0,...,a_s)."""
 
+    __slots__ = ()
+
     ambient = property(lambda self: self.space)
     degree = property(lambda self: self.grade)
 
@@ -193,6 +194,8 @@ class BiGradedPoly(_GradedPoly):
     Variables are ordered x_0..x_r, y_{r+1}..y_s, z; the grade is the class
     (alpha, beta) in Z^2.
     """
+
+    __slots__ = ()
 
     frame = property(lambda self: self.space)
     bidegree = property(lambda self: self.grade)
@@ -271,8 +274,7 @@ def restrict(f: SparseWPoly, i: int) -> SparseWPoly:
     return SparseWPoly.from_dict(sub, ((e[:i] + e[i + 1 :], c) for e, c in f.terms if e[i] == 0))
 
 
-@dataclass(frozen=True)
-class QsmPointReport:
+class QsmPointReport(NamedTuple):
     quasi_smooth: bool
     witness: Optional[int]          # index of a nonvanishing partial
     vanishing: tuple[int, ...]      # indices of vanishing partials
@@ -337,8 +339,7 @@ def qsm_at_coordinate_points(f: SparseWPoly) -> dict[int, tuple[str, Optional[in
     return report
 
 
-@dataclass(frozen=True)
-class EckardtDatum:
+class EckardtDatum(_Value):
     """Escape level of the vertex P = [0:...:0:1] of X in P(1^(n+1), a).
 
     With f = y^k x_0 + y^(k-1) f_{a+1} + ... + f_{ak+1} (y the last
@@ -346,17 +347,16 @@ class EckardtDatum:
     m = k exactly when P is a generalized Eckardt point.
     """
 
-    a: int
-    k: int
-    m: int
+    __slots__ = _fields = ("a", "k", "m")
 
-    def __post_init__(self):
-        if not 1 <= self.m <= self.k:
+    def __init__(self, a: int, k: int, m: int):
+        if not 1 <= m <= k:
             raise ValueError("escape level out of range")
+        for name, value in zip(self._fields, (a, k, m)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class EckardtNotApplicable:
+class EckardtNotApplicable(NamedTuple):
     reason: str
 
 

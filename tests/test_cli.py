@@ -23,6 +23,7 @@ from wfano import blowup as bl
 from wfano import cli
 from wfano import convex as cx
 from wfano import engine as ce
+from wfano import lattice
 from wfano import moments as mo
 from wfano.cli import run
 from wfano.lattice import WeightVector
@@ -65,6 +66,22 @@ def test_certify_refuses_a_degree_above_the_cap():
     assert code == 0
     jsonschema.validate(rep, REPORT_SCHEMA)
     assert rep["inputs"]["index"] == 1
+
+
+def test_weight_lists_past_the_cap_are_refused():
+    """At most ``MAX_WEIGHTS`` weights: the parser counts repetitions before
+    it expands them, so a count of 10^9 exits 2 at once, and the constructor
+    refuses a longer vector before its well-formedness test."""
+    cap = lattice.MAX_WEIGHTS
+    message = f"a weight vector has at most MAX_WEIGHTS = {cap} entries"
+    for text in ("1^1000000000,2", f"1^{cap},2", ",".join(["1"] * (cap + 1))):
+        code, rep = _run_json(["wps", "index", "--weights", text, "--degree", "3"])
+        assert code == 2 and rep["error"] == {"kind": "weights", "message": message}
+    code, rep = _run_json(["wps", "index", "--weights", f"1^{cap - 1},2", "--degree", "3"])
+    assert code == 0 and rep["outputs"]["index"] == cap - 2
+    assert len(WeightVector((1,) * cap)) == cap
+    with pytest.raises(ValueError, match=message):
+        WeightVector((1,) * (cap + 1))
 
 
 def test_moments_example():
@@ -427,7 +444,7 @@ def test_a_run_imports_only_what_its_subcommand_uses():
     """In a fresh process, ``certify``, ``enumerate``, ``moments`` and ``wps``
     leave ``convex``, ``wpoly`` and ``blowup`` unloaded; then ``blowup build``
     loads ``blowup``, ``okounkov`` loads ``convex`` and ``blowup transform``
-    loads ``wpoly``."""
+    loads ``wpoly``.  No run loads ``dataclasses`` or ``inspect``."""
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -449,15 +466,17 @@ def test_a_run_imports_only_what_its_subcommand_uses():
             "from wfano import cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    status = cli.run(argv, out=io.StringIO())\n"
-            "    print(json.dumps([status, sorted(m for m in ('wfano.convex', 'wfano.wpoly',\n"
-            "                                                'wfano.blowup') if m in sys.modules)]))\n")
+            "    ours = sorted(m for m in ('wfano.convex', 'wfano.wpoly', 'wfano.blowup')\n"
+            "                  if m in sys.modules)\n"
+            "    std = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+            "    print(json.dumps([status, ours, std]))\n")
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     got = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert got == [[0, []]] * 8 + [[0, ["wfano.blowup"]],
-                                   [0, ["wfano.blowup", "wfano.convex"]],
-                                   [0, ["wfano.blowup", "wfano.convex", "wfano.wpoly"]]]
+    assert got == [[0, [], []]] * 8 + [[0, ["wfano.blowup"], []],
+                                       [0, ["wfano.blowup", "wfano.convex"], []],
+                                       [0, ["wfano.blowup", "wfano.convex", "wfano.wpoly"], []]]
 
 
 def test_enumerate_json_bytes():

@@ -11,10 +11,13 @@ from fractions import Fraction
 
 import pytest
 
+from wfano import blowup as bl
 from wfano import cli
+from wfano import convex as cx
 from wfano import engine as ce
 from wfano import lattice
 from wfano import moments as mo
+from wfano import wpoly as wp
 from wfano.lattice import WeightVector
 
 from helpers import census
@@ -704,6 +707,11 @@ def test_check_free_records_are_named_tuples():
                                          "stratum")
     assert mo.UnstableReport._fields == ("n", "a", "k", "index", "verdict", "witness",
                                          "criterion_rhs")
+    assert bl.BlowupFrame._fields == ("ambient", "r", "h", "hp", "app", "gi", "g", "gp",
+                                      "ap_left", "ap_right", "v_rep", "bezout")
+    assert cx.OkounkovCase._fields == ("body", "L2", "eps", "t_max", "s_value",
+                                       "second_coordinate")
+    assert wp.QsmPointReport._fields == ("quasi_smooth", "witness", "vanishing")
     reasons = ("n+1 = 4 >= 2*c1 = 2: locus too large to lie on X",)
     assert hash(ce.B1Result("no", reasons)) == hash(("no", reasons))
     datum = _datum([1, 1, 1, 1, 2], 5)
@@ -715,7 +723,8 @@ def test_check_free_records_are_named_tuples():
                          (ce.QUASI_SMOOTH, "text"), (ce.RULES[0], "id"),
                          (lattice.normalize(w), "g"), (lattice.stratum(w, [0]), "mult"),
                          (lattice.base_locus(w, 1), "stratum"),
-                         (mo.unstable_check(11, 4, 2), "verdict")):
+                         (mo.unstable_check(11, 4, 2), "verdict"), (bl.build(w, 1), "r"),
+                         (cx.okounkov_body_surface("hirzebruch", a=2), "eps")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
         with pytest.raises(AttributeError):
@@ -735,12 +744,26 @@ def test_check_free_records_are_named_tuples():
      (WeightVector((1, 1, 1, 1, 2)), 5, ce.Flags()), ("d", "flags", "c1", "index"),
      "FanoDatum(ambient=WeightVector(weights=(1, 1, 1, 1, 2)), d=5, flags=Flags("
      "eckardt_at_p=False, m=None, b1_in_x='unknown', general_member=False))"),
+    (cx.SlicedBody((0, F(1, 2)), ((2, 0),)), cx.SlicedBody([F(0), F(1, 2)], [[F(2), F(0)]]),
+     ((F(0), F(1, 2)), ((F(2), F(0)),)), ("breakpoints", "pieces", "_area", "_centroid"),
+     "SlicedBody(breakpoints=(Fraction(0, 1), Fraction(1, 2)), "
+     "pieces=((Fraction(2, 1), Fraction(0, 1)),))"),
+    (cx.GravityInput(c0=1, c1=2, c2=3, V=4), cx.GravityInput(F(1), 2, F(3), 4),
+     (F(1), F(2), F(3), F(4)), ("c0", "V"),
+     "GravityInput(c0=Fraction(1, 1), c1=Fraction(2, 1), c2=Fraction(3, 1), V=Fraction(4, 1))"),
+    (wp.parse("x0*x1+3*x2", WeightVector((1, 1, 2))),
+     wp.SparseWPoly(WeightVector((1, 1, 2)), (((1, 1, 0), F(1)), ((0, 0, 1), F(3)))),
+     (WeightVector((1, 1, 2)), (((0, 0, 1), F(3)), ((1, 1, 0), F(1)))), ("terms", "grade"),
+     "SparseWPoly(space=WeightVector(weights=(1, 1, 2)), "
+     "terms=(((0, 0, 1), Fraction(3, 1)), ((1, 1, 0), Fraction(1, 1))))"),
+    (wp.EckardtDatum(a=2, k=3, m=2), wp.EckardtDatum(2, 3, 2), (2, 3, 2), ("a", "m"),
+     "EckardtDatum(a=2, k=3, m=2)"),
 ])
 def test_checked_values_are_immutable(value, twin, key, attrs, text):
-    """``Flags``, ``FanoDatum`` and ``WeightVector`` refuse assignment and
-    deletion of every attribute, computed ones included, and compare, hash,
-    print and copy as frozen dataclasses: by their constructor arguments,
-    and equal only to a value of their own class."""
+    """Every checked value (a ``lattice._Value``) refuses assignment and
+    deletion of every attribute, computed ones included, and compares,
+    hashes, prints and copies by its constructor arguments, the ``_fields``:
+    it is equal only to a value of its own class, not to their tuple."""
     for name in (*attrs, "extra"):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
