@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .lattice import WeightVector, reduce_weights
+from .lattice import WeightVector, as_integer, reduce_weights
 from .snf import QuotientLattice
 
 
@@ -192,7 +192,7 @@ def finite_cover_pull(frame: BlowupFrame, exponents: Sequence[int]) -> CoverData
     The exponents must divide the ambient weights and the quotient weights
     must be well-formed.
     """
-    e = [int(x) for x in exponents]
+    e = [as_integer(x, "exponent") for x in exponents]
     if len(e) != len(frame.ambient):
         raise ValueError("need one exponent per weight")
     if any(x < 1 for x in e):

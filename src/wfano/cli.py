@@ -14,10 +14,11 @@ them.  Exit codes: 0 success, 2 precondition or usage violation
 ``wfano`` command exits 1, with no output of its own, when its reader closes
 the output early (``| head``).  The library signals a precondition
 violation with ``ValueError`` (or a subclass); :func:`run` maps it to exit 2
-with kind "precondition", and any other exception to exit 3.  A table's
-handler finishes its checks before it returns, so no CSV precedes an error
-object; CSV has no decimals and no aligned text, so :func:`run` refuses
-``--approx`` and ``--format text`` for a table as usage errors.
+with kind "precondition", and any other exception to exit 3.  :func:`run`
+pulls a table's first row before its header, so a refused table prints a
+lone error object, and a table streams (``| head`` ends it).  CSV has no
+decimals and no aligned text, so :func:`run` refuses ``--approx`` and
+``--format text`` for a table as usage errors.
 A run builds only the parsers on the path it names, one per level, and
 ``--help`` through :func:`run` writes the help to its ``out`` and returns
 0.  A run imports only the modules its subcommand uses: ``csv`` loads for
@@ -32,6 +33,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 from . import engine as ce
@@ -469,6 +471,8 @@ def run(argv, out=None) -> int:
         args = build_parser().parse_args(argv)
         result = args.handler(args)
         if isinstance(result, _Table):
+            rows = iter(result.rows)
+            first = tuple(islice(rows, 1))  # the producer's checks run here, before any CSV
             # decimals and aligned text do not apply to CSV: refused, not ignored
             if args.approx:
                 raise CLIError("usage", "--approx does not apply to CSV output")
@@ -478,7 +482,8 @@ def run(argv, out=None) -> int:
 
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(result.header)
-            writer.writerows(result.rows)
+            writer.writerows(first)
+            writer.writerows(rows)
             return 0
         if args.approx and (approx := _approx(result["outputs"])) is not None:
             result["approx"] = approx

@@ -24,15 +24,15 @@ L - xC_0 in their two-curve models.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
-from .lattice import _Value
+from .lattice import _Value, as_integer, as_rational
 
 Point = tuple[Fraction, Fraction]
 
 
 def _frac_point(p: Sequence) -> Point:
-    return (Fraction(p[0]), Fraction(p[1]))
+    return (as_rational(p[0], "coordinate"), as_rational(p[1], "coordinate"))
 
 
 def _cross(o: Point, a: Point, b: Point) -> Fraction:
@@ -125,8 +125,8 @@ class SlicedBody(_Body):
     __slots__ = _fields = ("breakpoints", "pieces")
 
     def __init__(self, breakpoints: Sequence, pieces: Sequence[Sequence]):
-        bp = tuple(Fraction(x) for x in breakpoints)
-        pc = tuple((Fraction(m), Fraction(c)) for m, c in pieces)
+        bp = tuple(as_rational(x, "breakpoint") for x in breakpoints)
+        pc = tuple((as_rational(m, "slope"), as_rational(c, "intercept")) for m, c in pieces)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "pieces", pc)
         if len(bp) < 2 or len(pc) != len(bp) - 1:
@@ -151,7 +151,7 @@ class SlicedBody(_Body):
                             "body")
 
     def upper(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
+        x = as_rational(x, "x")
         if not 0 <= x <= self.breakpoints[-1]:
             raise ValueError("outside the support")
         for (m, c), lo, hi in zip(self.pieces, self.breakpoints, self.breakpoints[1:]):
@@ -159,16 +159,14 @@ class SlicedBody(_Body):
                 return m * x + c
         raise AssertionError
 
-    def boundary_samples(self, count: int) -> list[Point]:
+    def boundary_samples(self, count: int) -> Iterator[Point]:
         """``count + 1`` equally spaced points (x, g(x)) from x = 0 to t_q."""
         if count < 1:
             raise ValueError("sample count must be >= 1")
         t = self.breakpoints[-1]
-        out = []
         for i in range(count + 1):
             x = t * i / count
-            out.append((x, self.upper(x)))
-        return out
+            yield x, self.upper(x)
 
 
 BodyLike = Union[RationalPolygon, SlicedBody]
@@ -186,7 +184,7 @@ class GravityInput(_Value):
     __slots__ = _fields = ("c0", "c1", "c2", "V")
 
     def __init__(self, c0: Fraction, c1: Fraction, c2: Fraction, V: Fraction):
-        c0, c1, c2, V = map(Fraction, (c0, c1, c2, V))
+        c0, c1, c2, V = map(as_rational, (c0, c1, c2, V), self._fields)
         if c0 < 0 or c1 <= 0 or c2 <= 0 or V <= 0:
             raise ValueError("need c0 >= 0 and c1, c2, V > 0")
         if c2 < c0:
@@ -231,8 +229,8 @@ class SurfaceLocalData(_Value):
     __slots__ = _fields = ("A", "d_list", "eps", "L2")
 
     def __init__(self, A: Fraction, d_list: Sequence[Fraction], eps: Fraction, L2: Fraction):
-        A, eps, L2 = map(Fraction, (A, eps, L2))
-        d_list = tuple(map(Fraction, d_list))
+        A, eps, L2 = map(as_rational, (A, eps, L2), ("A", "eps", "L2"))
+        d_list = tuple(as_rational(d, "boundary coefficient") for d in d_list)
         if A <= 0 or eps <= 0 or L2 <= 0:
             raise ValueError("A, eps and L2 must be positive")
         if any(not 0 < d < 1 for d in d_list):
@@ -343,11 +341,11 @@ def zariski_decompose(intersection: Sequence[Sequence], cls: Sequence) -> Zarisk
     part negatively (in listed order), solve the orthogonality system, and
     demand a negative-definite support with nonnegative coefficients.
     """
-    m = [[Fraction(x) for x in row] for row in intersection]
+    m = [[as_rational(x, "intersection number") for x in row] for row in intersection]
     n = len(m)
     if any(len(row) != n for row in m) or any(m[i][j] != m[j][i] for i in range(n) for j in range(n)):
         raise ValueError("intersection matrix must be square and symmetric")
-    d = [Fraction(x) for x in cls]
+    d = [as_rational(x, "class coefficient") for x in cls]
     if len(d) != n:
         raise ValueError("class vector length mismatch")
 
@@ -418,6 +416,7 @@ def okounkov_body_surface(case: str, a: int = 0, b: int = 0, k: int = 0,
     Any other case is rejected, and so is a nonzero b or k, or
     ``flag_in_surface``, for the two Hirzebruch-type cases, which read only a.
     """
+    a, b, k = map(as_integer, (a, b, k), ("a", "b", "k"))
     if case in ("hirzebruch", "hirzebruch2"):
         if a < 1:
             raise ValueError("need a >= 1")

@@ -614,8 +614,8 @@ def enumerate_data(n: int, max_weight: int, index: Optional[int] = None,
     ``general`` set the corresponding assertion flags on every row, and
     :func:`certify` ignores the Eckardt assertion where the last vertex is
     not of Eckardt shape, as for a single datum.  The arguments and the row
-    limit are checked here, before the first row is certified.  The limit
-    bounds the gcd-1 candidates, counted exactly by
+    limit are checked at the first pull, before the first row is certified.
+    The limit bounds the gcd-1 candidates, counted exactly by
     :func:`_coprime_tuple_count` (all C(M+n+1, n+2) ascending tuples, less
     those of gcd g >= 2, which are g times a gcd-1 tuple up to M/g) without
     listing them.  The candidates are then generated lazily, and the rows
@@ -637,7 +637,7 @@ def enumerate_data(n: int, max_weight: int, index: Optional[int] = None,
     tuples = (t for t in itertools.combinations_with_replacement(
                   range(1, max_weight + 1), n + 2)
               if math.gcd(*t) == 1)
-    return _certified_rows(tuples, index, degree, eckardt, general)
+    yield from _certified_rows(tuples, index, degree, eckardt, general)
 
 
 def _certified_rows(tuples, index, degree, eckardt, general) -> Iterator[EnumerationRow]:

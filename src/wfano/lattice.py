@@ -231,7 +231,7 @@ def stratum(w: WeightVector, vanish: Iterable[int]) -> CoordinateStratum:
     O(1/(g*h)); the cone multiplicity is h.
     """
     w.require_well_formed()
-    indices = [int(i) for i in vanish]
+    indices = [as_integer(i, "vanishing index") for i in vanish]
     vanish = frozenset(indices)
     if len(vanish) != len(indices):
         raise ValueError("vanishing indices must be distinct")
@@ -279,9 +279,9 @@ class BaseLocus(NamedTuple):
 def base_locus(w: WeightVector, a: int, p: Optional[int] = None) -> BaseLocus:
     """Base locus B_a (or B_{a,p} for a coordinate point p, given by index)."""
     w.require_well_formed()
-    if a < 1:
+    if as_integer(a, "threshold") < 1:
         raise ValueError("threshold must be a positive integer")
-    if p is not None and not 0 <= p < len(w):
+    if p is not None and not 0 <= as_integer(p, "base point index") < len(w):
         raise ValueError("base point index out of range")
     vanishing = frozenset(i for i in range(len(w)) if w[i] <= a and i != p)
     st = None
@@ -298,6 +298,16 @@ def as_integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, not {value!r}") from None
 
 
+def as_rational(value, what: str) -> Fraction:
+    """``value`` as a Fraction; anything but an int or a Fraction (0.5, "1/2") raises
+    ValueError, so no float becomes an exact value."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise ValueError(f"{what} must be an int or a Fraction, not {value!r}")
+
+
 def fano_index(w: WeightVector, d: int) -> int:
     """sum(a_i) - d; positive exactly for Fano hypersurfaces of degree d."""
     if as_integer(d, "degree") < 1:
@@ -311,7 +321,7 @@ def stratum_mult_oracle(w: WeightVector, vanish: Iterable[int]) -> int:
     lat = QuotientLattice(w.weights)
     m = len(w)
     rays = []
-    for i in sorted(set(int(j) for j in vanish)):
+    for i in sorted(set(as_integer(j, "vanishing index") for j in vanish)):
         e = [0] * m
         e[i] = 1
         rays.append(e)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, NamedTuple, Optional
 
 from .lattice import as_integer
@@ -207,18 +208,14 @@ def moment_table(n_range, a_range, k_range) -> Iterator[tuple]:
     closed_form.  Each (n, a, k)'s three integrals, three closed forms and
     three comparisons are picked once, as ``_pick`` selects, for its 2n rows.
 
-    Every (n, a, k) of the re-iterable ranges is checked here, before the
-    first row is computed; the rows are then yielded as they are computed.
+    A triple's checks read each entry alone: each entry is checked once, with
+    the others' first entries, raising what the first faulty triple would.
     """
-    for n in n_range:
-        for a in a_range:
-            for k in k_range:
-                _validate(n, a, k)
-    return _table_rows(n_range, a_range, k_range)
-
-
-def _table_rows(n_range, a_range, k_range) -> Iterator[tuple]:
-    """The rows of :func:`moment_table` for checked ranges."""
+    if n_range and a_range and k_range:
+        n0, a0, k0 = n_range[0], a_range[0], k_range[0]
+        for triple in chain(((n0, a0, k) for k in k_range), ((n0, a, k0) for a in a_range),
+                            ((n, a0, k0) for n in n_range)):
+            _validate(*triple)
     for n in n_range:
         for a in a_range:
             for k in k_range:

@@ -13,7 +13,16 @@ rank k+1.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
+
+
+def _integers(values: Sequence, what: str) -> list[int]:
+    """``values`` as ints; a non-integer (1.9, "1") raises ValueError naming ``what``."""
+    try:
+        return [operator.index(x) for x in values]
+    except TypeError:
+        raise ValueError(f"{what} must be integers, not {values!r}") from None
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -23,7 +32,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     each dividing the next, zeros at the end for rank deficiency).  The
     matrix itself is not modified.
     """
-    a = [[int(x) for x in row] for row in rows]
+    a = [_integers(row, "matrix entries") for row in rows]
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):
@@ -88,7 +97,7 @@ class QuotientLattice:
     """
 
     def __init__(self, a: Sequence[int]):
-        a = tuple(int(x) for x in a)
+        a = tuple(_integers(a, "quotient vector entries"))
         if len(a) < 2:
             raise ValueError("need at least two coordinates")
         if math.gcd(*a) != 1:

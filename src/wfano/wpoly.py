@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .blowup import BiDegree, BlowupFrame, build
-from .lattice import WeightVector, _Value
+from .lattice import WeightVector, _Value, as_rational
 
 
 _COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -96,7 +96,7 @@ class _GradedPoly(_Value):
 
     def __init__(self, space: Union[WeightVector, BlowupFrame],
                  terms: Sequence[tuple[tuple[int, ...], Fraction]]):
-        terms = tuple(sorted(terms))
+        terms = tuple(sorted((exps, as_rational(c, "coefficient")) for exps, c in terms))
         if not terms:
             raise ValueError("polynomial is zero")
         arity = self.arity(space)
@@ -119,8 +119,8 @@ class _GradedPoly(_Value):
         pairs; equal monomials are summed and zero sums dropped."""
         summed: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in terms.items() if isinstance(terms, dict) else terms:
-            key = tuple(exps)
-            summed[key] = summed[key] + coeff if key in summed else Fraction(coeff)
+            key, coeff = tuple(exps), as_rational(coeff, "coefficient")
+            summed[key] = summed[key] + coeff if key in summed else coeff
         return cls(space, tuple((k, c) for k, c in summed.items() if c != 0))
 
     @classmethod
@@ -132,7 +132,7 @@ class _GradedPoly(_Value):
         return all(exps[i] > 0 for exps, _ in self.terms)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        pt = [Fraction(x) for x in point]
+        pt = [as_rational(x, "coordinate") for x in point]
         total = Fraction(0)
         for exps, coeff in self.terms:
             val = coeff
@@ -289,7 +289,7 @@ def qsm_at_point(f: _GradedPoly, point: Sequence) -> QsmPointReport:
     partial is itself homogeneous.
     """
     nv = f.arity(f.space)
-    pt = [Fraction(x) for x in point]
+    pt = [as_rational(x, "coordinate") for x in point]
     if len(pt) != nv:
         raise ValueError(f"expected {nv} coordinates")
     if f.in_irrelevant_locus(pt):

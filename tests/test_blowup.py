@@ -169,6 +169,7 @@ def test_frame_json_fields():
 @pytest.mark.parametrize("r, call, message", [
     (1, lambda fr: bl.finite_cover_pull(fr, (1, 1, 1)), "need one exponent per weight"),
     (1, lambda fr: bl.finite_cover_pull(fr, (1, 1, 0, 1)), "exponents must be positive"),
+    (1, lambda fr: bl.finite_cover_pull(fr, [1.9, 1, 1, 1]), "exponent must be an integer, not 1.9"),
     (1, lambda fr: bl.ray_cone_mult(fr, 9), "index out of range"),
     (2, lambda fr: bl.ray_cone_mult(fr, 3),
      "the last ray is proportional to the new ray when r = s-1"),

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -381,12 +382,27 @@ def test_okounkov_closed_forms_match_the_zariski_decomposition(name, c1_squared)
 
 def test_boundary_samples_need_a_positive_count():
     body = cx.okounkov_body_surface("hirzebruch", a=2).body
-    assert body.boundary_samples(2) == [(0, body.upper(0)),
+    assert list(body.boundary_samples(2)) == [(0, body.upper(0)),
                                         (F(1, 4), body.upper(F(1, 4))),
                                         (F(1, 2), body.upper(F(1, 2)))]
     for count in (0, -3):
         with pytest.raises(ValueError, match="sample count"):
-            body.boundary_samples(count)
+            next(body.boundary_samples(count))
+
+
+def test_boundary_samples_stream(monkeypatch):
+    """Taking 3 of 10^4 + 1 samples evaluates the boundary 3 times."""
+    body = cx.okounkov_body_surface("hirzebruch", a=2).body
+    calls = [0]
+    upper = cx.SlicedBody.upper
+
+    def spy(self, x):
+        calls[0] += 1
+        return upper(self, x)
+    monkeypatch.setattr(cx.SlicedBody, "upper", spy)
+    samples = itertools.islice(body.boundary_samples(10**4), 3)
+    assert list(samples) == [(0, 0), (F(1, 20000), F(1, 10000)), (F(1, 10000), F(1, 5000))]
+    assert calls[0] == 3
 
 
 def test_okounkov_perhaps_useful():
@@ -443,6 +459,25 @@ def test_okounkov_area_is_half_selfintersection():
      "b, k and flag_in_surface apply only to perhaps-useful, not to hirzebruch"),
     (lambda: cx.okounkov_body_surface("hirzebruch2", a=2, b=4),
      "b, k and flag_in_surface apply only to perhaps-useful, not to hirzebruch2"),
+    # integers are checked, not truncated, and no float becomes an exact rational
+    (lambda: cx.okounkov_body_surface("hirzebruch", a=2.5), "a must be an integer, not 2.5"),
+    (lambda: cx.GravityInput(0.1, 1, 1, 1), "c0 must be an int or a Fraction, not 0.1"),
+    (lambda: cx.RationalPolygon.from_points([(0, 0), (1, 0), (0, 0.5)]),
+     "coordinate must be an int or a Fraction, not 0.5"),
+    (lambda: cx.SlicedBody((0, 0.5), ((1, 0),)),
+     "breakpoint must be an int or a Fraction, not 0.5"),
+    (lambda: cx.SlicedBody((0, 1), ((0, "1"),)),
+     "intercept must be an int or a Fraction, not '1'"),
+    (lambda: cx.SlicedBody((0, 1), ((0, 1),)).upper(0.5),
+     "x must be an int or a Fraction, not 0.5"),
+    (lambda: cx.SurfaceLocalData(A=1, d_list=(0.5,), eps=1, L2=1),
+     "boundary coefficient must be an int or a Fraction, not 0.5"),
+    (lambda: cx.SurfaceLocalData(A=1, d_list=(), eps=0.25, L2=1),
+     "eps must be an int or a Fraction, not 0.25"),
+    (lambda: cx.zariski_decompose([[-1.0]], [1]),
+     "intersection number must be an int or a Fraction, not -1.0"),
+    (lambda: cx.zariski_decompose([[-1]], [0.5]),
+     "class coefficient must be an int or a Fraction, not 0.5"),
 ])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as err:

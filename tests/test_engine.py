@@ -288,13 +288,13 @@ def test_enumerate_unstable_sweep():
 
 def test_enumerate_checks_arguments_before_the_first_row():
     with pytest.raises(ValueError):
-        ce.enumerate_data(n=50, max_weight=3, index=1)
+        next(ce.enumerate_data(n=50, max_weight=3, index=1))
     with pytest.raises(ValueError):
-        ce.enumerate_data(n=3, max_weight=3, index=1, degree=5)
+        next(ce.enumerate_data(n=3, max_weight=3, index=1, degree=5))
     for kwargs in ({"max_weight": 3, "index": 0}, {"max_weight": 3, "index": -2},
                    {"max_weight": 3, "degree": 0}, {"max_weight": 0, "index": 1}):
         with pytest.raises(ValueError):
-            ce.enumerate_data(n=2, **kwargs)
+            next(ce.enumerate_data(n=2, **kwargs))
 
 
 def _mobius(k):
@@ -340,7 +340,7 @@ def test_enumerate_row_limit_is_an_exact_count(monkeypatch, n, top, count):
                for g in range(1, top + 1)) == count
     drawn = _spy_draws(monkeypatch)
     with pytest.raises(ValueError) as err:
-        ce.enumerate_data(n=n, max_weight=top, index=1)
+        next(ce.enumerate_data(n=n, max_weight=top, index=1))
     assert str(err.value) == f"enumeration would produce {count} rows; limit is 200000"
     assert drawn[0] == 0
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from wfano.lattice import (
     WeightVector,
+    as_rational,
     base_locus,
     fano_index,
     normalize,
@@ -226,3 +227,22 @@ def test_constructor_rejects_nonpositive_weights():
     with pytest.raises(ValueError) as err:
         WeightVector((0, 1))
     assert str(err.value) == "weights must be positive integers"
+
+
+_P1122 = WeightVector((1, 1, 2, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    # integers are checked, not truncated
+    (lambda: stratum(_P1122, [1.9]), "vanishing index must be an integer, not 1.9"),
+    (lambda: stratum_mult_oracle(_P1122, ["1"]), "vanishing index must be an integer, not '1'"),
+    (lambda: base_locus(_P1122, 1.5), "threshold must be an integer, not 1.5"),
+    (lambda: base_locus(_P1122, 1, 2.0), "base point index must be an integer, not 2.0"),
+    # no float becomes an exact rational
+    (lambda: as_rational(0.1, "c0"), "c0 must be an int or a Fraction, not 0.1"),
+    (lambda: as_rational("1/2", "x"), "x must be an int or a Fraction, not '1/2'"),
+])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -150,7 +150,7 @@ def test_s_value_preconditions():
     with pytest.raises(ValueError, match="k must be an integer"):
         mo.unstable_check(11, 4, F(2))
     with pytest.raises(ValueError, match="dimension n must be an integer"):
-        mo.moment_table([F(5, 2)], range(1, 2), range(1, 2))
+        next(mo.moment_table([F(5, 2)], range(1, 2), range(1, 2)))
     with pytest.raises(ValueError, match="dimension n must be an integer"):
         mo.s_value("3", 1, 1, 1)
 
@@ -246,11 +246,25 @@ def test_moment_table_rows():
 
 def test_moment_table_checks_every_triple_before_the_first_row():
     with pytest.raises(ValueError, match="dimension bounded by 64"):
-        mo.moment_table(range(2, 66), range(1, 2), range(1, 2))
+        next(mo.moment_table(range(2, 66), range(1, 2), range(1, 2)))
     with pytest.raises(ValueError, match="a and k must be positive"):
-        mo.moment_table(range(2, 3), range(0, 2), range(1, 2))
+        next(mo.moment_table(range(2, 3), range(0, 2), range(1, 2)))
     # no triple, no row, nothing to check
     assert list(mo.moment_table(range(2, 66), range(1, 1), range(1, 2))) == []
+
+
+def test_moment_table_checks_each_entry_once(monkeypatch):
+    """The first row of a 7 x 100 x 100 table waits for 207 entry checks,
+    not for one check per (n, a, k)."""
+    calls = [0]
+    validate = mo._validate
+
+    def spy(*args):
+        calls[0] += 1
+        return validate(*args)
+    monkeypatch.setattr(mo, "_validate", spy)
+    assert next(mo.moment_table(range(2, 9), range(1, 101), range(1, 101)))[:4] == (2, 1, 1, 1)
+    assert calls[0] <= 207
 
 
 def _default_table():

@@ -108,6 +108,9 @@ def test_quotient_lattice_against_minors():
     (lambda: smith_normal_form([[1, 2], [3]]), "ragged matrix"),
     (lambda: QuotientLattice((1,)), "need at least two coordinates"),
     (lambda: QuotientLattice((2, 4)), "quotient vector must be primitive (gcd 1)"),
+    (lambda: smith_normal_form([[1.9, 0], [0, 2]]), "matrix entries must be integers, not [1.9, 0]"),
+    (lambda: QuotientLattice((1, "1")),
+     "quotient vector entries must be integers, not (1, '1')"),
 ])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as err:

@@ -307,6 +307,18 @@ def test_direct_construction_checks_what_from_dict_checks():
         wp.SparseWPoly.from_dict(W3111, {(0, 4, 0): 1})
     with pytest.raises(ValueError, match="^polynomial is zero$"):
         wp.SparseWPoly.from_dict(W3111, [((0, 4, 0, 0), 1), ((0, 4, 0, 0), -1)])
+    # a coefficient is an int or a Fraction, kept as a Fraction; a float is refused
+    p112 = WeightVector((1, 1, 2))
+    assert wp.SparseWPoly(p112, (((0, 0, 1), 1), ((2, 0, 0), Fraction(1, 2)))) == \
+        wp.SparseWPoly.from_dict(p112, {(0, 0, 1): Fraction(1), (2, 0, 0): Fraction(1, 2)})
+    assert all(type(c) is Fraction for _, c in wp.SparseWPoly(p112, (((0, 0, 1), 1),)).terms)
+    for build_poly in (lambda: wp.SparseWPoly(p112, (((0, 0, 1), 0.5), ((2, 0, 0), 1))),
+                       lambda: wp.SparseWPoly.from_dict(p112, {(0, 0, 1): 0.5}),
+                       lambda: wp.SparseWPoly.from_dict(
+                           p112, [((0, 0, 1), Fraction(1, 2)), ((0, 0, 1), 0.5)])):
+        with pytest.raises(ValueError, match="^coefficient must be an int or a Fraction, "
+                                             "not 0.5$"):
+            build_poly()
 
     frame = build(W3111, 2)
     ft = wp.strict_transform(f, 2)
@@ -345,6 +357,10 @@ _P1112 = WeightVector((1, 1, 1, 2))
     (lambda: wp.qsm_at_point(wp.parse("x0^4+x1^4+x2^4+x3^2", _P1112), [1, 0]),
      "expected 4 coordinates"),
     (lambda: wp.EckardtDatum(a=2, k=2, m=0), "escape level out of range"),
+    (lambda: wp.parse("x0^4+x1^4+x2^4+x3^2", _P1112).evaluate([0.5, 0, 0, 1]),
+     "coordinate must be an int or a Fraction, not 0.5"),
+    (lambda: wp.qsm_at_point(wp.parse("x0^4+x1^4+x2^4+x3^2", _P1112), [0, 0, 0, "1"]),
+     "coordinate must be an int or a Fraction, not '1'"),
 ])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as err:
