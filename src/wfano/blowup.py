@@ -70,7 +70,7 @@ def build(ambient: WeightVector, r: int) -> BlowupFrame:
     """
     ambient.require_well_formed()
     s = ambient.s
-    if not 1 <= r <= s - 1:
+    if not 1 <= as_integer(r, "split index r") <= s - 1:
         raise ValueError(f"split index r={r} out of range 1..{s - 1}")
     left = ambient.weights[: r + 1]
     right = ambient.weights[r + 1 :]
@@ -127,7 +127,7 @@ def pi_pullback_o1(frame: BlowupFrame) -> tuple[Fraction, Fraction]:
 
 def intersection_bi(frame: BlowupFrame, k: int) -> Fraction:
     """(O(1,0)^k . O(0,1)^(s-k)) = h^k h'^(s-k) / prod(a_i) for k <= r, else 0."""
-    if not 0 <= k <= frame.s:
+    if not 0 <= as_integer(k, "k") <= frame.s:
         raise ValueError("k out of range")
     if k > frame.r:
         return Fraction(0)

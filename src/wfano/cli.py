@@ -5,9 +5,9 @@ Subcommands: certify, enumerate, moments (s-value | table), okounkov, wps
 transform).  The library returns exact values and this module alone lays
 them out.  Each subcommand's handler is a function of the parsed arguments
 alone: it returns a report, or a CSV table (``enumerate --csv``, ``moments
-table`` and ``okounkov --csv-samples``), and :func:`run` alone writes it and
-picks the exit code.  Reports are emitted as JSON (default) or aligned text;
-all rationals are exact fraction strings "p/q", and ``--approx`` adds a
+table`` and ``okounkov --csv-samples``) of formatted lines, and :func:`run`
+alone writes it and picks the exit code.  Reports are emitted as JSON
+(default) or aligned text; all rationals are exact fraction strings "p/q", and ``--approx`` adds a
 clearly labelled block with a 12-significant-digit decimal for each of
 them.  Exit codes: 0 success, 2 precondition or usage violation
 (machine-readable error object), 3 internal invariant failure.  The
@@ -15,15 +15,19 @@ them.  Exit codes: 0 success, 2 precondition or usage violation
 the output early (``| head``).  The library signals a precondition
 violation with ``ValueError`` (or a subclass); :func:`run` maps it to exit 2
 with kind "precondition", and any other exception to exit 3.  :func:`run`
-pulls a table's first row before its header, so a refused table prints a
-lone error object, and a table streams (``| head`` ends it).  CSV has no
+pulls a table's first item before its header, so a refused table prints a
+lone error object, and a table streams (``| head`` ends it).  ``moments
+table`` renders each (n, a, k) record as one string of 2n lines, its six
+Fractions and three booleans formatted once; the two other tables lay out
+their rows through ``csv.writer`` (:func:`_csv_lines`).  CSV has no
 decimals and no aligned text, so :func:`run` refuses ``--approx`` and
 ``--format text`` for a table as usage errors.
 A run builds only the parsers on the path it names, one per level, and
 ``--help`` through :func:`run` writes the help to its ``out`` and returns
 0.  A run imports only the modules its subcommand uses: ``csv`` loads for
-a table, ``blowup`` for ``blowup``, ``wpoly`` for ``blowup transform`` and
-``convex`` for ``okounkov``.
+``enumerate --csv`` and ``okounkov --csv-samples``, ``blowup`` for
+``blowup``, ``wpoly`` for ``blowup transform`` and ``convex`` for
+``okounkov``.
 """
 
 from __future__ import annotations
@@ -33,8 +37,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import engine as ce
 from . import moments as mo
@@ -56,10 +59,11 @@ class _Exit(Exception):
 
 
 class _Table(NamedTuple):
-    """A handler's CSV output: :func:`run` writes the header, then the rows."""
+    """A handler's CSV output: :func:`run` writes the header, then each item
+    of ``lines``, a string of one or more whole CSV lines."""
 
     header: Sequence[str]
-    rows: Iterable[Sequence]
+    lines: Iterable[str]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,6 +164,18 @@ def _emit(rep: dict, fmt: str, out) -> None:
         out.write(f"    {t['statement']}\n")
         if t.get("citation"):
             out.write(f"    citation: {t['citation']}\n")
+
+
+def _csv_lines(rows: Iterable[Sequence]) -> Iterator[str]:
+    """Each row as the line ``csv.writer`` writes for it, made as it is
+    pulled; ``writerow`` returns what its file's ``write`` returns, here the
+    line itself."""
+    import csv
+
+    class _Line:
+        write = str
+
+    return map(csv.writer(_Line(), lineterminator="\n").writerow, rows)
 
 
 def _weights(text: str) -> WeightVector:
@@ -273,7 +289,8 @@ def _run_enumerate(args) -> dict | _Table:
         degree=args.degree, eckardt=args.eckardt, general=args.general,
     )
     if args.csv:
-        return _Table(_ENUMERATE_HEADER, (_enumerate_values(row, ";".join) for row in rows))
+        return _Table(_ENUMERATE_HEADER,
+                      _csv_lines(_enumerate_values(row, ";".join) for row in rows))
     payload = [dict(zip(_ENUMERATE_HEADER, _enumerate_values(row, list))) for row in rows]
     return _report("enumerate",
                    {"n": args.n, "max_weight": args.max_weight, "index": args.index,
@@ -313,8 +330,26 @@ def _run_moments(args) -> dict | _Table:
         raise CLIError("precondition", "empty table: need --n-max >= 2, --a-max >= 1 "
                                        "and --k-max >= 1")
     return _Table(mo.TABLE_HEADER,
-                  mo.moment_table(range(2, args.n_max + 1), range(1, args.a_max + 1),
-                                  range(1, args.k_max + 1)))
+                  _moment_lines(mo.moment_table(range(2, args.n_max + 1),
+                                                range(1, args.a_max + 1),
+                                                range(1, args.k_max + 1))))
+
+
+def _moment_lines(records: Iterable[mo.MomentRecord]) -> Iterator[str]:
+    """Each record's 2n CSV lines as one string.  Its six Fractions and three
+    booleans are formatted once, as three "S,closed_form,match" line ends,
+    and a template made once per n places them, after the record's "n,a,k,"
+    and each row's "j,q_in_W1,", in the rows of :func:`moments.row_layout`.
+    Every cell is an integer, a boolean or a reduced fraction, so no cell
+    needs CSV quoting and the bytes are those of ``csv.writer``."""
+    n = None
+    for r in records:
+        if r.n != n:
+            n = r.n
+            template = "".join(f"{{0}}{j},{q},{{{entry + 1}}}"
+                               for j, q, entry in mo.row_layout(n))
+        yield template.format(f"{n},{r.a},{r.k},",
+                              *map("{!s},{!s},{!s}\n".format, r.s, r.closed_form, r.match))
 
 
 def _okounkov_parser(o: _Parser) -> None:
@@ -338,7 +373,7 @@ def _run_okounkov(args) -> dict | _Table:
     case = cx.okounkov_body_surface(args.name, a=args.a, b=args.b, k=args.k,
                                     flag_in_surface=args.flag_in_surface)
     if args.csv_samples:
-        return _Table(("x", "upper"), case.body.boundary_samples(args.csv_samples))
+        return _Table(("x", "upper"), _csv_lines(case.body.boundary_samples(args.csv_samples)))
     return _report("okounkov case",
                    {"case": args.name, "a": args.a, "b": args.b, "k": args.k,
                     "flag_in_surface": args.flag_in_surface},
@@ -471,19 +506,17 @@ def run(argv, out=None) -> int:
         args = build_parser().parse_args(argv)
         result = args.handler(args)
         if isinstance(result, _Table):
-            rows = iter(result.rows)
-            first = tuple(islice(rows, 1))  # the producer's checks run here, before any CSV
+            lines = iter(result.lines)
+            first = next(lines, "")  # the producer's checks run here, before any CSV
             # decimals and aligned text do not apply to CSV: refused, not ignored
             if args.approx:
                 raise CLIError("usage", "--approx does not apply to CSV output")
             if args.format != "json":
                 raise CLIError("usage", "--format text does not apply to CSV output")
-            import csv
-
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(result.header)
-            writer.writerows(first)
-            writer.writerows(rows)
+            out.write(",".join(result.header) + "\n")
+            out.write(first)
+            for line in lines:
+                out.write(line)
             return 0
         if args.approx and (approx := _approx(result["outputs"])) is not None:
             result["approx"] = approx

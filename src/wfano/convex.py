@@ -161,7 +161,7 @@ class SlicedBody(_Body):
 
     def boundary_samples(self, count: int) -> Iterator[Point]:
         """``count + 1`` equally spaced points (x, g(x)) from x = 0 to t_q."""
-        if count < 1:
+        if as_integer(count, "sample count") < 1:
             raise ValueError("sample count must be >= 1")
         t = self.breakpoints[-1]
         for i in range(count + 1):

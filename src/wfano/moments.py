@@ -18,16 +18,18 @@ each of its terms integrates to 1/(e+1) for t^e; each S-value is built
 as one Fraction (see ``_flag_integrals``).  Only three distinct S-values
 exist per (n, a, k), so they are computed together once.  ``Poly1D`` is the
 tests' dense integrator, the independent check of ``_flag_integrals`` and of
-the region's volume (ak+1)/(a n!); the benchmark counts its products.
+the region's volume (ak+1)/(a n!); the benchmark counts its products, and
+its coefficients and bounds are exact (``lattice.as_rational``).
 
 Every certified Eckardt value is A/S over these integrals, the step of
 Abban-Zhuang, with log discrepancy n/a for the exceptional divisor E and 1
 for the other flag members: the local bound of :func:`delta_eckardt`, the
 upper bound A(E)/S(E) and the witness of :func:`unstable_check`.  The
 paper's closed forms of the S-values are the cross-check; only
-``s_value_closed_form`` and :func:`moment_table` read them; the table's
-rows are tuples in ``TABLE_HEADER`` order with exact Fraction values, and
-each (n, a, k)'s values are picked once for all of its rows.
+``s_value_closed_form`` and :func:`moment_table` read them.  The table
+holds one exact :class:`MomentRecord` per (n, a, k); :func:`row_layout` is
+the one statement of how its 2n rows, in ``TABLE_HEADER`` order, read the
+record's three entries.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterator, NamedTuple, Optional
 
-from .lattice import as_integer
+from .lattice import as_integer, as_rational
 
 MAX_DIMENSION = 64
 TABLE_HEADER = ("n", "a", "k", "j", "q_in_W1", "S", "closed_form", "match")
@@ -49,7 +51,7 @@ class Poly1D:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [as_rational(c, "coefficient") for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         self.coeffs = cs
@@ -75,8 +77,8 @@ class Poly1D:
 
     def integral(self, lo: Fraction, hi: Fraction) -> Fraction:
         total = Fraction(0)
-        lo = Fraction(lo)
-        hi = Fraction(hi)
+        lo = as_rational(lo, "lower bound")
+        hi = as_rational(hi, "upper bound")
         for i, c in enumerate(self.coeffs):
             if c:
                 total += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
@@ -127,12 +129,22 @@ def _closed_forms(n: int, a: int, k: int) -> tuple[Fraction, Fraction, Fraction]
             Fraction(2 * a * k + 1, (a * k + 1) * (n + 1)))
 
 
+def _entry(n: int, j: int, q_in_w1: bool) -> int:
+    """The index in a (first, rest, on_w1) triple that flag depth j selects."""
+    if j == 1:
+        return 0
+    return 2 if q_in_w1 and j == n else 1
+
+
 def _pick(values: tuple, n: int, j: int, q_in_w1: bool):
     """The entry of a (first, rest, on_w1) triple that flag depth j selects."""
-    first, rest, on_w1 = values
-    if j == 1:
-        return first
-    return on_w1 if q_in_w1 and j == n else rest
+    return values[_entry(n, j, q_in_w1)]
+
+
+def row_layout(n: int) -> tuple[tuple[int, bool, int], ...]:
+    """The 2n table rows of a dimension-n record, in table order: each row's
+    (j, q_in_W1) and the index of the entry it reads, as ``_pick`` selects."""
+    return tuple((j, q, _entry(n, j, q)) for j in range(1, n + 1) for q in (False, True))
 
 
 def s_value(n: int, a: int, k: int, j: int, q_in_w1: bool = False) -> Fraction:
@@ -203,10 +215,21 @@ def unstable_check(n: int, a: int, k: int) -> UnstableReport:
     return UnstableReport(n, a, k, index, "inconclusive", None, rhs)
 
 
-def moment_table(n_range, a_range, k_range) -> Iterator[tuple]:
-    """Rows as tuples in ``TABLE_HEADER`` order, with exact Fraction S and
-    closed_form.  Each (n, a, k)'s three integrals, three closed forms and
-    three comparisons are picked once, as ``_pick`` selects, for its 2n rows.
+class MomentRecord(NamedTuple):
+    """The table's values of one (n, a, k), each triple in the order of
+    :func:`_flag_integrals`; :func:`row_layout` lays them out as 2n rows."""
+
+    n: int
+    a: int
+    k: int
+    s: tuple[Fraction, Fraction, Fraction]
+    closed_form: tuple[Fraction, Fraction, Fraction]
+    match: tuple[bool, bool, bool]     # s == closed_form, entry by entry
+
+
+def moment_table(n_range, a_range, k_range) -> Iterator[MomentRecord]:
+    """One exact record per (n, a, k), n outermost: its three integrals, three
+    closed forms and three comparisons, each computed once for its 2n rows.
 
     A triple's checks read each entry alone: each entry is checked once, with
     the others' first entries, raising what the first faulty triple would.
@@ -219,13 +242,7 @@ def moment_table(n_range, a_range, k_range) -> Iterator[tuple]:
     for n in n_range:
         for a in a_range:
             for k in k_range:
-                integrals = s1, s2, s3 = _flag_integrals(n, a, k)
-                closed = c1, c2, c3 = _closed_forms(n, a, k)
-                m1, m2, m3 = map(operator.eq, integrals, closed)
-                yield n, a, k, 1, False, s1, c1, m1
-                yield n, a, k, 1, True, s1, c1, m1
-                for j in range(2, n):
-                    yield n, a, k, j, False, s2, c2, m2
-                    yield n, a, k, j, True, s2, c2, m2
-                yield n, a, k, n, False, s2, c2, m2
-                yield n, a, k, n, True, s3, c3, m3
+                integrals = _flag_integrals(n, a, k)
+                closed = _closed_forms(n, a, k)
+                yield MomentRecord(n, a, k, integrals, closed,
+                                   tuple(map(operator.eq, integrals, closed)))

@@ -35,6 +35,8 @@ def test_build_examples():
         bl.build(WeightVector((1, 1, 2)), 2)
     with pytest.raises(ValueError):
         bl.build(WeightVector((1, 2, 2)), 1)  # not well-formed
+    with pytest.raises(ValueError, match="split index r must be an integer, not 1.5"):
+        bl.build(WeightVector((1, 1, 2, 3)), 1.5)
 
 
 def test_bezout_certificate_and_grading():
@@ -56,6 +58,9 @@ def test_intersection_examples():
     assert bl.intersection_bi(fr, 4) == 0
     fr2 = bl.build(WeightVector((2, 3, 4, 4, 5)), 2)
     assert bl.intersection_bi(fr2, 2) == Fraction(1, 480)
+    # k is checked, not compared: 1.5 is refused rather than giving 0
+    with pytest.raises(ValueError, match="k must be an integer, not 1.5"):
+        bl.intersection_bi(bl.build(WeightVector((1, 1, 2, 3)), 1), 1.5)
 
 
 def test_primitivity_and_ray_mults_random():

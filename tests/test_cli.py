@@ -1,5 +1,6 @@
 import argparse
 import collections
+import csv
 import functools
 import hashlib
 import io
@@ -444,19 +445,21 @@ def test_a_run_imports_only_what_its_subcommand_uses():
     """In a fresh process, ``certify``, ``enumerate``, ``moments`` and ``wps``
     leave ``convex``, ``wpoly`` and ``blowup`` unloaded; then ``blowup build``
     loads ``blowup``, ``okounkov`` loads ``convex`` and ``blowup transform``
-    loads ``wpoly``.  No run loads ``dataclasses`` or ``inspect``."""
+    loads ``wpoly``.  No run loads ``dataclasses`` or ``inspect``, and only
+    ``enumerate --csv`` (of these runs) loads ``csv``: ``moments table``
+    renders its lines itself."""
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     runs = [
         ["certify", "--weights", "1,1,1,1,2", "--degree", "5"],
-        ["enumerate", "--n", "2", "--max-weight", "4", "--index", "1", "--csv"],
         ["moments", "table", "--n-max", "3", "--a-max", "2", "--k-max", "2"],
         ["moments", "s-value", "--n", "4", "--a", "2", "--k", "2", "--j", "4", "--q-in-w1"],
         ["wps", "normalize", "--weights", "2,2,3"],
         ["wps", "index", "--weights", "1,1,1,1,2", "--degree", "5"],
         ["wps", "stratum", "--weights", "1,1,2,2", "--vanish", "0,1"],
         ["wps", "base-locus", "--weights", "1,1,2,3", "--threshold", "1"],
+        ["enumerate", "--n", "2", "--max-weight", "4", "--index", "1", "--csv"],
         ["blowup", "build", "--weights", "2,3,4,4,5", "--r", "2"],
         ["okounkov", "case", "hirzebruch", "--a", "2"],
         ["blowup", "transform", "--weights", "3,1,1,1", "--r", "2",
@@ -468,15 +471,17 @@ def test_a_run_imports_only_what_its_subcommand_uses():
             "    status = cli.run(argv, out=io.StringIO())\n"
             "    ours = sorted(m for m in ('wfano.convex', 'wfano.wpoly', 'wfano.blowup')\n"
             "                  if m in sys.modules)\n"
-            "    std = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+            "    std = sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules))\n"
             "    print(json.dumps([status, ours, std]))\n")
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     got = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert got == [[0, [], []]] * 8 + [[0, ["wfano.blowup"], []],
-                                       [0, ["wfano.blowup", "wfano.convex"], []],
-                                       [0, ["wfano.blowup", "wfano.convex", "wfano.wpoly"], []]]
+    assert got == [[0, [], []]] * 7 + [[0, [], ["csv"]],
+                                       [0, ["wfano.blowup"], ["csv"]],
+                                       [0, ["wfano.blowup", "wfano.convex"], ["csv"]],
+                                       [0, ["wfano.blowup", "wfano.convex", "wfano.wpoly"],
+                                        ["csv"]]]
 
 
 def test_enumerate_json_bytes():
@@ -531,14 +536,48 @@ def test_moments_table_default_bytes():
 @pytest.mark.parametrize("maxima, size, sha", [
     (("6", "4", "5"), 21604, "b5b4689d5f9f563e03ee9fa4e29ec11582ddd13b6e6f6c55746eb550f4fcba9b"),
     (("6", "5", "4"), 21668, "b5193ac89a5db545df1679bb9512745a72196c27b36e80e73a6592d4c2e8c885"),
+    (("64", "3", "3"), 1131673,
+     "55b2c583922588b2d5be56a28097bf01314620a3ee87b4f532172983b5baaaeb"),
 ])
 def test_moments_table_bench_bytes(maxima, size, sha):
-    """Two tables the benchmark runs, pinned byte for byte."""
+    """Two tables the benchmark runs, and one up to the largest dimension,
+    pinned byte for byte."""
     n, a, k = maxima
     code, text = _run(["moments", "table", "--n-max", n, "--a-max", a, "--k-max", k])
     assert code == 0
     data = text.encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha)
+
+
+@pytest.mark.parametrize("seed, wrong", [(11, None), (12, 0), (13, 1), (14, 2)])
+def test_moment_lines_are_the_csv_writer_bytes(monkeypatch, seed, wrong):
+    """The table's per-record rendering writes the bytes that ``csv.writer``
+    writes for the same exact cells, each taken from ``s_value`` and
+    ``s_value_closed_form``.  The ranges are seeded, with n up to 64 and a, k
+    above 9, and with one closed form made wrong, so that ``False`` cells
+    occur."""
+    if wrong is not None:
+        closed_forms = mo._closed_forms
+
+        def broken(n, a, k):
+            values = list(closed_forms(n, a, k))
+            values[wrong] += 1
+            return tuple(values)
+        monkeypatch.setattr(mo, "_closed_forms", broken)
+    rng = random.Random(seed)
+    ns = sorted(rng.sample(range(2, 64), 3)) + [64]
+    a_values = sorted(rng.sample(range(10, 10**4), 3))
+    k_values = sorted(rng.sample(range(10, 10**3), 2))
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    for n, a, k in itertools.product(ns, a_values, k_values):
+        for j in range(1, n + 1):
+            for q in (False, True):
+                s, c = mo.s_value(n, a, k, j, q), mo.s_value_closed_form(n, a, k, j, q)
+                writer.writerow((n, a, k, j, q, s, c, s == c))
+    got = "".join(cli._moment_lines(mo.moment_table(ns, a_values, k_values)))
+    assert got == expected.getvalue()
+    assert (",False\n" in got) == (wrong is not None)
 
 
 _PIN_WELL_FORMED = ["1,1,2,2", "1,1,1,1,7", "2,3,4,4,5", "1,1,2,3", "1,2,3,5", "3,1,1,1"]
@@ -930,7 +969,7 @@ def test_handlers_return_and_only_run_writes(capsys, argv):
     result = args.handler(args)
     if argv in _CSV_RUNS:
         assert isinstance(result, cli._Table)
-        list(result.rows)
+        list(result.lines)
     else:
         assert isinstance(result, dict) and "schema_version" in result
     assert capsys.readouterr() == ("", "")

@@ -388,6 +388,8 @@ def test_boundary_samples_need_a_positive_count():
     for count in (0, -3):
         with pytest.raises(ValueError, match="sample count"):
             next(body.boundary_samples(count))
+    with pytest.raises(ValueError, match="sample count must be an integer, not 2.5"):
+        next(body.boundary_samples(2.5))
 
 
 def test_boundary_samples_stream(monkeypatch):

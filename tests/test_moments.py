@@ -153,6 +153,11 @@ def test_s_value_preconditions():
         next(mo.moment_table([F(5, 2)], range(1, 2), range(1, 2)))
     with pytest.raises(ValueError, match="dimension n must be an integer"):
         mo.s_value("3", 1, 1, 1)
+    # the dense integrator takes no float as an exact coefficient or bound
+    with pytest.raises(ValueError, match="coefficient must be an int or a Fraction, not 0.1"):
+        mo.Poly1D([0.1])
+    with pytest.raises(ValueError, match="upper bound must be an int or a Fraction, not 0.5"):
+        mo.Poly1D([1, 2]).integral(0, 0.5)
 
 
 def test_s_value_monotonicity():
@@ -229,15 +234,24 @@ def test_unstable_check():
         mo.unstable_check(2, 3, 4)  # index not positive
 
 
-def _rows(rows):
-    """The table's tuple rows read by column name."""
-    return [dict(zip(mo.TABLE_HEADER, row)) for row in rows]
+def _expand(records):
+    """The table's rows, tuples in ``TABLE_HEADER`` order, as ``row_layout``
+    expands them from its records."""
+    return [(r.n, r.a, r.k, j, q, r.s[entry], r.closed_form[entry], r.match[entry])
+            for r in records for j, q, entry in mo.row_layout(r.n)]
+
+
+def _rows(records):
+    """The table's rows read by column name."""
+    return [dict(zip(mo.TABLE_HEADER, row)) for row in _expand(records)]
 
 
 def test_moment_table_rows():
-    tuples = list(mo.moment_table(range(2, 3), range(1, 2), range(1, 2)))
+    records = list(mo.moment_table(range(2, 3), range(1, 2), range(1, 2)))
+    assert [type(r) for r in records] == [mo.MomentRecord]
+    tuples = _expand(records)
     assert all(type(r) is tuple and len(r) == len(mo.TABLE_HEADER) for r in tuples)
-    rows = _rows(tuples)
+    rows = _rows(records)
     assert len(rows) == 2 * 2  # j in {1,2}, two flags
     assert all(r["match"] for r in rows)
     assert set(rows[0]) == {"n", "a", "k", "j", "q_in_W1", "S", "closed_form", "match"}
@@ -254,7 +268,7 @@ def test_moment_table_checks_every_triple_before_the_first_row():
 
 
 def test_moment_table_checks_each_entry_once(monkeypatch):
-    """The first row of a 7 x 100 x 100 table waits for 207 entry checks,
+    """The first record of a 7 x 100 x 100 table waits for 207 entry checks,
     not for one check per (n, a, k)."""
     calls = [0]
     validate = mo._validate
@@ -263,7 +277,8 @@ def test_moment_table_checks_each_entry_once(monkeypatch):
         calls[0] += 1
         return validate(*args)
     monkeypatch.setattr(mo, "_validate", spy)
-    assert next(mo.moment_table(range(2, 9), range(1, 101), range(1, 101)))[:4] == (2, 1, 1, 1)
+    first = next(mo.moment_table(range(2, 9), range(1, 101), range(1, 101)))
+    assert _expand([first])[0][:4] == (2, 1, 1, 1)
     assert calls[0] <= 207
 
 
@@ -272,8 +287,8 @@ def _default_table():
 
 
 def test_moment_table_computes_each_triple_once(monkeypatch):
-    """Over the default table, one integral and one closed-form triple per
-    (n, a, k), and no per-row pick."""
+    """Over the default table, one record per (n, a, k), holding one integral
+    and one closed-form triple, and no per-row pick."""
     calls = collections.Counter()
 
     def counted(name):
@@ -286,7 +301,9 @@ def test_moment_table_computes_each_triple_once(monkeypatch):
 
     for name in ("_flag_integrals", "_closed_forms", "_pick"):
         counted(name)
-    assert len(_default_table()) == 2520
+    records = list(mo.moment_table(range(2, 9), range(1, 7), range(1, 7)))
+    assert len(records) == 252
+    assert len(_rows(records)) == 2520
     assert calls == {"_flag_integrals": 252, "_closed_forms": 252}
 
 
