@@ -4,12 +4,13 @@ Input is a Fano datum: an ambient weight vector, a degree, and structural
 flags (a generalized Eckardt vertex, its escape level, the weight-one base
 locus containment, generality of the member), all caller-asserted and
 recorded.  Quasi-smoothness of the member is a standing assumption of
-every rule; a datum that cannot be certified is refused when it is built.
+every rule; a datum of a bad shape or with contradictory assertions is
+refused when it is built, and :class:`FanoDatum` then resolves the
+weight-one base locus containment and the Eckardt vertex.
 The rules are data: :data:`RULES` is one table of :class:`Rule` rows,
-each listing the :class:`Fact` preconditions it requires; the trace
-records the text of each fact as a hypothesis.
-:func:`certify` resolves the weight-one base locus containment and the
-Eckardt vertex once, folds in table order over the rows that the datum's
+each listing the :class:`Fact` preconditions it requires; a fact reads
+the datum alone, and the trace records its text as a hypothesis.
+:func:`certify` folds in table order over the rows that the datum's
 weight shape (one weight > 1, two, or any other) admits, combines the
 bounds that fired (maximum of lower bounds, local bounds combined over a
 vertex/away split), converts between the O(1) and anticanonical
@@ -71,18 +72,24 @@ class FanoDatum(_Value):
 
     Construction refuses, in order: a degree that is not a positive integer,
     fewer than three weights, a P that is not well-formed, (as
-    :class:`NonFanoError`) an index sum(a_i) - d that is not positive, and
-    a degree above :data:`MAX_DEGREE`.
+    :class:`NonFanoError`) an index sum(a_i) - d that is not positive, a
+    degree above :data:`MAX_DEGREE`, and (as :class:`ContradictoryFlagsError`)
+    an asserted ``b1_in_x`` that contradicts the derived containment or an
+    Eckardt vertex asserted together with an escape level m != k.
 
-    The shape every rule reads is computed once, at construction: the
-    dimension ``n``, the Fano ``index`` sum(a_i) - d, the ascending
-    ``sorted_weights`` and ``c1``, the number of weight-one entries.  Since
-    the weights are positive, the sorted weights have the shape
-    (1^(len - t), w_1 <= ... <= w_t) with every w_i >= 2 exactly when
-    ``c1 == len - t``.  These four are not among the ``_fields``.
+    What every fact reads is computed once, at construction, outside the
+    ``_fields``: the dimension ``n``, the Fano ``index`` sum(a_i) - d, the
+    ascending ``sorted_weights`` and ``c1``, the number of weight-one
+    entries (the weights > 1 are ``sorted_weights[c1:]``); ``b1``, the
+    weight-one containment, derived where it can be and asserted otherwise,
+    with ``b1_note`` its derivation for the trace (None if undecided); and
+    ``eckardt``, k in d = ak + 1 when the last vertex of P(1^(n+1), a),
+    n >= 2, is a generalized Eckardt point (asserted, or m = k), else None.
+    On any other shape, curves included, the Eckardt assertion is ignored.
     """
 
-    __slots__ = ("ambient", "d", "flags", "n", "index", "sorted_weights", "c1")
+    __slots__ = ("ambient", "d", "flags", "n", "index", "sorted_weights", "c1",
+                 "b1", "b1_note", "eckardt")
     _fields = ("ambient", "d", "flags")
 
     def __init__(self, ambient: WeightVector, d: int, flags: Flags = Flags()):
@@ -103,6 +110,32 @@ class FanoDatum(_Value):
         setattr_(self, "index", index)
         setattr_(self, "sorted_weights", w)
         setattr_(self, "c1", w.count(1))
+        b1, b1_note = flags.b1_in_x, None
+        derived, reasons = _decide_b1(self)
+        if derived != "unknown":
+            if derived == "contradiction":
+                b1, statement = "unknown", (_B1_CONTRADICTION, ())
+            elif b1 in ("unknown", derived):
+                b1, statement = derived, (_B1_DERIVED, (derived,))
+            else:
+                raise ContradictoryFlagsError(
+                    f"asserted b1_in_x={b1} contradicts the derived value {derived}: "
+                    + "; ".join(_b1_text(*reason) for reason in reasons))
+            b1_note = (statement, reasons)
+        eckardt = None
+        for fact in (N_GE_2, ONE_WEIGHT, VERTEX_DEGREE):   # they read neither b1 nor eckardt
+            if (got := fact.check(self)) is None:
+                break
+        else:
+            m, k = flags.m, got["k"]
+            if m is not None and m != k and flags.eckardt_at_p:
+                raise ContradictoryFlagsError(
+                    f"eckardt_at_P asserted but escape level m={m} != k={k}")
+            if m == k or flags.eckardt_at_p:
+                eckardt = k
+        setattr_(self, "b1", b1)
+        setattr_(self, "b1_note", b1_note)
+        setattr_(self, "eckardt", eckardt)
 
 
 class TraceEntry(NamedTuple):
@@ -125,13 +158,13 @@ class DeltaCertificate(NamedTuple):
     certified upper bound when an instability rule fired.  Anticanonical
     values are the O(1) values divided by the index, exactly.
 
-    The record is what :func:`certify` saw fire: ``b1_note``, the statement
-    and reasons of the weight-one containment derivation (None when it was
-    not decided), and ``fired``, one ``(rule, args, inputs, value)`` per
-    rule that fired, in table order, with ``args`` the arguments of the
-    rule's facts.  The statement and each reason of ``b1_note`` are
-    (template, args) pairs, unformatted.  :attr:`trace` renders the audit
-    trace from the record, formatting them.
+    The record is the datum's ``b1_note``, the statement and reasons of the
+    weight-one containment derivation (None when it was not decided), and
+    what :func:`certify` saw fire: ``fired``, one ``(rule, args, inputs,
+    value)`` per rule that fired, in table order, with ``args`` the
+    arguments of the rule's facts.  The statement and each reason of
+    ``b1_note`` are (template, args) pairs, unformatted.  :attr:`trace`
+    renders the audit trace from the record, formatting them.
     """
 
     polarization: str
@@ -242,54 +275,33 @@ def derive_b1(datum: FanoDatum) -> B1Result:
       (3) containment forces d = 1 mod a_j for every weight a_j > 1, so a
           violation gives "no".
     When (2) fires together with (1) or (3) the asserted family is empty.
-    The decision is :func:`_decide_b1`, which :func:`certify` calls
-    directly and which leaves its reasons unformatted; they are formatted
-    here, for the callers that read them.
+    The decision is :func:`_decide_b1`, which :class:`FanoDatum` calls
+    when it is built and which leaves its reasons unformatted; they are
+    formatted here, for the callers that read them.
     """
     verdict, reasons = _decide_b1(datum)
     return B1Result(verdict, tuple(_b1_text(*reason) for reason in reasons))
 
 
-def _eckardt_vertex(datum: FanoDatum) -> Optional[int]:
-    """k in d = ak + 1 when the last vertex of P(1^(n+1), a), n >= 2, is a
-    generalized Eckardt point of X, else None.
-
-    The vertex is Eckardt when asserted or when the escape level m equals
-    k; asserting it together with m != k is a contradiction.  For any other
-    shape, curves included, the assertion is ignored.
-    """
-    for fact in (N_GE_2, ONE_WEIGHT, VERTEX_DEGREE):   # they read neither b1 nor k
-        if (got := fact.check(datum, None, None)) is None:
-            return None
-    flags, k = datum.flags, got["k"]
-    if flags.m == k or (flags.m is None and flags.eckardt_at_p):
-        return k
-    if flags.m is not None and flags.eckardt_at_p:
-        raise ContradictoryFlagsError(
-            f"eckardt_at_P asserted but escape level m={flags.m} != k={k}"
-        )
-    return None
-
-
 class Fact(NamedTuple):
     """A precondition of a rule; ``name`` is its word in a small vocabulary.
 
-    ``check(datum, b1, eckardt)`` returns the fact's arguments, a dict, when
-    the fact holds and None when it fails; ``b1`` is the resolved
-    containment and ``eckardt`` the result of :func:`_eckardt_vertex`.
-    ``text`` formats the arguments into the hypothesis the trace records; a
-    fact the trace does not record has no text.
+    ``check(datum)`` returns the fact's arguments, a dict, when the fact
+    holds and None when it fails; it reads the datum alone, the resolved
+    ``b1`` and ``eckardt`` included.  ``text`` formats the arguments into
+    the hypothesis the trace records; a fact the trace does not record has
+    no text.
     """
 
     name: str
-    check: Callable[[FanoDatum, str, Optional[int]], Optional[dict]]
+    check: Callable[[FanoDatum], Optional[dict]]
     text: Optional[str] = None
 
 
 _HOLDS: dict = {}                  # the arguments of a fact that has none; never mutated
 
 
-def _largest_dividing_weight(x, b1, k):
+def _largest_dividing_weight(x):
     for a in reversed(x.sorted_weights[x.c1:]):
         if x.d % a == 0:
             return {"a_r": a, "d": x.d}
@@ -298,7 +310,7 @@ def _largest_dividing_weight(x, b1, k):
 
 def _top_degree(k_min):
     """The check that d = k a_top + 1 with k >= k_min."""
-    def check(x, b1, k):
+    def check(x):
         a = x.sorted_weights[-1]
         if x.d % a == 1 and x.d > k_min * a:
             return {"d": x.d, "k": (x.d - 1) // a, "a_top": a}
@@ -306,48 +318,48 @@ def _top_degree(k_min):
     return check
 
 
-def _degree_gap(x, b1, k):
+def _degree_gap(x):
     bound = x.sorted_weights[-1] + 2
     return {"d": x.d, "bound": bound} if x.d >= bound else None
 
 
-def _unstable(x, b1, k):
-    report = unstable_check(x.n, x.sorted_weights[-1], k)
+def _unstable(x):
+    report = unstable_check(x.n, x.sorted_weights[-1], x.eckardt)
     if report.verdict == "K-unstable":
         return {"n": x.n, "rhs": report.criterion_rhs, "witness": report.witness}
     return None
 
 
-QUASI_SMOOTH = Fact("asserted_flag", lambda x, b1, k: _HOLDS, "quasi-smooth asserted")
+QUASI_SMOOTH = Fact("asserted_flag", lambda x: _HOLDS, "quasi-smooth asserted")
 GENERAL_MEMBER = Fact("asserted_flag",
-                      lambda x, b1, k: _HOLDS if x.flags.general_member else None,
+                      lambda x: _HOLDS if x.flags.general_member else None,
                       "general member asserted")
-ECKARDT_VERTEX = Fact("asserted_flag", lambda x, b1, k: None if k is None else _HOLDS,
+ECKARDT_VERTEX = Fact("asserted_flag", lambda x: None if x.eckardt is None else _HOLDS,
                       "generalized Eckardt vertex asserted")
-B1_ON_X = Fact("b1", lambda x, b1, k: _HOLDS if b1 == "yes" else None,
+B1_ON_X = Fact("b1", lambda x: _HOLDS if x.b1 == "yes" else None,
                "weight-one base locus lies on X")
-N_GE_2 = Fact("ge", lambda x, b1, k: _HOLDS if x.n >= 2 else None, "n >= 2")
-N_GE_3 = Fact("ge", lambda x, b1, k: _HOLDS if x.n >= 3 else None, "n >= 3")
-SOME_WEIGHT_ABOVE_1 = Fact("ge", lambda x, b1, k: _HOLDS if x.c1 < x.n + 2 else None)
-C1_HALF = Fact("ge", lambda x, b1, k: {"c1": x.c1} if 2 * x.c1 >= x.n + 2 else None,
+N_GE_2 = Fact("ge", lambda x: _HOLDS if x.n >= 2 else None, "n >= 2")
+N_GE_3 = Fact("ge", lambda x: _HOLDS if x.n >= 3 else None, "n >= 3")
+SOME_WEIGHT_ABOVE_1 = Fact("ge", lambda x: _HOLDS if x.c1 < x.n + 2 else None)
+C1_HALF = Fact("ge", lambda x: {"c1": x.c1} if 2 * x.c1 >= x.n + 2 else None,
                "c1 = {c1} >= (n+2)/2")
 D_GE_A_PLUS_2 = Fact("ge", _degree_gap, "d = {d} >= a+2 = {bound}")
 D_GE_B_PLUS_2 = Fact("ge", _degree_gap, "d = {d} >= b+2 = {bound}")
-INDEX_ONE = Fact("index_eq", lambda x, b1, k: _HOLDS if x.index == 1 else None, "index 1")
+INDEX_ONE = Fact("index_eq", lambda x: _HOLDS if x.index == 1 else None, "index 1")
 ONE_WEIGHT = Fact(
-    "weights_shape", lambda x, b1, k: ({"c1": x.c1, "a": x.sorted_weights[-1]}
-                                       if x.c1 == x.n + 1 else None),
+    "weights_shape", lambda x: ({"c1": x.c1, "a": x.sorted_weights[-1]}
+                                if x.c1 == x.n + 1 else None),
     "weights are (1^{c1}, {a})")
 TWO_WEIGHTS = Fact(
-    "weights_shape", lambda x, b1, k: ({"c1": x.c1, "a": x.sorted_weights[-2],
-                                        "b": x.sorted_weights[-1]} if x.c1 == x.n else None),
+    "weights_shape", lambda x: ({"c1": x.c1, "a": x.sorted_weights[-2],
+                                 "b": x.sorted_weights[-1]} if x.c1 == x.n else None),
     "weights are (1^{c1}, {a}, {b})")
 DIVIDES = Fact("divides", _largest_dividing_weight, "a_r = {a_r} divides d = {d}")
 TAIL_DEGREE = Fact("congruent", _top_degree(2), "d = {d} = {k}*{a_top}+1 > a_top+1")
 VERTEX_DEGREE = Fact("congruent", _top_degree(1), "d = {d} = {k}*{a_top}+1")
 ONE_MOD_EVERY_WEIGHT = Fact(
     "congruent",
-    lambda x, b1, k: _HOLDS if all(x.d % a == 1 for a in x.sorted_weights[x.c1:]) else None,
+    lambda x: _HOLDS if all(x.d % a == 1 for a in x.sorted_weights[x.c1:]) else None,
     "d = 1 mod a_i for all weights a_i > 1")
 UNSTABLE = Fact("unstable", _unstable, "n = {n} > a^2 k(k-1)/(a-1) = {rhs}")
 
@@ -498,41 +510,28 @@ _ZERO = Fraction(0)
 def certify(datum: FanoDatum) -> DeltaCertificate:
     """Best available certified bound for delta(X; O(1)) and the verdict.
 
-    The datum is trusted as built.  The weight-one containment and the
-    Eckardt vertex are resolved once; then every row of :data:`RULES` that
-    fires is recorded, in table order, with its facts' arguments, inputs
-    and value.  Only the rows that the datum's weight shape admits are
-    visited (:func:`_shape_rules`); every other row has a fact that fails
-    on that shape.  No trace entry is built here: the certificate renders
-    its trace when it is read.
+    The datum is trusted as built: its construction resolved the weight-one
+    containment and the Eckardt vertex and refused contradictory
+    assertions.  Every row of :data:`RULES` that fires is recorded, in
+    table order, with its facts' arguments, inputs and value.  Only the
+    rows that the datum's weight shape admits are visited
+    (:func:`_shape_rules`); every other row has a fact that fails on that
+    shape.  No trace entry is built here: the certificate renders its trace
+    when it is read.
     The emitted bound is the maximum of the global lower bounds and of
     min(best vertex bound, best away bound) when a vertex/away split is
     available.  The verdict is taken against the anticanonical
     polarization: strict bound > 1 gives K-stable, a certified upper bound
-    < 1 gives K-unstable.
+    < 1 gives K-unstable.  The one refusal left here is a certified lower
+    bound above a certified upper bound.
     """
-    idx = datum.index
-    b1_note, fired = None, []
-    b1, (derived, reasons) = datum.flags.b1_in_x, _decide_b1(datum)
-    if derived != "unknown":
-        if derived == "contradiction":
-            b1, statement = "unknown", (_B1_CONTRADICTION, ())
-        elif b1 in ("unknown", derived):
-            b1, statement = derived, (_B1_DERIVED, (derived,))
-        else:
-            raise ContradictoryFlagsError(
-                f"asserted b1_in_x={b1} contradicts the derived value {derived}: "
-                + "; ".join(_b1_text(*reason) for reason in reasons)
-            )
-        b1_note = (statement, reasons)
-    eckardt = _eckardt_vertex(datum)
-
+    idx, fired = datum.index, []
     big = datum.n + 2 - datum.c1                        # the number of weights > 1
     lower, strict, vertex, away, upper = _ZERO, False, None, None, None
     for rule in _shape_rules(big if big <= 2 else 0):
         args = _HOLDS
         for fact in rule.requires:
-            got = fact.check(datum, b1, eckardt)
+            got = fact.check(datum)
             if got is None:
                 break
             if got:
@@ -566,7 +565,8 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
         verdict = "K-stable"
     else:
         verdict = "inconclusive"
-    return DeltaCertificate("O(1)", lower, strict, upper, verdict, idx, b1_note, tuple(fired))
+    return DeltaCertificate("O(1)", lower, strict, upper, verdict, idx, datum.b1_note,
+                            tuple(fired))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +612,7 @@ def enumerate_data(n: int, max_weight: int, index: Optional[int] = None,
 
     Exactly one of ``index`` and ``degree`` must be given; ``eckardt`` and
     ``general`` set the corresponding assertion flags on every row, and
-    :func:`certify` ignores the Eckardt assertion where the last vertex is
+    :class:`FanoDatum` ignores the Eckardt assertion where the last vertex is
     not of Eckardt shape, as for a single datum.  The arguments and the row
     limit are checked at the first pull, before the first row is certified.
     The limit bounds the gcd-1 candidates, counted exactly by
@@ -652,6 +652,6 @@ def _certified_rows(tuples, index, degree, eckardt, general) -> Iterator[Enumera
         try:
             datum = FanoDatum(ambient=w, d=d, flags=flags)
             cert = certify(datum)
-        except ValueError:         # d < 1, index <= 0, or contradictory flags
+        except ValueError:         # refused when built (d < 1, index <= 0), or lower > upper
             continue
         yield EnumerationRow(datum, cert)

@@ -291,11 +291,13 @@ def base_locus(w: WeightVector, a: int, p: Optional[int] = None) -> BaseLocus:
 
 
 def as_integer(value, what: str) -> int:
-    """``value`` as an int; a non-integer (2.5, Fraction(5, 2), "3") raises ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, not {value!r}") from None
+    """``value`` as an int; a non-integer (2.5, Fraction(5, 2), "3", True) raises ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, not {value!r}")
 
 
 def as_rational(value, what: str) -> Fraction:

@@ -18,11 +18,13 @@ from typing import Sequence
 
 
 def _integers(values: Sequence, what: str) -> list[int]:
-    """``values`` as ints; a non-integer (1.9, "1") raises ValueError naming ``what``."""
-    try:
-        return [operator.index(x) for x in values]
-    except TypeError:
-        raise ValueError(f"{what} must be integers, not {values!r}") from None
+    """``values`` as ints; a non-integer (1.9, "1", True) raises ValueError naming ``what``."""
+    if not any(isinstance(x, bool) for x in values):
+        try:
+            return [operator.index(x) for x in values]
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be integers, not {values!r}")
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:

@@ -175,6 +175,11 @@ def test_frame_json_fields():
     (1, lambda fr: bl.finite_cover_pull(fr, (1, 1, 1)), "need one exponent per weight"),
     (1, lambda fr: bl.finite_cover_pull(fr, (1, 1, 0, 1)), "exponents must be positive"),
     (1, lambda fr: bl.finite_cover_pull(fr, [1.9, 1, 1, 1]), "exponent must be an integer, not 1.9"),
+    (1, lambda fr: bl.finite_cover_pull(fr, [True, 1, 1, 1]),
+     "exponent must be an integer, not True"),
+    (1, lambda fr: bl.build(fr.ambient, True), "split index r must be an integer, not True"),
+    (1, lambda fr: bl.intersection_bi(fr, True), "k must be an integer, not True"),
+    (1, lambda fr: bl.intersection_bi(fr, False), "k must be an integer, not False"),
     (1, lambda fr: bl.ray_cone_mult(fr, 9), "index out of range"),
     (2, lambda fr: bl.ray_cone_mult(fr, 3),
      "the last ray is proportional to the new ray when r = s-1"),

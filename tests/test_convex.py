@@ -463,6 +463,11 @@ def test_okounkov_area_is_half_selfintersection():
      "b, k and flag_in_surface apply only to perhaps-useful, not to hirzebruch2"),
     # integers are checked, not truncated, and no float becomes an exact rational
     (lambda: cx.okounkov_body_surface("hirzebruch", a=2.5), "a must be an integer, not 2.5"),
+    (lambda: cx.okounkov_body_surface("hirzebruch", a=True), "a must be an integer, not True"),
+    (lambda: next(cx.SlicedBody((0, 1), ((0, 1),)).boundary_samples(True)),
+     "sample count must be an integer, not True"),
+    (lambda: next(cx.SlicedBody((0, 1), ((0, 1),)).boundary_samples(False)),
+     "sample count must be an integer, not False"),
     (lambda: cx.GravityInput(0.1, 1, 1, 1), "c0 must be an int or a Fraction, not 0.1"),
     (lambda: cx.RationalPolygon.from_points([(0, 0), (1, 0), (0, 0.5)]),
      "coordinate must be an int or a Fraction, not 0.5"),

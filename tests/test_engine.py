@@ -52,6 +52,16 @@ def test_derive_b1_examples():
     assert ce.derive_b1(_datum([1, 1, 1, 1, 1], 3)) == ("yes", (_NOT_A_COMBINATION,))
 
 
+def test_an_eckardt_vertex_asserted_off_the_escape_level_is_a_precondition_error():
+    """Exit 2, naming the asserted escape level and the vertex's k."""
+    out = io.StringIO()
+    assert cli.run(["certify", "--weights", "P(1^12,4)", "--degree", "9", "--eckardt",
+                    "--m", "1"], out=out) == 2
+    assert json.loads(out.getvalue())["error"] == {
+        "kind": "precondition",
+        "message": "eckardt_at_P asserted but escape level m=1 != k=2"}
+
+
 def test_asserted_b1_against_the_derived_value_names_the_reasons():
     """Exit 2, with the derived reasons joined into the message."""
     out = io.StringIO()
@@ -663,7 +673,8 @@ def test_the_shape_index_drops_only_rows_that_cannot_fire(corpus):
     """Per weight shape (one weight > 1: c1 = n+1, two: c1 = n, any other)
     ``certify`` visits a sub-table of ``RULES`` in table order, and every
     row it leaves out has a fact that fails, checked in order, on every
-    corpus datum of that shape, whatever the weight-one containment."""
+    corpus datum of that shape, built under each ``b1_in_x`` assertion
+    that construction accepts."""
     tables = [ce._shape_rules(shape) for shape in range(3)]
     for table in tables:
         positions = [ce.RULES.index(rule) for rule in table]
@@ -671,20 +682,35 @@ def test_the_shape_index_drops_only_rows_that_cannot_fire(corpus):
     assert [len(table) for table in tables] == [4, 10, 6]
     shapes = set()
     for (t, d, flags), _ in corpus:
+        for b1 in ("yes", "no", "unknown"):
+            try:
+                datum = _datum(t, d, **{**flags, "b1_in_x": b1})
+            except ValueError:
+                continue
+            shape = 1 if datum.c1 == datum.n + 1 else 2 if datum.c1 == datum.n else 0
+            shapes.add(shape)
+            for rule in ce.RULES:
+                if any(rule is kept for kept in tables[shape]):
+                    continue
+                assert not all(fact.check(datum) is not None for fact in rule.requires), (
+                    t, d, flags, rule.id, b1, datum.b1, datum.eckardt)
+    assert shapes == {0, 1, 2}
+
+
+def test_a_datum_that_builds_certifies(corpus):
+    """Every contradictory assertion is refused when the datum is built: each
+    corpus case either raises at construction, with the error the corpus
+    recorded, or certifies to the corpus certificate without raising."""
+    built = 0
+    for (t, d, flags), result in corpus:
         try:
             datum = _datum(t, d, **flags)
-            k = ce._eckardt_vertex(datum)
-        except ValueError:
+        except ValueError as exc:
+            assert (type(exc), str(exc)) == (type(result), str(result)), (t, d, flags)
             continue
-        shape = 1 if datum.c1 == datum.n + 1 else 2 if datum.c1 == datum.n else 0
-        shapes.add(shape)
-        for rule in ce.RULES:
-            if any(rule is kept for kept in tables[shape]):
-                continue
-            for b1 in ("yes", "no", "unknown"):
-                assert not all(fact.check(datum, b1, k) is not None
-                               for fact in rule.requires), (t, d, flags, rule.id, b1)
-    assert shapes == {0, 1, 2}
+        assert ce.certify(datum) == result, (t, d, flags)
+        built += 1
+    assert built == 3898
 
 
 def test_check_free_records_are_named_tuples():
@@ -780,15 +806,17 @@ def test_b1_flag_is_one_of_three_words():
     assert str(err.value) == "b1_in_x must be yes, no or unknown"
 
 
-@pytest.mark.parametrize("value", [2.5, F(5, 2), "3", "no", "yes", 1])
+@pytest.mark.parametrize("value", [2.5, F(5, 2), "3", "no", "yes", 1, True, False])
 def test_non_integral_degree_and_escape_level_are_rejected(value):
-    """Each is also refused as a boolean flag; 1 is a valid degree and m."""
-    if value != 1:
+    """Each is refused as a degree and as m, booleans included, and each but
+    the booleans as a boolean flag; 1 is a valid degree and m."""
+    if type(value) is not int:
         with pytest.raises(ValueError, match="degree must be an integer"):
             _datum([1, 1, 1, 1, 2], value)
         with pytest.raises(ValueError, match="escape level m must be an integer"):
             ce.Flags(m=value)
-    with pytest.raises(ValueError, match="eckardt_at_p must be a bool"):
-        ce.Flags(eckardt_at_p=value)
-    with pytest.raises(ValueError, match="general_member must be a bool"):
-        ce.Flags(general_member=value)
+    if not isinstance(value, bool):
+        with pytest.raises(ValueError, match="eckardt_at_p must be a bool"):
+            ce.Flags(eckardt_at_p=value)
+        with pytest.raises(ValueError, match="general_member must be a bool"):
+            ce.Flags(general_member=value)

@@ -238,6 +238,10 @@ _P1122 = WeightVector((1, 1, 2, 2))
     (lambda: stratum_mult_oracle(_P1122, ["1"]), "vanishing index must be an integer, not '1'"),
     (lambda: base_locus(_P1122, 1.5), "threshold must be an integer, not 1.5"),
     (lambda: base_locus(_P1122, 1, 2.0), "base point index must be an integer, not 2.0"),
+    # a bool is not taken for 0 or 1
+    (lambda: stratum(_P1122, [True]), "vanishing index must be an integer, not True"),
+    (lambda: base_locus(_P1122, True), "threshold must be an integer, not True"),
+    (lambda: base_locus(_P1122, 1, False), "base point index must be an integer, not False"),
     # no float becomes an exact rational
     (lambda: as_rational(0.1, "c0"), "c0 must be an int or a Fraction, not 0.1"),
     (lambda: as_rational("1/2", "x"), "x must be an int or a Fraction, not '1/2'"),

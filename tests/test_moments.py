@@ -153,6 +153,13 @@ def test_s_value_preconditions():
         next(mo.moment_table([F(5, 2)], range(1, 2), range(1, 2)))
     with pytest.raises(ValueError, match="dimension n must be an integer"):
         mo.s_value("3", 1, 1, 1)
+    # a bool is not taken for 1 or 0
+    with pytest.raises(ValueError, match="a must be an integer, not True"):
+        mo.s_value(3, True, True, 1)
+    with pytest.raises(ValueError, match="flag depth j must be an integer, not True"):
+        mo.s_value(3, 2, 2, True)
+    with pytest.raises(ValueError, match="k must be an integer, not False"):
+        mo.unstable_check(11, 4, False)
     # the dense integrator takes no float as an exact coefficient or bound
     with pytest.raises(ValueError, match="coefficient must be an int or a Fraction, not 0.1"):
         mo.Poly1D([0.1])

@@ -111,6 +111,10 @@ def test_quotient_lattice_against_minors():
     (lambda: smith_normal_form([[1.9, 0], [0, 2]]), "matrix entries must be integers, not [1.9, 0]"),
     (lambda: QuotientLattice((1, "1")),
      "quotient vector entries must be integers, not (1, '1')"),
+    (lambda: smith_normal_form([[True, 0], [0, 2]]),
+     "matrix entries must be integers, not [True, 0]"),
+    (lambda: QuotientLattice((1, False)),
+     "quotient vector entries must be integers, not (1, False)"),
 ])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError) as err:
