@@ -17,8 +17,8 @@ violation with ``ValueError`` (or a subclass); :func:`run` maps it to exit 2
 with kind "precondition", and any other exception to exit 3.  :func:`run`
 pulls a table's first item before its header, so a refused table prints a
 lone error object, and a table streams (``| head`` ends it).  ``moments
-table`` renders each (n, a, k) record as one string of 2n lines, its six
-Fractions and three booleans formatted once; the two other tables lay out
+table`` renders each (n, a, k) record of reduced integer pairs as one
+string of 2n lines, each cell formatted once; the two other tables lay out
 their rows through ``csv.writer`` (:func:`_csv_lines`).  CSV has no
 decimals and no aligned text, so :func:`run` refuses ``--approx`` and
 ``--format text`` for a table as usage errors.
@@ -336,20 +336,26 @@ def _run_moments(args) -> dict | _Table:
 
 
 def _moment_lines(records: Iterable[mo.MomentRecord]) -> Iterator[str]:
-    """Each record's 2n CSV lines as one string.  Its six Fractions and three
-    booleans are formatted once, as three "S,closed_form,match" line ends,
-    and a template made once per n places them, after the record's "n,a,k,"
-    and each row's "j,q_in_W1,", in the rows of :func:`moments.row_layout`.
-    Every cell is an integer, a boolean or a reduced fraction, so no cell
-    needs CSV quoting and the bytes are those of ``csv.writer``."""
+    """Each record's 2n CSV lines as one string.  Each entry is formatted
+    once, as an "S,closed_form,match" line end: a reduced pair as "p/q", or
+    "p" when q = 1 (as ``str(Fraction)``), the S cell reused for a matching
+    closed form.  A template made once per n places the ends after "n,a,k,"
+    and each row's "j,q_in_W1," in the rows of :func:`moments.row_layout`.
+    No cell needs CSV quoting, so the bytes are those of ``csv.writer``."""
+    def cell(p, q):
+        return f"{p}/{q}" if q != 1 else f"{p}"
+
+    def end(s, closed_form, match):
+        s = cell(*s)
+        return f"{s},{s},True\n" if match else f"{s},{cell(*closed_form)},False\n"
+
     n = None
     for r in records:
         if r.n != n:
             n = r.n
             template = "".join(f"{{0}}{j},{q},{{{entry + 1}}}"
                                for j, q, entry in mo.row_layout(n))
-        yield template.format(f"{n},{r.a},{r.k},",
-                              *map("{!s},{!s},{!s}\n".format, r.s, r.closed_form, r.match))
+        yield template.format(f"{n},{r.a},{r.k},", *map(end, r.s, r.closed_form, r.match))
 
 
 def _okounkov_parser(o: _Parser) -> None:

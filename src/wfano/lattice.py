@@ -100,7 +100,11 @@ class WeightVector(_Value):
 
     def __init__(self, weights: Iterable[int]):
         try:
-            w = tuple(map(operator.index, weights))
+            w = tuple(weights)
+            if (types := {*map(type, w)}) != {int}:  # plain ints need no conversion
+                if bool in types:                    # True is not a weight of 1
+                    raise TypeError
+                w = tuple(map(operator.index, w))
         except TypeError:
             raise ValueError(f"weights must be integers, not {weights!r}") from None
         object.__setattr__(self, "weights", w)
@@ -301,11 +305,11 @@ def as_integer(value, what: str) -> int:
 
 
 def as_rational(value, what: str) -> Fraction:
-    """``value`` as a Fraction; anything but an int or a Fraction (0.5, "1/2") raises
-    ValueError, so no float becomes an exact value."""
+    """``value`` as a Fraction; anything but an int or a Fraction (0.5, "1/2", True)
+    raises ValueError, so no float or bool becomes an exact value."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise ValueError(f"{what} must be an int or a Fraction, not {value!r}")
 

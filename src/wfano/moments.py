@@ -14,8 +14,9 @@ integral of a single coordinate = t^n/n!, which reduces everything to 1D
 integrals in x_1.  One affine substitution per piece, x_1 = t/a on the
 first and x_1 = (ak+1)/a - k t on the second, makes the simplex size t on
 both, with t in [0, 1]; every integrand is then a polynomial in t, and
-each of its terms integrates to 1/(e+1) for t^e; each S-value is built
-as one Fraction (see ``_flag_integrals``).  Only three distinct S-values
+each of its terms integrates to 1/(e+1) for t^e; each S-value is an
+integer pair over a common denominator, made a Fraction only where a
+caller reads it (see ``_flag_integrals``).  Only three distinct S-values
 exist per (n, a, k), so they are computed together once.  ``Poly1D`` is the
 tests' dense integrator, the independent check of ``_flag_integrals`` and of
 the region's volume (ak+1)/(a n!); the benchmark counts its products, and
@@ -27,16 +28,17 @@ for the other flag members: the local bound of :func:`delta_eckardt`, the
 upper bound A(E)/S(E) and the witness of :func:`unstable_check`.  The
 paper's closed forms of the S-values are the cross-check; only
 ``s_value_closed_form`` and :func:`moment_table` read them.  The table
-holds one exact :class:`MomentRecord` per (n, a, k); :func:`row_layout` is
-the one statement of how its 2n rows, in ``TABLE_HEADER`` order, read the
-record's three entries.
+holds one :class:`MomentRecord` of reduced integer pairs per (n, a, k)
+and builds no Fraction; :func:`row_layout` is the one statement of how
+its 2n rows, in ``TABLE_HEADER`` order, read the record's three entries.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import chain
+from math import gcd
 from typing import Iterator, NamedTuple, Optional
 
 from .lattice import as_integer, as_rational
@@ -96,7 +98,7 @@ def _validate(n: int, a: int, k: int, j: int = 1) -> None:
         raise ValueError("flag depth j must satisfy 1 <= j <= n")
 
 
-def _flag_integrals(n: int, a: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
+def _flag_integrals(n: int, a: int, k: int) -> tuple[tuple[int, int], ...]:
     """The three distinct S-values of (n, a, k), integrated over the region.
 
     Returns (S for j = 1, S for 2 <= j <= n, S for j = n with the point on
@@ -107,8 +109,8 @@ def _flag_integrals(n: int, a: int, k: int) -> tuple[Fraction, Fraction, Fractio
     top = (ak+1)/a.  With t^(n-1) and t^n integrating to 1/n and 1/(n+1),
     every term is an integer over the common denominator a^2 n (n+1).  The
     normalizer n! a/(ak+1), over the (n-1)! of the integrands, is
-    n a/(ak+1); folded in, it leaves the denominator (ak+1) a (n+1), so each
-    S-value is built as one Fraction.
+    n a/(ak+1); folded in, it leaves (ak+1) a (n+1), the denominator of each
+    S-value's unreduced integer pair (numerator, denominator).
     """
     den = (a * k + 1) * a * (n + 1)
     # x t^(n-1): (t/a) t^(n-1) dt/a gives t_n/a^2 = n; (top - k t) t^(n-1) k dt
@@ -119,14 +121,13 @@ def _flag_integrals(n: int, a: int, k: int) -> tuple[Fraction, Fraction, Fractio
     # on the second piece (x - 1/a)/k = 1 - t, with k dt: k t_(n-1) = k a^2 (n+1),
     # less k t_n = k a^2 n
     on_w1 = rest + k * a * a * (n + 1) - k * a * a * n
-    return Fraction(first, den), Fraction(rest, den), Fraction(on_w1, den)
+    return (first, den), (rest, den), (on_w1, den)
 
 
-def _closed_forms(n: int, a: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
-    """The paper's closed forms in the order of :func:`_flag_integrals`:
-    (ak+n)/(a(n+1)), 1/(n+1) and (2ak+1)/((ak+1)(n+1))."""
-    return (Fraction(a * k + n, a * (n + 1)), Fraction(1, n + 1),
-            Fraction(2 * a * k + 1, (a * k + 1) * (n + 1)))
+def _closed_forms(n: int, a: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The paper's closed forms in the order of :func:`_flag_integrals`, as
+    unreduced integer pairs: (ak+n)/(a(n+1)), 1/(n+1), (2ak+1)/((ak+1)(n+1))."""
+    return (a * k + n, a * (n + 1)), (1, n + 1), (2 * a * k + 1, (a * k + 1) * (n + 1))
 
 
 def _entry(n: int, j: int, q_in_w1: bool) -> int:
@@ -156,14 +157,14 @@ def s_value(n: int, a: int, k: int, j: int, q_in_w1: bool = False) -> Fraction:
     closed forms to polynomials in t over [0, 1] (see ``_flag_integrals``).
     """
     _validate(n, a, k, j)
-    return _pick(_flag_integrals(n, a, k), n, j, q_in_w1)
+    return Fraction(*_pick(_flag_integrals(n, a, k), n, j, q_in_w1))
 
 
 def s_value_closed_form(n: int, a: int, k: int, j: int, q_in_w1: bool = False) -> Fraction:
     """Closed forms: (ak+n)/(a(n+1)) for j = 1, (2ak+1)/((ak+1)(n+1)) for
     j = n with the point on W_1, and 1/(n+1) otherwise."""
     _validate(n, a, k, j)
-    return _pick(_closed_forms(n, a, k), n, j, q_in_w1)
+    return Fraction(*_pick(_closed_forms(n, a, k), n, j, q_in_w1))
 
 
 def delta_eckardt(n: int, a: int, k: int) -> tuple[Fraction, bool]:
@@ -174,11 +175,13 @@ def delta_eckardt(n: int, a: int, k: int) -> tuple[Fraction, bool]:
     flag is exact (the bound equals the threshold) whenever d = ak+1 >= n.
     """
     _validate(n, a, k)
-    ratios = [A / S for A, S in zip((Fraction(n, a), 1, 1), _flag_integrals(n, a, k))]
+    ratios = [(A * q, B * p) for (A, B), (p, q) in zip(((n, a), (1, 1), (1, 1)),
+                                                        _flag_integrals(n, a, k))]
+    least = min(ratios, key=cmp_to_key(lambda r, s: r[0] * s[1] - s[0] * r[1]))
     exact = a * k + 1 >= n
-    if exact and min(ratios) != ratios[0]:
+    if exact and least is not ratios[0]:     # min keeps the first of equal ratios
         raise AssertionError("exact case must realize the vertex ratio")
-    return min(ratios), exact
+    return Fraction(*least), exact
 
 
 class UnstableReport(NamedTuple):
@@ -216,20 +219,26 @@ def unstable_check(n: int, a: int, k: int) -> UnstableReport:
 
 
 class MomentRecord(NamedTuple):
-    """The table's values of one (n, a, k), each triple in the order of
-    :func:`_flag_integrals`; :func:`row_layout` lays them out as 2n rows."""
+    """The table's values of one (n, a, k): triples in :func:`_flag_integrals` order
+    of reduced pairs (p, q), q > 0; :func:`row_layout` lays them out as 2n rows."""
 
     n: int
     a: int
     k: int
-    s: tuple[Fraction, Fraction, Fraction]
-    closed_form: tuple[Fraction, Fraction, Fraction]
+    s: tuple[tuple[int, int], ...]
+    closed_form: tuple[tuple[int, int], ...]
     match: tuple[bool, bool, bool]     # s == closed_form, entry by entry
+
+
+def _reduced(pairs) -> tuple[tuple[int, int], ...]:
+    """Each (p, q) of ``pairs`` over gcd(p, q); every q here is positive."""
+    return tuple([(p // g, q // g) for p, q in pairs for g in (gcd(p, q),)])
 
 
 def moment_table(n_range, a_range, k_range) -> Iterator[MomentRecord]:
     """One exact record per (n, a, k), n outermost: its three integrals, three
     closed forms and three comparisons, each computed once for its 2n rows.
+    Each pair is reduced once, so values match when their pairs are equal.
 
     A triple's checks read each entry alone: each entry is checked once, with
     the others' first entries, raising what the first faulty triple would.
@@ -242,7 +251,7 @@ def moment_table(n_range, a_range, k_range) -> Iterator[MomentRecord]:
     for n in n_range:
         for a in a_range:
             for k in k_range:
-                integrals = _flag_integrals(n, a, k)
-                closed = _closed_forms(n, a, k)
+                integrals = _reduced(_flag_integrals(n, a, k))
+                closed = _reduced(_closed_forms(n, a, k))
                 yield MomentRecord(n, a, k, integrals, closed,
-                                   tuple(map(operator.eq, integrals, closed)))
+                                   tuple(map(tuple.__eq__, integrals, closed)))

@@ -533,6 +533,24 @@ def test_moments_table_default_bytes():
         "1edf3e8e5f01ec1c40c9dfb3c0f574b0390099da413adc0e8d80a6e90681b8b8"
 
 
+def test_moments_table_builds_no_fraction(monkeypatch):
+    """The table is integer arithmetic from the formulas to the bytes: with
+    every ``Fraction`` construction in ``moments`` and ``cli`` raising, the
+    default table still writes its pinned bytes."""
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(mo, "Fraction", NoFraction)
+    monkeypatch.setattr(cli, "Fraction", NoFraction)
+    with pytest.raises(AssertionError, match="a Fraction was built"):
+        mo.s_value(3, 2, 2, 1)
+    code, text = _run(["moments", "table"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "1edf3e8e5f01ec1c40c9dfb3c0f574b0390099da413adc0e8d80a6e90681b8b8"
+
+
 @pytest.mark.parametrize("maxima, size, sha", [
     (("6", "4", "5"), 21604, "b5b4689d5f9f563e03ee9fa4e29ec11582ddd13b6e6f6c55746eb550f4fcba9b"),
     (("6", "5", "4"), 21668, "b5193ac89a5db545df1679bb9512745a72196c27b36e80e73a6592d4c2e8c885"),
@@ -561,7 +579,8 @@ def test_moment_lines_are_the_csv_writer_bytes(monkeypatch, seed, wrong):
 
         def broken(n, a, k):
             values = list(closed_forms(n, a, k))
-            values[wrong] += 1
+            p, q = values[wrong]
+            values[wrong] = (p + q, q)       # the value plus 1
             return tuple(values)
         monkeypatch.setattr(mo, "_closed_forms", broken)
     rng = random.Random(seed)

@@ -574,8 +574,8 @@ def test_certified_eckardt_values_have_one_source(monkeypatch, corpus):
     shift = F(100, 101)                  # A/S of the first S-value times 100/101
 
     def perturbed(n, a, k):
-        first, rest, on_w1 = integrals(n, a, k)
-        return first / shift, rest, on_w1
+        (p, q), rest, on_w1 = integrals(n, a, k)
+        return (101 * p, 100 * q), rest, on_w1      # the first S-value over shift
 
     monkeypatch.setattr(mo, "_flag_integrals", perturbed)
     assert mo.delta_eckardt(3, 2, 2) == (F(12, 7) * shift, True)

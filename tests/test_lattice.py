@@ -242,6 +242,9 @@ _P1122 = WeightVector((1, 1, 2, 2))
     (lambda: stratum(_P1122, [True]), "vanishing index must be an integer, not True"),
     (lambda: base_locus(_P1122, True), "threshold must be an integer, not True"),
     (lambda: base_locus(_P1122, 1, False), "base point index must be an integer, not False"),
+    (lambda: WeightVector((True, 1, 2)), "weights must be integers, not (True, 1, 2)"),
+    (lambda: WeightVector([1, 2, False]), "weights must be integers, not [1, 2, False]"),
+    (lambda: as_rational(True, "x"), "x must be an int or a Fraction, not True"),
     # no float becomes an exact rational
     (lambda: as_rational(0.1, "c0"), "c0 must be an int or a Fraction, not 0.1"),
     (lambda: as_rational("1/2", "x"), "x must be an int or a Fraction, not '1/2'"),

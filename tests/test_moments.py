@@ -115,12 +115,14 @@ def _dense_flag_integrals(n, a, k):
 def test_flag_integrals_against_dense_integration():
     """Over the default table's a, k <= 6, on the high dimensions and (a, k)
     of ``test_s_value_closed_forms_high_dimension``, and on large a and k,
-    where the integer numerators over the common denominator grow."""
+    where the integer numerators over the common denominator grow.  Each
+    value is read as the ``Fraction`` of its integer pair."""
     grid = [(n, a, k) for n in range(2, 11) for a in range(1, 7) for k in range(1, 7)]
     grid += [(n, a, k) for n in (16, 32, 64) for a in (1, 2, 5) for k in (1, 3)]
     grid += [(7, 97, 50), (64, 40, 40), (2, 1000, 999), (33, 7919, 1)]
     for n, a, k in grid:
-        assert mo._flag_integrals(n, a, k) == _dense_flag_integrals(n, a, k)
+        assert tuple(F(p, q) for p, q in mo._flag_integrals(n, a, k)) == \
+            _dense_flag_integrals(n, a, k)
 
 
 def test_s_value_closed_forms_high_dimension():
@@ -262,7 +264,11 @@ def test_moment_table_rows():
     assert len(rows) == 2 * 2  # j in {1,2}, two flags
     assert all(r["match"] for r in rows)
     assert set(rows[0]) == {"n", "a", "k", "j", "q_in_W1", "S", "closed_form", "match"}
-    assert all(isinstance(r[k], Fraction) for r in rows for k in ("S", "closed_form"))
+    # each value is an integer pair in lowest terms with a positive denominator
+    cells = [r[k] for r in rows for k in ("S", "closed_form")]
+    assert all(type(c) is tuple and len(c) == 2 and all(type(x) is int for x in c)
+               for c in cells)
+    assert all(c[1] > 0 and math.gcd(*c) == 1 for c in cells)
 
 
 def test_moment_table_checks_every_triple_before_the_first_row():
@@ -330,7 +336,8 @@ def test_moment_table_match_follows_a_wrong_closed_form(monkeypatch, wrong):
 
     def broken(n, a, k):
         values = list(closed_forms(n, a, k))
-        values[wrong] += 1
+        p, q = values[wrong]
+        values[wrong] = (p + q, q)       # the value plus 1
         return tuple(values)
 
     def selects(r):
