@@ -15,12 +15,11 @@ weight shape (one weight > 1, two, or any other) admits, combines the
 bounds that fired (maximum of lower bounds, local bounds combined over a
 vertex/away split), converts between the O(1) and anticanonical
 polarizations exactly, and records what fired.  The audit trace is
-rendered from that record when :attr:`DeltaCertificate.trace` is read, so
-a sweep that reads only the bounds, the verdict and the fired rule ids
-never renders it.  Likewise the reasons of the weight-one containment
-derivation are (template, args) pairs, formatted only where they are
-read: by :func:`derive_b1`, by the message of a
-:class:`ContradictoryFlagsError`, or by the trace; a sweep formats none.
+rendered from that record alone when :attr:`DeltaCertificate.trace` is
+read, so a sweep that reads only the bounds, the verdict and the fired
+rule ids never renders it.  The weight-one containment reasons are facts
+too, recorded by a ``note`` row; every hypothesis is formatted by one
+function, :func:`_hypotheses`, and a sweep formats none.
 
 External inputs from the literature are separate rows tagged EXTERNAL and
 carry their own citation strings; they are never merged silently.
@@ -64,7 +63,7 @@ class Flags(_Value):
             object.__setattr__(self, name, value)
 
 
-MAX_DEGREE = 10**6        # derive_b1's knapsack holds a bitset of d + 1 bits
+MAX_DEGREE = 10**6        # _representable's knapsack holds a bitset of d + 1 bits
 
 
 class FanoDatum(_Value):
@@ -82,7 +81,7 @@ class FanoDatum(_Value):
     ascending ``sorted_weights`` and ``c1``, the number of weight-one
     entries (the weights > 1 are ``sorted_weights[c1:]``); ``b1``, the
     weight-one containment, derived where it can be and asserted otherwise,
-    with ``b1_note`` its derivation for the trace (None if undecided); and
+    with ``b1_note`` the fired entry of its note row (None if undecided); and
     ``eckardt``, k in d = ak + 1 when the last vertex of P(1^(n+1), a),
     n >= 2, is a generalized Eckardt point (asserted, or m = k), else None.
     On any other shape, curves included, the Eckardt assertion is ignored.
@@ -110,18 +109,15 @@ class FanoDatum(_Value):
         setattr_(self, "index", index)
         setattr_(self, "sorted_weights", w)
         setattr_(self, "c1", w.count(1))
-        b1, b1_note = flags.b1_in_x, None
-        derived, reasons = _decide_b1(self)
-        if derived != "unknown":
-            if derived == "contradiction":
-                b1, statement = "unknown", (_B1_CONTRADICTION, ())
-            elif b1 in ("unknown", derived):
-                b1, statement = derived, (_B1_DERIVED, (derived,))
-            else:
+        b1, (derived, b1_note) = flags.b1_in_x, _decide_b1(self)
+        if derived == "contradiction":
+            b1 = "unknown"
+        elif derived != "unknown":
+            if b1 not in ("unknown", derived):
                 raise ContradictoryFlagsError(
                     f"asserted b1_in_x={b1} contradicts the derived value {derived}: "
-                    + "; ".join(_b1_text(*reason) for reason in reasons))
-            b1_note = (statement, reasons)
+                    + "; ".join(_hypotheses(*b1_note[:2])))
+            b1 = derived
         eckardt = None
         for fact in (N_GE_2, ONE_WEIGHT, VERTEX_DEGREE):   # they read neither b1 nor eckardt
             if (got := fact.check(self)) is None:
@@ -158,13 +154,10 @@ class DeltaCertificate(NamedTuple):
     certified upper bound when an instability rule fired.  Anticanonical
     values are the O(1) values divided by the index, exactly.
 
-    The record is the datum's ``b1_note``, the statement and reasons of the
-    weight-one containment derivation (None when it was not decided), and
-    what :func:`certify` saw fire: ``fired``, one ``(rule, args, inputs,
-    value)`` per rule that fired, in table order, with ``args`` the
-    arguments of the rule's facts.  The statement and each reason of
-    ``b1_note`` are (template, args) pairs, unformatted.  :attr:`trace`
-    renders the audit trace from the record, formatting them.
+    The record is ``fired``: one ``(rule, args, inputs, value)`` per row
+    that fired, ``args`` the arguments of its facts, the datum's b1 note
+    first (if decided), then the rows of :data:`RULES` in table order.
+    :attr:`trace` renders the audit trace from ``fired`` alone.
     """
 
     polarization: str
@@ -173,23 +166,16 @@ class DeltaCertificate(NamedTuple):
     upper: Optional[Fraction]
     verdict: str                  # "K-stable" | "K-unstable" | "inconclusive"
     index: int
-    b1_note: Optional[tuple[tuple[str, tuple], tuple[tuple[str, tuple], ...]]]
     fired: tuple[tuple[Rule, dict, dict, Optional[Fraction]], ...]
 
     @property
     def trace(self) -> tuple[TraceEntry, ...]:
-        """The audit trace, rendered on each read: the b1 note first, then
-        one entry per fired rule, its hypotheses the texts of its facts
-        formatted with their arguments and its output the value as a
-        string (None for a note)."""
-        notes = () if self.b1_note is None else (
-            TraceEntry("b1-derivation", _b1_text(*self.b1_note[0]), None, False, "note",
-                       tuple(_b1_text(*reason) for reason in self.b1_note[1]), {}, None),)
-        return notes + tuple(
+        """The audit trace, rendered on each read: one entry per fired row,
+        its output the value as a string (None for a note)."""
+        return tuple(
             TraceEntry(rule.id, rule.statement, rule.citation, rule.citation is not None,
-                       rule.scope,
-                       tuple(f.text.format_map(args) for f in rule.requires if f.text),
-                       inputs, None if value is None else str(value))
+                       rule.scope, _hypotheses(rule, args), inputs,
+                       None if value is None else str(value))
             for rule, args, inputs, value in self.fired)
 
     @property
@@ -199,11 +185,6 @@ class DeltaCertificate(NamedTuple):
     @property
     def anticanonical_upper(self) -> Optional[Fraction]:
         return None if self.upper is None else self.upper / self.index
-
-
-class B1Result(NamedTuple):
-    verdict: str                  # "yes" | "no" | "unknown" | "contradiction"
-    reasons: tuple[str, ...]
 
 
 def _representable(d: int, parts: tuple[int, ...]) -> bool:
@@ -231,56 +212,6 @@ def _representable(d: int, parts: tuple[int, ...]) -> bool:
             reach |= (reach << step) & mask
             step *= 2
     return bool(reach >> d & 1)
-
-
-def _b1_text(template: str, args: tuple) -> str:
-    """A b1 reason or statement, formatted when it is read: by :func:`derive_b1`,
-    by a :class:`ContradictoryFlagsError` message, or by
-    :attr:`DeltaCertificate.trace`."""
-    return template.format(*args)
-
-
-_B1_DERIVED = "weight-one base locus containment derived: {}"
-_B1_CONTRADICTION = ("the containment rules for the weight-one base locus contradict each "
-                     "other, so no quasi-smooth member with this datum exists; the "
-                     "certificate is vacuously sound")
-
-
-def _decide_b1(datum: FanoDatum) -> tuple[str, tuple[tuple[str, tuple], ...]]:
-    """The verdict of :func:`derive_b1` and its reasons, each a (template,
-    args) pair that :func:`_b1_text` formats."""
-    n, d, c1 = datum.n, datum.d, datum.c1
-    big = datum.sorted_weights[c1:]
-    no_reasons = ()
-    if n + 1 >= 2 * c1:
-        no_reasons = (("n+1 = {} >= 2*c1 = {}: locus too large to lie on X", (n + 1, 2 * c1)),)
-    for a in big:
-        if d % a != 1:
-            no_reasons += (("d = {} is {} mod {}, not 1", (d, d % a, a)),)
-            break
-    if not _representable(d, big):
-        yes = (("degree is not a nonnegative combination of the weights > 1, so every "
-                "monomial of degree d vanishes on the weight-one locus", ()),)
-        return ("contradiction", yes + no_reasons) if no_reasons else ("yes", yes)
-    return ("no", no_reasons) if no_reasons else ("unknown", ())
-
-
-def derive_b1(datum: FanoDatum) -> B1Result:
-    """Decide whether the weight-one base locus lies on the hypersurface.
-
-    Sound rules under the quasi-smoothness assertion:
-      (1) if n + 1 >= 2*c1 the locus is too large to lie on X: "no";
-      (2) if d is not a nonnegative combination of the weights > 1, every
-          monomial of degree d uses a weight-one variable: "yes";
-      (3) containment forces d = 1 mod a_j for every weight a_j > 1, so a
-          violation gives "no".
-    When (2) fires together with (1) or (3) the asserted family is empty.
-    The decision is :func:`_decide_b1`, which :class:`FanoDatum` calls
-    when it is built and which leaves its reasons unformatted; they are
-    formatted here, for the callers that read them.
-    """
-    verdict, reasons = _decide_b1(datum)
-    return B1Result(verdict, tuple(_b1_text(*reason) for reason in reasons))
 
 
 class Fact(NamedTuple):
@@ -316,6 +247,14 @@ def _top_degree(k_min):
             return {"d": x.d, "k": (x.d - 1) // a, "a_top": a}
         return None
     return check
+
+
+def _not_one_mod(x):
+    """The first weight a > 1 with d != 1 mod a, with d mod a, or None."""
+    for a in x.sorted_weights[x.c1:]:
+        if x.d % a != 1:
+            return {"d": x.d, "residue": x.d % a, "a": a}
+    return None
 
 
 def _degree_gap(x):
@@ -357,10 +296,16 @@ TWO_WEIGHTS = Fact(
 DIVIDES = Fact("divides", _largest_dividing_weight, "a_r = {a_r} divides d = {d}")
 TAIL_DEGREE = Fact("congruent", _top_degree(2), "d = {d} = {k}*{a_top}+1 > a_top+1")
 VERTEX_DEGREE = Fact("congruent", _top_degree(1), "d = {d} = {k}*{a_top}+1")
-ONE_MOD_EVERY_WEIGHT = Fact(
-    "congruent",
-    lambda x: _HOLDS if all(x.d % a == 1 for a in x.sorted_weights[x.c1:]) else None,
-    "d = 1 mod a_i for all weights a_i > 1")
+ONE_MOD_EVERY_WEIGHT = Fact("congruent", lambda x: _HOLDS if _not_one_mod(x) is None else None,
+                            "d = 1 mod a_i for all weights a_i > 1")
+NOT_ONE_MOD = Fact("congruent", _not_one_mod, "d = {d} is {residue} mod {a}, not 1")
+LOCUS_TOO_LARGE = Fact(
+    "ge", lambda x: {"n_plus_1": x.n + 1, "two_c1": 2 * x.c1} if x.n + 1 >= 2 * x.c1 else None,
+    "n+1 = {n_plus_1} >= 2*c1 = {two_c1}: locus too large to lie on X")
+NOT_A_COMBINATION = Fact(
+    "b1", lambda x: None if _representable(x.d, x.sorted_weights[x.c1:]) else _HOLDS,
+    "degree is not a nonnegative combination of the weights > 1, so every monomial of "
+    "degree d vanishes on the weight-one locus")
 UNSTABLE = Fact("unstable", _unstable, "n = {n} > a^2 k(k-1)/(a-1) = {rhs}")
 
 
@@ -438,6 +383,7 @@ RULES: tuple[Rule, ...] = (
          "P(1^(n+1), a) with a >= 2 has delta(X; O(1)) >= (n+1)/n > 1 and is K-stable",
          (ONE_WEIGHT, INDEX_ONE, N_GE_3, QUASI_SMOOTH),
          lambda x, a, **_: ({"n": x.n, "d": x.d, "a": a}, Fraction(x.n + 1, x.n))),
+    # for n >= 3 load-bearing only on X_(2n+2) in P(1^n, 2, n+1): acceptance criterion 11
     Rule("two-weight-index-one", "global",
          "every quasi-smooth Fano hypersurface of index 1 and dimension n >= 3 in "
          "P(1^n, a, b) with 2 <= a <= b has delta(X; O(1)) >= (n+1)/(n + 1/a) > 1 "
@@ -475,6 +421,61 @@ RULES: tuple[Rule, ...] = (
          (ECKARDT_VERTEX._replace(text=None), UNSTABLE),
          lambda x, witness, **_: ({"witness": witness}, None)),
 )
+
+
+_B1_REASONS = (NOT_A_COMBINATION, LOCUS_TOO_LARGE, NOT_ONE_MOD)   # bits 0, 1, 2 of a mask
+_B1_CHECKS = tuple((1 << bit, fact.check) for bit, fact in enumerate(_B1_REASONS))
+_B1_CONTRADICTION = ("the containment rules for the weight-one base locus contradict each "
+                     "other, so no quasi-smooth member with this datum exists; the "
+                     "certificate is vacuously sound")
+
+
+def _b1_note(mask: int) -> tuple[str, Optional[Rule]]:
+    """The verdict of the b1 reasons set in ``mask`` (bit 0 says "yes", bits
+    1 and 2 say "no") and the note row that records them, if any."""
+    verdict = ("unknown", "yes", "no", "contradiction")[2 * (mask > 1) + (mask & 1)]
+    statement = (_B1_CONTRADICTION if verdict == "contradiction"
+                 else f"weight-one base locus containment derived: {verdict}")
+    reasons = tuple(fact for bit, fact in enumerate(_B1_REASONS) if mask >> bit & 1)
+    return verdict, Rule("b1-derivation", "note", statement, reasons,
+                         lambda x, **_: ({}, None)) if mask else None
+
+
+_B1_NOTES = tuple(_b1_note(mask) for mask in range(8))
+
+
+def _decide_b1(datum: FanoDatum) -> tuple[str, Optional[tuple]]:
+    """The verdict of :func:`derive_b1` and the fired entry ``(rule, args, {}, None)``
+    of its note row (None if undecided), picked from :data:`_B1_NOTES` by a mask."""
+    mask, args = 0, {}
+    for bit, check in _B1_CHECKS:
+        if (got := check(datum)) is not None:
+            mask |= bit
+            args |= got
+    verdict, rule = _B1_NOTES[mask]
+    return verdict, None if rule is None else (rule, args, {}, None)
+
+
+def derive_b1(datum: FanoDatum) -> tuple[str, tuple[str, ...]]:
+    """Decide whether the weight-one base locus lies on the hypersurface.
+
+    Sound rules under the quasi-smoothness assertion:
+      (1) if n + 1 >= 2*c1 the locus is too large to lie on X: "no";
+      (2) if d is not a nonnegative combination of the weights > 1, every
+          monomial of degree d uses a weight-one variable: "yes";
+      (3) containment forces d = 1 mod a_j for every weight a_j > 1, so a
+          violation gives "no".
+    When (2) fires together with (1) or (3) the asserted family is empty.
+    Returns the verdict and its reasons, rendered, as :func:`_decide_b1` finds them.
+    """
+    verdict, note = _decide_b1(datum)
+    return verdict, () if note is None else _hypotheses(*note[:2])
+
+
+def _hypotheses(rule: Rule, args: dict) -> tuple[str, ...]:
+    """The hypotheses of a fired row, its facts' texts formatted with their arguments:
+    the one renderer, for the trace, a ``b1_in_x`` mismatch and :func:`derive_b1`."""
+    return tuple(fact.text.format_map(args) for fact in rule.requires if fact.text)
 
 
 def _rule_shape(rule: Rule) -> int:
@@ -525,7 +526,7 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
     < 1 gives K-unstable.  The one refusal left here is a certified lower
     bound above a certified upper bound.
     """
-    idx, fired = datum.index, []
+    idx, fired = datum.index, [] if datum.b1_note is None else [datum.b1_note]
     big = datum.n + 2 - datum.c1                        # the number of weights > 1
     lower, strict, vertex, away, upper = _ZERO, False, None, None, None
     for rule in _shape_rules(big if big <= 2 else 0):
@@ -565,8 +566,7 @@ def certify(datum: FanoDatum) -> DeltaCertificate:
         verdict = "K-stable"
     else:
         verdict = "inconclusive"
-    return DeltaCertificate("O(1)", lower, strict, upper, verdict, idx, datum.b1_note,
-                            tuple(fired))
+    return DeltaCertificate("O(1)", lower, strict, upper, verdict, idx, tuple(fired))
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +613,9 @@ def enumerate_data(n: int, max_weight: int, index: Optional[int] = None,
     Exactly one of ``index`` and ``degree`` must be given; ``eckardt`` and
     ``general`` set the corresponding assertion flags on every row, and
     :class:`FanoDatum` ignores the Eckardt assertion where the last vertex is
-    not of Eckardt shape, as for a single datum.  The arguments and the row
-    limit are checked at the first pull, before the first row is certified.
+    not of Eckardt shape, as for a single datum.  The arguments (integers,
+    not bools) and the row limit are checked at the first pull, before the
+    first row is certified.
     The limit bounds the gcd-1 candidates, counted exactly by
     :func:`_coprime_tuple_count` (all C(M+n+1, n+2) ascending tuples, less
     those of gcd g >= 2, which are g times a gcd-1 tuple up to M/g) without
@@ -624,6 +625,11 @@ def enumerate_data(n: int, max_weight: int, index: Optional[int] = None,
     """
     if (index is None) == (degree is None):
         raise ValueError("give exactly one of index or degree")
+    n, max_weight = as_integer(n, "dimension n"), as_integer(max_weight, "max_weight")
+    if degree is None:
+        index = as_integer(index, "index")
+    else:
+        degree = as_integer(degree, "degree")
     if n < 1:
         raise ValueError("dimension n must be >= 1")
     if max_weight < 1 or (index if degree is None else degree) < 1:

@@ -17,7 +17,9 @@ from wfano import wpoly as wp
 from wfano.lattice import WeightVector, normalize
 from wfano.snf import QuotientLattice
 
-from helpers import random_weight_vector, region_volume, smooth_blowup_intersection
+from helpers import (_census_quasi_smooth, _census_reach, _census_singletons,
+                     _census_well_formed, census, random_weight_vector, region_volume,
+                     smooth_blowup_intersection)
 
 F = Fraction
 
@@ -353,3 +355,100 @@ def test_criterion_10_normalization_property():
         assert again.output == rep.output and again.g == 1
     _report(10, "10000 random weight vectors satisfy the product identity "
                 "prod(a) = g^s * prod(a') and normalization is idempotent")
+
+
+# Criterion 11: X_d in P(1^n, a, b) with 2 <= a <= b, n >= 3 and index 1, so
+# d = n + a + b - 1 >= b + 2 and `two-weight-degree` gives (n+1)a/d, which
+# exceeds 1 exactly when n(a-1) - (b-1) > 0.  Thm 8.1 of Iano-Fletcher for
+# I = {x_b} (the singleton condition) says b divides d or d - a_e for another
+# weight a_e, so d = r (mod b) with r = a, 1 or 0.  Then b divides
+# d - r - b = n + a - 1 - r > 0, so n >= b - a + 1 + r, and since a - 1 > 0,
+# n(a-1) - (b-1) >= n_min(a-1) - (b-1) = P(a-2, b-a).  Each case is data:
+# r and n_min as affine forms (constant, a, b), and P as {(i, j): c}, the
+# coefficient c of u^i v^j in u = a-2 >= 0, v = b-a >= 0.
+_HEADLINE_CASES = (
+    ((0, 1, 0), (1, 0, 1), {(2, 0): 1, (1, 1): 1, (1, 0): 3, (0, 0): 2}),   # d = a: n >= b+1
+    ((1, 0, 0), (2, -1, 1), {(1, 1): 1, (1, 0): 1, (0, 0): 1}),             # d = 1: n >= b-a+2
+    ((0, 0, 0), (1, -1, 1), {(1, 1): 1}),                                   # d = 0: n >= b-a+1
+)
+
+
+def _poly(*terms):
+    """The integer polynomial in (a, b) with the given ((i, j), c) terms,
+    c a^i b^j, as {(i, j): c} without zero coefficients."""
+    out = {}
+    for key, c in terms:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _poly_mul(p, q):
+    return _poly(*(((i + k, j + m), c * e) for (i, j), c in p.items()
+                   for (k, m), e in q.items()))
+
+
+def _affine(form):
+    c, ca, cb = form
+    return _poly(((0, 0), c), ((1, 0), ca), ((0, 1), cb))
+
+
+def test_criterion_11_headline_theorem_every_n():
+    u, v = _affine((-2, 1, 0)), _affine((0, -1, 1))
+    for residue, n_min, bound in _HEADLINE_CASES:
+        # n_min = b - a + 1 + r, and n_min(a-1) - (b-1) expands to P(a-2, b-a)
+        assert _affine(n_min) == _poly(*_affine((1, -1, 1)).items(), *_affine(residue).items())
+        expanded = _poly()
+        for (i, j), c in bound.items():
+            term = {(0, 0): c}
+            for factor in [u] * i + [v] * j:
+                term = _poly_mul(term, factor)
+            expanded = _poly(*expanded.items(), *term.items())
+        assert _poly(*_poly_mul(_affine(n_min), _affine((-1, 1, 0))).items(),
+                     ((0, 1), -1), ((0, 0), 1)) == expanded, residue
+        assert all(c > 0 for c in bound.values())      # so P >= P(0, 0) on u, v >= 0
+    # r = a or 1 is strict; r = 0 leaves uv, zero only where a = 2 or a = b
+    assert [bound.get((0, 0), 0) for _, _, bound in _HEADLINE_CASES] == [2, 1, 0]
+    assert _HEADLINE_CASES[2][2] == {(1, 1): 1}
+    # the singleton condition at b allows d = 0 or d = a_e for a_e in {1, a}
+    assert {residue for residue, _, _ in _HEADLINE_CASES} == {(0, 0, 0), (1, 0, 0), (0, 1, 0)}
+
+    def exists(n, a, b):
+        """The oracle's existence test, reduced: a subset of the variables
+        that holds a weight-one x has x^d, so only subsets of {a, b} can
+        fail Thm 8.1, and two weight-one variables witness them all."""
+        w, d = (1,) * n + (a, b), n + a + b - 1
+        return (_census_singletons(w, d) and _census_well_formed(w, d)
+                and _census_quasi_smooth((1, 1, a, b), d, _census_reach((1, 1, a, b), d)))
+
+    assert [(w, d) for w, d in census(3, 10) if w[:3] == (1, 1, 1) and w[3] > 1] == [
+        ((1, 1, 1, a, b), a + b + 2) for a in range(2, 11) for b in range(a, 11)
+        if exists(3, a, b)]
+    families, series = 0, []
+    for n in range(3, 16):
+        for a in range(2, 61):
+            for b in range(a, 61):
+                if not exists(n, a, b):
+                    continue
+                d = n + a + b - 1
+                families += 1
+                cert = ce.certify(ce.FanoDatum(ambient=WeightVector((1,) * n + (a, b)), d=d))
+                value = F((n + 1) * a, d)
+                assert [entry for rule, _, _, entry in cert.fired
+                        if rule.id == "two-weight-degree"] == [value], (n, a, b)
+                cases = [(n_min, bound) for residue, n_min, bound in _HEADLINE_CASES
+                         if (d - residue[0] - residue[1] * a - residue[2] * b) % b == 0]
+                assert cases, (n, a, b)
+                for (c, ca, cb), bound in cases:
+                    assert n >= c + ca * a + cb * b, (n, a, b)
+                    assert n * (a - 1) - (b - 1) >= sum(
+                        coeff * (a - 2) ** i * (b - a) ** j for (i, j), coeff in bound.items())
+                if value == 1:
+                    series.append((n, a, b, d))
+                else:
+                    assert value > 1, (n, a, b)
+    assert families == 315
+    assert series == [(n, 2, n + 1, 2 * n + 2) for n in range(3, 16)]
+    _report(11, f"two-weight-degree gives (n+1)a/d > 1 on every index-1 family in "
+                f"P(1^n, a, b), n >= 3, by three congruence cases checked as integer "
+                f"polynomials; {families} families (n <= 15, b <= 60) confirm it, and "
+                f"the value is exactly 1 only on X_(2n+2) in P(1^n, 2, n+1)")

@@ -305,6 +305,16 @@ def test_enumerate_checks_arguments_before_the_first_row():
                    {"max_weight": 3, "degree": 0}, {"max_weight": 0, "index": 1}):
         with pytest.raises(ValueError):
             next(ce.enumerate_data(n=2, **kwargs))
+    # a non-integer is refused by name, not swallowed with the candidates'
+    # refusals (0 rows) or raised as a TypeError; True is not index 1
+    for kwargs, what in (({"n": 3, "max_weight": 5, "index": 1.5}, "index"),
+                         ({"n": 3, "max_weight": 5, "degree": 7.0}, "degree"),
+                         ({"n": 3, "max_weight": 5, "index": True}, "index"),
+                         ({"n": 2.5, "max_weight": 5, "index": 1}, "dimension n"),
+                         ({"n": 3, "max_weight": 5.5, "index": 1}, "max_weight"),
+                         ({"n": 99.5, "max_weight": 5, "index": 1}, "dimension n")):
+        with pytest.raises(ValueError, match=f"^{what} must be an integer"):
+            next(ce.enumerate_data(**kwargs))
 
 
 def _mobius(k):
@@ -639,21 +649,22 @@ def test_a_sweep_renders_no_trace(monkeypatch):
 
 
 def test_a_sweep_formats_no_b1_reason(monkeypatch):
-    """``enumerate`` reads no b1 reason and no b1 statement, so it formats
-    none, as CSV or as JSON, though its certificates hold them; ``certify``
-    formats exactly the ones its trace prints."""
+    """``enumerate`` reads no hypothesis, so it formats none, as CSV or as
+    JSON, though its certificates hold b1 notes with reasons; ``certify``
+    formats exactly the hypotheses its trace prints, of every entry."""
     formatted = []
-    text = ce._b1_text
+    render = ce._hypotheses
 
-    def spy(template, args):
-        formatted.append(text(template, args))
-        return formatted[-1]
+    def spy(rule, args):
+        hypotheses = render(rule, args)
+        formatted.extend(hypotheses)
+        return hypotheses
 
-    monkeypatch.setattr(ce, "_b1_text", spy)
-    assert any(row.certificate.b1_note[1]
+    monkeypatch.setattr(ce, "_hypotheses", spy)
+    assert any(rule.id == "b1-derivation" and rule.requires
                for row in ce.enumerate_data(n=3, max_weight=8, index=1, eckardt=True,
                                             general=True)
-               if row.certificate.b1_note is not None)
+               for rule, _, _, _ in row.certificate.fired)
     sweep = ["enumerate", "--n", "3", "--max-weight", "8", "--index", "1",
              "--eckardt", "--general"]
     for argv in (sweep, sweep + ["--csv"]):
@@ -663,10 +674,36 @@ def test_a_sweep_formats_no_b1_reason(monkeypatch):
     assert formatted == []
     out = io.StringIO()
     assert cli.run(["certify", "--weights", "1,1,1,1,2", "--degree", "5"], out=out) == 0
-    note = json.loads(out.getvalue())["trace"][0]
-    assert note["rule_id"] == "b1-derivation"
-    assert formatted == [note["statement"], *note["hypotheses"]] == [
-        "weight-one base locus containment derived: yes", _NOT_A_COMBINATION]
+    trace = json.loads(out.getvalue())["trace"]
+    assert len(trace) > 1
+    assert formatted == [hypothesis for entry in trace for hypothesis in entry["hypotheses"]]
+    assert (trace[0]["rule_id"], trace[0]["statement"], trace[0]["hypotheses"]) == (
+        "b1-derivation", "weight-one base locus containment derived: yes", [_NOT_A_COMBINATION])
+
+
+def test_the_trace_has_one_source(corpus):
+    """Every corpus certificate's trace is the rendering of ``fired``, the b1
+    note included, and every hypothesis is the text of a fact of its row
+    formatted with the row's arguments; the facts' names are a closed
+    vocabulary."""
+    names, notes = set(), 0
+    for _, cert in corpus:
+        if isinstance(cert, Exception):
+            continue
+        ids = [rule.id for rule, _, _, _ in cert.fired]
+        notes += ids[:1] == ["b1-derivation"]
+        assert "b1-derivation" not in ids[1:]
+        assert cert.trace == tuple(
+            ce.TraceEntry(rule.id, rule.statement, rule.citation, rule.citation is not None,
+                          rule.scope,
+                          tuple(fact.text.format_map(args) for fact in rule.requires
+                                if fact.text),
+                          inputs, None if value is None else str(value))
+            for rule, args, inputs, value in cert.fired)
+        names.update(fact.name for rule, _, _, _ in cert.fired for fact in rule.requires)
+    assert notes == 3870
+    assert names == {"asserted_flag", "b1", "congruent", "divides", "ge", "index_eq",
+                     "unstable", "weights_shape"}
 
 
 def test_the_shape_index_drops_only_rows_that_cannot_fire(corpus):
@@ -715,11 +752,10 @@ def test_a_datum_that_builds_certifies(corpus):
 
 def test_check_free_records_are_named_tuples():
     """The records without a check of their own keep their fields, in order,
-    and refuse assignment; the certificate, the b1 result and the sweep row
-    hash as the tuple of their fields."""
+    and refuse assignment, as does the plain tuple that ``derive_b1``
+    returns."""
     assert ce.DeltaCertificate._fields == (
-        "polarization", "bound", "strict", "upper", "verdict", "index", "b1_note", "fired")
-    assert ce.B1Result._fields == ("verdict", "reasons")
+        "polarization", "bound", "strict", "upper", "verdict", "index", "fired")
     assert ce.EnumerationRow._fields == ("datum", "certificate")
     assert ce.TraceEntry._fields == ("rule_id", "statement", "citation", "external", "scope",
                                      "hypotheses", "inputs", "output")
@@ -738,8 +774,6 @@ def test_check_free_records_are_named_tuples():
     assert cx.OkounkovCase._fields == ("body", "L2", "eps", "t_max", "s_value",
                                        "second_coordinate")
     assert wp.QsmPointReport._fields == ("quasi_smooth", "witness", "vanishing")
-    reasons = ("n+1 = 4 >= 2*c1 = 2: locus too large to lie on X",)
-    assert hash(ce.B1Result("no", reasons)) == hash(("no", reasons))
     datum = _datum([1, 1, 1, 1, 2], 5)
     cert = ce.certify(datum)
     row = ce.EnumerationRow(datum, cert)
